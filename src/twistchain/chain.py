@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MatrixPolynomial, kron_chain, poly_from_samples
+from .linalg import MatrixPolynomial, kron_chain
 
 __all__ = [
     "ChainParams",
@@ -37,10 +37,7 @@ __all__ = [
     "build_monodromy",
     "build_r_matrix",
     "build_transfer",
-    "dual_vacuum_state",
-    "interpolation_nodes",
     "local_operator",
-    "monodromy_blocks",
     "monodromy_matrix",
     "structure_checks",
     "total_sz",
@@ -103,11 +100,6 @@ def vacuum_state(sites: int) -> np.ndarray:
     v = np.zeros(2 ** sites, dtype=complex)
     v[0] = 1.0
     return v
-
-
-def dual_vacuum_state(sites: int) -> np.ndarray:
-    """All-spins-up reference row vector."""
-    return vacuum_state(sites)
 
 
 def local_operator(op: np.ndarray, site: int, sites: int) -> np.ndarray:
@@ -184,13 +176,6 @@ def monodromy_matrix(params: ChainParams, u: complex) -> np.ndarray:
     return out
 
 
-def monodromy_blocks(params: ChainParams, u: complex):
-    """(t11, t12, t21, t22) as 2^N x 2^N matrices at the point u."""
-    m = monodromy_matrix(params, u)
-    d = params.dim
-    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
-
-
 @dataclass(frozen=True)
 class MonodromyFamily:
     """The four auxiliary-space blocks as matrix polynomials in u."""
@@ -207,28 +192,42 @@ class MonodromyFamily:
         return self.t11(u), self.t12(u), self.t21(u), self.t22(u)
 
 
-def interpolation_nodes(params: ChainParams, degree: int) -> np.ndarray:
-    """Sampling nodes k*c, k = 0..degree, shifted by c/2 off any theta."""
-    nodes = np.arange(degree + 1, dtype=complex) * params.c
-    theta = np.array(params.theta, dtype=complex)
-    tol = 1e-9 * max(1.0, abs(params.c))
-    if np.min(np.abs(nodes[:, None] - theta[None, :])) <= tol:
-        nodes = nodes + params.c / 2
-        if np.min(np.abs(nodes[:, None] - theta[None, :])) <= tol:
-            raise ValueError("could not place interpolation nodes off the inhomogeneities")
-    return nodes
+def _swap_columns(slot: int, nspaces: int) -> np.ndarray:
+    """Column order that right-multiplies by the swap of slot 0 and `slot`."""
+    idx = np.arange(2 ** nspaces)
+    hi, lo = nspaces - 1, nspaces - 1 - slot
+    differ = ((idx >> hi) ^ (idx >> lo)) & 1
+    return idx ^ (differ * ((1 << hi) | (1 << lo)))
 
 
 def build_monodromy(params: ChainParams) -> MonodromyFamily:
-    """Sample T_a(u) at degree+1 nodes and interpolate each block."""
-    degree = params.sites
-    nodes = interpolation_nodes(params, degree)
-    samples = [monodromy_blocks(params, u) for u in nodes]
-    polys = [
-        poly_from_samples([(u, s[k]) for u, s in zip(nodes, samples)], degree)
-        for k in range(4)
-    ]
-    return MonodromyFamily(*polys)
+    """Exact coefficients of T_a(u), one block polynomial per t_ij.
+
+    Each factor R_ak(u - theta_k) = (u/c) I + P_ak - (theta_k/c) I is linear
+    in u, and right-multiplying by the permutation P_ak only reorders
+    columns, so the factors multiply out into the degree-N coefficient
+    stack without a dense matrix product.  The stack is updated in place,
+    highest degree first, so each step reads the lower coefficient before
+    it is overwritten.
+    """
+    n = params.sites + 1
+    c = params.c
+    coef = np.zeros((n, 2 ** n, 2 ** n), dtype=complex)
+    coef[0] = np.eye(2 ** n)
+    for k, theta in enumerate(params.theta):
+        perm = _swap_columns(k + 1, n)
+        for j in range(k + 1, -1, -1):
+            step = coef[j][:, perm] - (theta / c) * coef[j]
+            if j:
+                step += coef[j - 1] / c
+            coef[j] = step
+    d = params.dim
+    return MonodromyFamily(
+        MatrixPolynomial(coef[:, :d, :d]),
+        MatrixPolynomial(coef[:, :d, d:]),
+        MatrixPolynomial(coef[:, d:, :d]),
+        MatrixPolynomial(coef[:, d:, d:]),
+    )
 
 
 def build_transfer(params: ChainParams, twist, family: MonodromyFamily | None = None) -> MatrixPolynomial:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bethe import SpectralContext, VariableSet, eps_dist
 from .chain import ChainParams, build_monodromy, build_transfer, build_hamiltonian, structure_checks
-from .linalg import eigenpairs
+from .linalg import ConvergenceError, eigenpairs
 from .overlaps import norm_report, overlap_report
 from .solver import classify_solutions, probe_points, solve_newton, solve_tq_fit, spectrum_match
 from .states import offshell_action_residuals, raising_identity_residual
@@ -438,7 +438,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.overrides)
         report = execute(args.command, cfg)
-    except ConfigError as exc:
+    except (ValueError, ConvergenceError) as exc:
+        # ConfigError and the library's input errors (degenerate twist,
+        # coincident roots, off-shell sets) all derive from ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,6 @@ __all__ = [
     "eigenpairs",
     "kron",
     "kron_chain",
-    "poly_from_samples",
 ]
 
 # Dimension guard for dense eigendecompositions; beyond this the workbench
@@ -165,32 +164,3 @@ class MatrixPolynomial:
     def __neg__(self):
         return MatrixPolynomial(-self.coeffs)
 
-
-def poly_from_samples(samples, degree: int) -> MatrixPolynomial:
-    """Interpolate a matrix polynomial of the given degree through samples.
-
-    samples is an iterable of (node, matrix) pairs with pairwise distinct
-    nodes; at least degree + 1 samples are required.  The entrywise fit uses
-    a Vandermonde least-squares solve, which reduces to plain interpolation
-    in the square case.
-    """
-    pairs = list(samples)
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if len(pairs) < degree + 1:
-        raise ValueError(
-            f"need at least {degree + 1} samples for degree {degree}, got {len(pairs)}"
-        )
-    nodes = np.array([u for u, _ in pairs], dtype=complex)
-    mats = np.stack([_square(m) for _, m in pairs])
-    if mats.shape[1] != mats.shape[2]:
-        raise ValueError("sample matrices must be square")
-    scale = max(1.0, float(np.max(np.abs(nodes))))
-    diffs = np.abs(nodes[:, None] - nodes[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    if np.min(diffs) <= 1e-12 * scale:
-        raise ValueError("coincident interpolation nodes")
-    vand = nodes[:, None] ** np.arange(degree + 1)[None, :]
-    flat = mats.reshape(len(pairs), -1)
-    coef, *_ = np.linalg.lstsq(vand, flat, rcond=None)
-    return MatrixPolynomial(coef.reshape(degree + 1, mats.shape[1], mats.shape[2]))

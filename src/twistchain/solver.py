@@ -28,7 +28,7 @@ from .bethe import (
     shift_polynomial,
     transfer_eigenvalue,
 )
-from .chain import MonodromyFamily, build_monodromy, build_transfer, interpolation_nodes
+from .chain import MonodromyFamily, build_monodromy, build_transfer
 from .linalg import MatrixPolynomial, eigenpairs
 from .states import build_bethe_vector
 from .twist import build_modified_operators
@@ -302,24 +302,19 @@ def solve_tq_fit(
     """One solution candidate per transfer-matrix eigenvector.
 
     The eigenvector is computed once at a probe point; because the transfer
-    family commutes with itself, the same vector diagonalizes every sample
-    node, so Rayleigh quotients recover the full eigenvalue polynomial.
-    Degenerate spectra break that premise and surface as large fit
-    residuals, which are flagged rather than repaired.
+    family commutes with itself, the same vector diagonalizes every
+    coefficient matrix of the transfer polynomial, so one Rayleigh quotient
+    per coefficient gives the eigenvalue polynomial exactly.  Degenerate
+    spectra break that premise and surface as large fit residuals, which are
+    flagged rather than repaired.
     """
     if transfer is None:
         transfer = build_transfer(ctx.chain, ctx.twist)
-    n = ctx.sites
-    nodes = interpolation_nodes(ctx.chain, n)
-    vander = P.polyvander(nodes, n)
     l1, l2 = _lam_coeffs(ctx)
     u0 = probe_points(ctx, 1)[0]
     pool: list[BetheSolution] = []
     for _, vec in eigenpairs(transfer(u0)):
-        samples = np.array(
-            [vec.conj() @ (transfer(x) @ vec) for x in nodes], dtype=complex
-        )
-        lam_poly = np.linalg.solve(vander, samples)
+        lam_poly = transfer.coeffs @ vec @ vec.conj()
         monic, fit_res = _tq_linear_fit(ctx, lam_poly, l1, l2)
         flag = "tq-residual" if fit_res > fit_tol else None
         roots = np.roots(monic[::-1])

@@ -27,12 +27,7 @@ from .bethe import (
     term_G,
     transfer_eigenvalue,
 )
-from .chain import (
-    MonodromyFamily,
-    build_monodromy,
-    dual_vacuum_state,
-    vacuum_state,
-)
+from .chain import MonodromyFamily, build_monodromy, vacuum_state
 from .twist import build_modified_operators
 
 
@@ -91,7 +86,7 @@ def build_dual_vector(nu: MonodromyFamily, roots) -> BetheVector:
     per parameter, leftmost argument first."""
     rs = roots if isinstance(roots, VariableSet) else VariableSet(roots)
     n = _sites_of(nu)
-    amp = dual_vacuum_state(n)
+    amp = vacuum_state(n)
     for u in rs.values:
         amp = amp @ nu.t21(u)
     return BetheVector(
@@ -384,7 +379,7 @@ def reassemble_projection(
     for term in expansion.terms:
         pref = fact.mu ** m * ratio ** (m - len(term.kept)) * term.weight
         if dual:
-            vec = dual_vacuum_state(n)
+            vec = vacuum_state(n)
             for x in term.kept:
                 vec = vec @ family.t21(x)
         else:

@@ -5,12 +5,12 @@ from twistchain import ChainParams, SpectralContext, TwistParams
 from twistchain.bethe import VariableSet, eps_dist
 from twistchain.chain import (
     PERM4,
+    _embed_pair,
+    _swap_columns,
     build_hamiltonian,
     build_monodromy,
     build_r_matrix,
     build_transfer,
-    dual_vacuum_state,
-    interpolation_nodes,
     monodromy_matrix,
     structure_checks,
     total_sz,
@@ -56,17 +56,45 @@ def test_vacuum_weights_and_derivatives():
 
 
 def test_monodromy_polynomial_matches_product():
-    params = ChainParams(sites=3, c=1.0, theta=(0.2, -0.1, 0.0))
+    rng = np.random.default_rng(2)
+    for sites in range(1, 9):
+        params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
+        family = build_monodromy(params)
+        for u in (0.3, -1.1 + 0.6j):
+            direct = monodromy_matrix(params, u)
+            blocks = np.block([
+                [family.t11(u), family.t12(u)],
+                [family.t21(u), family.t22(u)],
+            ])
+            gap = np.linalg.norm(blocks - direct)
+            assert gap <= 1e-13 * np.linalg.norm(direct), (sites, u)
+        assert family.t11.degree == params.sites
+
+
+def test_monodromy_coefficients_exact_on_integer_chain():
+    # with c = 1 and integer inhomogeneities every coefficient is an
+    # integer, so the polynomial reproduces the dense product bit for bit
+    params = ChainParams(4, 1.0, (0.0, 1.0, -1.0, 2.0))
     family = build_monodromy(params)
-    for u in (0.3, -1.1 + 0.6j):
-        direct = monodromy_matrix(params, u)
-        dim = 2**params.sites
+    for block in family.entries():
+        assert np.array_equal(block.coeffs, np.round(block.coeffs))
+    assert np.array_equal(family.t11.coefficient(4), np.eye(params.dim))
+    assert not family.t12.coefficient(4).any()
+    for u in (-2.0, 0.0, 3.0):
         blocks = np.block([
             [family.t11(u), family.t12(u)],
             [family.t21(u), family.t22(u)],
         ])
-        assert np.linalg.norm(blocks - direct) < 1e-10
-    assert family.t11.degree == params.sites
+        assert np.array_equal(blocks, monodromy_matrix(params, u))
+
+
+def test_swap_columns_right_multiplies_by_the_swap():
+    rng = np.random.default_rng(4)
+    nspaces = 4
+    m = rng.standard_normal((2**nspaces, 2**nspaces))
+    for slot in range(1, nspaces):
+        swap = _embed_pair(PERM4, 0, slot, nspaces)
+        assert np.array_equal(m[:, _swap_columns(slot, nspaces)], m @ swap)
 
 
 def test_highest_weight_structure():
@@ -75,11 +103,10 @@ def test_highest_weight_structure():
         params = ChainParams(sites, 1.0, random_theta(rng, sites))
         family = build_monodromy(params)
         v0 = vacuum_state(sites)
-        d0 = dual_vacuum_state(sites)
         for u in draw_points(rng, 8):
             l1, l2 = vacuum_weights(params, u)
             assert np.linalg.norm(family.t21(u) @ v0) < 1e-10
-            assert np.linalg.norm(d0 @ family.t12(u)) < 1e-10
+            assert np.linalg.norm(v0 @ family.t12(u)) < 1e-10
             assert np.linalg.norm(family.t11(u) @ v0 - l1 * v0) < 1e-10
             assert np.linalg.norm(family.t22(u) @ v0 - l2 * v0) < 1e-10
 
@@ -114,26 +141,14 @@ def test_transfer_combines_blocks_with_twist():
 
 
 def test_transfer_family_commutes_up_to_six_sites():
-    # exact R-product evaluation: at six sites the interpolated polynomial
-    # carries enough roundoff (entries ~1e3) to blur an absolute bound
     rng = np.random.default_rng(5)
-
-    def transfer_at(params, tw, u):
-        dim = 2**params.sites
-        t = monodromy_matrix(params, u)
-        return (
-            tw.kappa_tilde * t[:dim, :dim]
-            + tw.kappa_minus * t[:dim, dim:]
-            + tw.kappa_plus * t[dim:, :dim]
-            + tw.kappa * t[dim:, dim:]
-        )
-
     for sites in (2, 4, 6):
         params = ChainParams(sites, 1.0, random_theta(rng, sites))
         tw = random_twist(rng)
+        transfer = build_transfer(params, tw)
         for _ in range(5):
             u, v = draw_points(rng, 2)
-            tu, tv = transfer_at(params, tw, u), transfer_at(params, tw, v)
+            tu, tv = transfer(u), transfer(v)
             assert np.linalg.norm(tu @ tv - tv @ tu) < 1e-10
 
 
@@ -184,11 +199,3 @@ def test_periodic_two_site_spectrum():
     values = np.sort(np.linalg.eigvalsh((h + h.conj().T) / 2))
     assert np.allclose(values, [-6.0, 2.0, 2.0, 2.0], atol=1e-10)
 
-
-def test_interpolation_nodes_avoid_inhomogeneities():
-    params = ChainParams(2, 1.0, (1.0, 3.0))
-    nodes = interpolation_nodes(params, 3)
-    assert len(nodes) == 4
-    assert len(set(np.round(nodes, 12).tolist())) == 4
-    for x in nodes:
-        assert all(abs(x - t) > 1e-9 for t in params.theta)

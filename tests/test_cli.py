@@ -181,6 +181,18 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error" in err
     assert main(["verify", "--config", path, "--set", "chain.sites=0"]) == 2
     capsys.readouterr()
+    # a triangular twist is valid input the factorization cannot handle
+    assert main(["verify", "--config", path, "--set", "twist.kappa_plus=0"]) == 2
+    assert "error: kappa_plus * kappa_minus = 0" in capsys.readouterr().err
+
+
+def test_spectrum_with_huge_coupling(tmp_path, capsys):
+    # R(u) = (u/c) I + P is finite for any c, so the monodromy must be too
+    path = _write(tmp_path, MINIMAL)
+    args = ["--set", "chain.sites=2", "--set", "chain.c=1e300"]
+    assert main(["spectrum", "--config", path, *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(check["passed"] for check in report["checks"])
 
 
 def test_main_writes_output_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from twistchain.linalg import (
     eigenpairs,
     kron,
     kron_chain,
-    poly_from_samples,
 )
 
 RNG = np.random.default_rng(7)
@@ -82,25 +81,3 @@ def test_matrix_polynomial_arithmetic():
     assert np.allclose((p - q)(u), p(u) - q(u))
     assert np.allclose((p * 2.5j)(u), 2.5j * p(u))
     assert np.allclose((-p)(u), -p(u))
-
-
-@given(st.integers(0, 100))
-def test_poly_from_samples_reproduces_held_out_points(seed):
-    rng = np.random.default_rng(seed)
-    degree = int(rng.integers(0, 4))
-    coeffs = [
-        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        for _ in range(degree + 1)
-    ]
-    true = MatrixPolynomial(coeffs)
-    nodes = np.arange(degree + 1, dtype=float)
-    fitted = poly_from_samples([(x, true(x)) for x in nodes], degree)
-    for x in (0.37, -1.4, 0.9 + 0.3j):
-        want = true(x)
-        got = fitted(x)
-        assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
-
-
-def test_poly_from_samples_needs_enough_nodes():
-    with pytest.raises(ValueError):
-        poly_from_samples([(0.0, np.eye(2))], degree=1)

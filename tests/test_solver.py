@@ -3,7 +3,7 @@ import pytest
 
 from twistchain import ChainParams, SpectralContext, TwistParams
 from twistchain.bethe import _lam_coeffs, onshell_tolerance
-from twistchain.chain import build_transfer, interpolation_nodes
+from twistchain.chain import build_transfer
 from twistchain.linalg import eigenpairs
 from twistchain.solver import (
     BetheSolution,
@@ -18,7 +18,6 @@ from twistchain.solver import (
     spectrum_match,
     vector_weight,
 )
-from numpy.polynomial import polynomial as P
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 LOW = -(3.0 + np.sqrt(5.0)) / 4.0
@@ -123,25 +122,29 @@ def test_tq_fit_recovers_newton_solutions(config_a):
 
 
 def test_tq_fit_two_sites():
-    tq = solve_tq_fit(N2_CTX)
-    assert len(tq) == 4
-    for sol in tq:
-        assert sol.max_residual < onshell_tolerance(N2_CTX, sol.roots)
-        assert sol.flag is None
+    # the same complete, unflagged spectrum on a six-site real grid
+    grid = tuple(0.15 * (k - 2.5) for k in range(6))
+    six = SpectralContext.create(
+        ChainParams(6, 1.0, grid), TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6)
+    )
+    for ctx in (N2_CTX, six):
+        tq = solve_tq_fit(ctx)
+        assert len(tq) == 2**ctx.sites
+        for sol in tq:
+            assert sol.max_residual < onshell_tolerance(ctx, sol.roots)
+            assert sol.flag is None
 
 
 def test_tq_fit_sensitivity_to_eigenvalue_perturbation():
     ctx = N2_CTX
     transfer = build_transfer(ctx.chain, ctx.twist)
-    nodes = interpolation_nodes(ctx.chain, ctx.sites)
-    vander = P.polyvander(nodes, ctx.sites)
     l1, l2 = _lam_coeffs(ctx)
     u0 = probe_points(ctx, 1)[0]
     _, vec = eigenpairs(transfer(u0))[0]
-    samples = np.array([vec.conj() @ (transfer(x) @ vec) for x in nodes])
-    clean = _tq_linear_fit(ctx, np.linalg.solve(vander, samples), l1, l2)[1]
-    samples[1] += 1e-3
-    dirty = _tq_linear_fit(ctx, np.linalg.solve(vander, samples), l1, l2)[1]
+    lam_poly = transfer.coeffs @ vec @ vec.conj()
+    clean = _tq_linear_fit(ctx, lam_poly, l1, l2)[1]
+    lam_poly[1] += 1e-3
+    dirty = _tq_linear_fit(ctx, lam_poly, l1, l2)[1]
     assert dirty >= 10 * max(clean, 1e-14)
 
 
