@@ -40,6 +40,7 @@ __all__ = [
     "bethe_jacobian",
     "bethe_residual",
     "bethe_residuals",
+    "bethe_system",
     "cauchy_determinant_closed",
     "diag_eigenvalue",
     "diag_residual",
@@ -49,6 +50,7 @@ __all__ = [
     "kernel_g",
     "kernel_h",
     "onshell_scale",
+    "onshell_scales",
     "onshell_tolerance",
     "prod_f",
     "prod_g",
@@ -246,33 +248,116 @@ def raising_eigenpart(ctx: SpectralContext, u, roots) -> complex:
     return 2 * ctx.fact.rho * l1 * l2 * prod_g(u, rs, ctx.c)
 
 
-def bethe_residual(ctx: SpectralContext, i: int, roots) -> complex:
-    """E(u_i, ubar_i); the inhomogeneous Bethe equations are E = 0."""
+def _leave_one_out(factors: np.ndarray) -> np.ndarray:
+    """out[..., k] = product of factors[..., l] over l != k, without division.
+
+    Exclusive prefix times exclusive suffix cumulative products, so a zero
+    factor stays exact: the other entries of its row carry the zero, its own
+    entry does not.
+    """
+    prefix = np.ones_like(factors)
+    suffix = np.ones_like(factors)
+    np.cumprod(factors[..., :-1], axis=-1, out=prefix[..., 1:])
+    np.cumprod(factors[..., :0:-1], axis=-1, out=suffix[..., :-1][..., ::-1])
+    prefix *= suffix
+    return prefix
+
+
+def bethe_system(ctx: SpectralContext, batch, jacobian: bool = False):
+    """Residuals E, optionally Jacobians J, for a batch of root sets at once.
+
+    batch has shape (B, n).  Returns (E, J, coincident): E[b, i] is
+    E(u_i, ubar_i) of row b, J[b, i, j] = d E[b, i] / d u_j (None unless
+    jacobian is set), and coincident[b] marks rows with a pair of roots
+    within eps_dist(c), whose E and J entries are meaningless.
+
+    Everything comes from the pair differences d[b, i, k] = u_i - u_k.  In
+    row i the three kernels facing the other roots are f(u_k, u_i) = 1 - c/d,
+    f(u_i, u_k) = 1 + c/d and g(u_i, u_k) = c/d, with 1 on the diagonal; the
+    products over ubar_i are the row products and those over ubar_ij their
+    leave-one-out products, neither formed by division, so root sets where
+    some f vanishes (the vanishing-vector sets) stay exact.  With w = g(u_i, u_j)^2/c, the u_j-derivatives of the three
+    kernels are -w, w and w, and their u_i-derivatives the opposite.  The
+    kernels are taken one at a time to keep the temporaries of a large
+    batch small.
+    """
+    u = np.asarray(batch, dtype=complex)
+    c = ctx.c
+    t, rho = ctx.twist, ctx.fact.rho
+    n = u.shape[-1]
+    diag = np.eye(n, dtype=bool)
+    g = u[:, :, None] - u[:, None, :]
+    close = np.abs(g) <= eps_dist(c)
+    coincident = np.any(close & ~diag, axis=(1, 2))
+    close |= diag
+    g[close] = 1.0
+    np.divide(c, g, out=g)
+    g[close] = 0.0
+    l1, l2 = ctx.lam(u)
+    x = t.kappa_tilde - rho
+    y = t.kappa - rho
+    res = np.zeros_like(u)
+    jac = None
+    d1 = d2 = 0.0  # slopes are only used for J
+    if jacobian:
+        d1, d2 = ctx.dlam(u)
+        w = g * g / c
+        jac = np.zeros_like(g)
+    # E is a sum of three terms, coeff(u_i) times the product over ubar_i of
+    # one kernel offset + sign * g(u_i, u_k); that kernel's u_j-derivative
+    # is sign * w, and slope is the u_i-derivative of coeff
+    for coeff, slope, offset, sign in (
+        (-x * l1, -x * d1, 1.0, -1.0),
+        (y * l2, y * d2, 1.0, 1.0),
+        (2 * rho * l1 * l2, 2 * rho * (d1 * l2 + l1 * d2), 0.0, 1.0),
+    ):
+        factors = sign * g
+        factors += offset
+        factors[:, diag] = 1.0
+        full = np.prod(factors, axis=-1)  # over ubar_i
+        res += coeff * full
+        if jacobian:
+            loo = _leave_one_out(factors)  # over ubar_ij
+            loo *= w
+            jac += (sign * coeff)[..., None] * loo
+            jac[:, diag] += slope * full - sign * coeff * np.sum(loo, axis=-1)
+    return res, jac, coincident
+
+
+def _single_row(ctx: SpectralContext, roots, jacobian: bool):
     rs = _as_set(roots, ctx.c)
-    ui = rs[i]
-    rest = rs.drop(i)
-    t, f = ctx.twist, ctx.fact
-    l1, l2 = ctx.lam(ui)
-    return (
-        -(t.kappa_tilde - f.rho) * l1 * prod_f(rest, ui, ctx.c)
-        + (t.kappa - f.rho) * l2 * prod_f(ui, rest, ctx.c)
-        + 2 * f.rho * l1 * l2 * prod_g(ui, rest, ctx.c)
-    )
+    res, jac, coincident = bethe_system(ctx, rs.values[None, :], jacobian)
+    if coincident[0]:
+        raise CoincidenceError("kernel g evaluated at coincident parameters")
+    return res[0], None if jac is None else jac[0]
 
 
 def bethe_residuals(ctx: SpectralContext, roots) -> np.ndarray:
-    rs = _as_set(roots, ctx.c)
-    return np.array([bethe_residual(ctx, i, rs) for i in range(len(rs))])
+    """E(u_i, ubar_i) for every i: one row of bethe_system."""
+    return _single_row(ctx, roots, jacobian=False)[0]
+
+
+def bethe_residual(ctx: SpectralContext, i: int, roots) -> complex:
+    """E(u_i, ubar_i); the inhomogeneous Bethe equations are E = 0."""
+    return complex(bethe_residuals(ctx, roots)[i])
+
+
+def bethe_jacobian(ctx: SpectralContext, roots) -> np.ndarray:
+    """J[i, j] = d E(u_i, ubar_i) / d u_j, exact up to rounding: one row of
+    bethe_system."""
+    return _single_row(ctx, roots, jacobian=True)[1]
+
+
+def onshell_scales(ctx: SpectralContext, batch) -> np.ndarray:
+    """onshell_scale of each row of a (B, n) batch of root sets."""
+    l1, l2 = ctx.lam(np.asarray(batch, dtype=complex))
+    return np.maximum(1.0, np.max(np.abs(l1 * l2), axis=-1, initial=0.0))
 
 
 def onshell_scale(ctx: SpectralContext, roots) -> float:
     """max(1, |lam1 lam2|) over the set; normalizes on-shell tolerances."""
     rs = _as_set(roots, ctx.c)
-    best = 1.0
-    for u in rs:
-        l1, l2 = ctx.lam(u)
-        best = max(best, abs(l1 * l2))
-    return best
+    return float(onshell_scales(ctx, rs.values[None, :])[0])
 
 
 def onshell_tolerance(ctx: SpectralContext, roots, factor: float = 1e-8) -> float:
@@ -296,52 +381,6 @@ def eigenvalue_gradient(ctx: SpectralContext, u, roots, i: int) -> complex:
         + 2 * f.rho * l1 * l2 * prod_g(u, rest, ctx.c)
     )
     return gi ** 2 / ctx.c * bracket
-
-
-def bethe_jacobian(ctx: SpectralContext, roots) -> np.ndarray:
-    """J[i, j] = d E(u_i, ubar_i) / d u_j, exact up to rounding."""
-    rs = _as_set(roots, ctx.c)
-    n = len(rs)
-    c = ctx.c
-    t, f = ctx.twist, ctx.fact
-    x = t.kappa_tilde - f.rho
-    y = t.kappa - f.rho
-    jac = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        ui = rs[i]
-        rest = rs.drop(i)
-        l1, l2 = ctx.lam(ui)
-        d1, d2 = ctx.dlam(ui)
-        for j in range(n):
-            if j == i:
-                p1 = prod_f(rest, ui, c)
-                p2 = prod_f(ui, rest, c)
-                p3 = prod_g(ui, rest, c)
-                dp1 = 0.0 + 0.0j
-                dp2 = 0.0 + 0.0j
-                dp3 = 0.0 + 0.0j
-                for k in range(n):
-                    if k == i:
-                        continue
-                    pair = rs.drop2(i, k)
-                    gik = kernel_g(ui, rs[k], c)
-                    dp1 += gik ** 2 / c * prod_f(pair, ui, c)
-                    dp2 -= gik ** 2 / c * prod_f(ui, pair, c)
-                    dp3 -= gik ** 2 / c * prod_g(ui, pair, c)
-                jac[i, i] = (
-                    -x * (d1 * p1 + l1 * dp1)
-                    + y * (d2 * p2 + l2 * dp2)
-                    + 2 * f.rho * ((d1 * l2 + l1 * d2) * p3 + l1 * l2 * dp3)
-                )
-            else:
-                pair = rs.drop2(i, j)
-                gij = kernel_g(ui, rs[j], c)
-                jac[i, j] = gij ** 2 / c * (
-                    x * l1 * prod_f(pair, ui, c)
-                    + y * l2 * prod_f(ui, pair, c)
-                    + 2 * f.rho * l1 * l2 * prod_g(ui, pair, c)
-                )
-    return jac
 
 
 def term_F(ctx: SpectralContext, u, i: int, roots) -> complex:
@@ -417,13 +456,22 @@ def shift_polynomial(coeffs, s: complex) -> np.ndarray:
 
 
 def _lam_coeffs(ctx: SpectralContext) -> tuple[np.ndarray, np.ndarray]:
+    """Low-to-high coefficients of lam1 and lam2, built one factor
+    (u - theta + c)/c or (u - theta)/c at a time, so no c**N overflows."""
+    c = ctx.c
+    l1 = l2 = np.ones(1, dtype=complex)
+    for t in ctx.chain.theta:
+        l1 = np.convolve(l1, [(c - t) / c, 1 / c])
+        l2 = np.convolve(l2, [-t / c, 1 / c])
+    return l1, l2
+
+
+def _tq_inhomogeneity(ctx: SpectralContext, l1: np.ndarray) -> np.ndarray:
+    """Coefficients of 2 rho c^N lam1 lam2, with c^N lam2 = prod (u - theta)."""
     from numpy.polynomial import polynomial as P
 
-    n = ctx.sites
     theta = np.array(ctx.chain.theta, dtype=complex)
-    l1 = P.polyfromroots(theta - ctx.c) / ctx.c ** n
-    l2 = P.polyfromroots(theta) / ctx.c ** n
-    return l1, l2
+    return 2 * ctx.fact.rho * np.convolve(l1, P.polyfromroots(theta))
 
 
 def tq_polynomial_residual(ctx: SpectralContext, lam_coeffs, q_coeffs) -> float:
@@ -448,6 +496,6 @@ def tq_polynomial_residual(ctx: SpectralContext, lam_coeffs, q_coeffs) -> float:
         (t.kappa_tilde - f.rho) * P.polymul(l1, shift_polynomial(q, -ctx.c))
         + (t.kappa - f.rho) * P.polymul(l2, shift_polynomial(q, ctx.c))
     )
-    rhs = P.polyadd(rhs, 2 * f.rho * ctx.c ** n * P.polymul(l1, l2))
+    rhs = P.polyadd(rhs, _tq_inhomogeneity(ctx, l1))
     res = P.polysub(lhs, rhs)
     return float(np.max(np.abs(res)))

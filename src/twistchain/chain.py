@@ -116,7 +116,7 @@ def total_sz(sites: int) -> np.ndarray:
 
 
 def vacuum_weights(params: ChainParams, u: complex) -> tuple[complex, complex]:
-    """(lam1, lam2) at spectral parameter u."""
+    """(lam1, lam2) at spectral parameter u; an array u gives arrays."""
     c = params.c
     l1 = 1.0 + 0.0j
     l2 = 1.0 + 0.0j
@@ -127,22 +127,23 @@ def vacuum_weights(params: ChainParams, u: complex) -> tuple[complex, complex]:
 
 
 def vacuum_weight_derivatives(params: ChainParams, u: complex) -> tuple[complex, complex]:
-    """(d lam1/du, d lam2/du) via the product rule, safe at zeros."""
+    """(d lam1/du, d lam2/du) by the product rule, one factor at a time.
+
+    Each factor (u - t + c)/c or (u - t)/c has derivative 1/c, so nothing
+    divides by c**N (which overflows for large |c|) and zeros of lam are
+    safe.  An array u gives arrays.
+    """
     c = params.c
-    n = params.sites
-    d1 = 0.0 + 0.0j
-    d2 = 0.0 + 0.0j
-    for m in range(n):
-        p1 = 1.0 + 0.0j
-        p2 = 1.0 + 0.0j
-        for l in range(n):
-            if l == m:
-                continue
-            p1 *= u - params.theta[l] + c
-            p2 *= u - params.theta[l]
-        d1 += p1
-        d2 += p2
-    return d1 / c ** n, d2 / c ** n
+    l1 = l2 = 1.0 + 0.0j
+    d1 = d2 = 0.0 + 0.0j
+    for t in params.theta:
+        a1 = (u - t + c) / c
+        a2 = (u - t) / c
+        d1 = d1 * a1 + l1 / c
+        d2 = d2 * a2 + l2 / c
+        l1 = l1 * a1
+        l2 = l2 * a2
+    return d1, d2
 
 
 def build_r_matrix(u: complex, c: complex) -> np.ndarray:

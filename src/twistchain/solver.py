@@ -20,10 +20,11 @@ from .bethe import (
     SpectralContext,
     VariableSet,
     _lam_coeffs,
-    bethe_jacobian,
+    _tq_inhomogeneity,
     bethe_residuals,
+    bethe_system,
     eps_dist,
-    onshell_scale,
+    onshell_scales,
     onshell_tolerance,
     shift_polynomial,
     transfer_eigenvalue,
@@ -152,51 +153,89 @@ def vector_weight(
     return float(np.linalg.norm(vec.amplitudes)) / ref
 
 
-def _newton_run(
+def _newton_steps(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps J^-1 E for a batch, and a mask of the rows that have one.
+
+    The batched solve raises for the whole batch when any Jacobian is
+    exactly singular; then the rows are solved one by one so that only the
+    singular ones go without a step.
+    """
+    ok = np.ones(len(res), dtype=bool)
+    try:
+        return np.linalg.solve(jac, res[..., None])[..., 0], ok
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(res)
+        for b in range(len(res)):
+            try:
+                step[b] = np.linalg.solve(jac[b], res[b])
+            except np.linalg.LinAlgError:
+                ok[b] = False
+        return step, ok
+
+
+def _newton_batch(
     ctx: SpectralContext,
-    start: np.ndarray,
+    starts: np.ndarray,
     max_iter: int,
     tol: float,
-) -> np.ndarray | None:
-    eps = eps_dist(ctx.c)
-    current = np.asarray(start, dtype=complex)
-    try:
-        res = bethe_residuals(ctx, VariableSet(current, eps))
-    except CoincidenceError:
-        return None
-    score = float(np.linalg.norm(res))
+) -> np.ndarray:
+    """Damped Newton from every row of starts at once; the rows that end on
+    shell, in start order.
+
+    Every row takes the steps it would take alone; the masks only decide
+    which rows take part in each round.  A row is dropped when it
+    starts on coincident roots or meets an exactly singular Jacobian, and
+    stops when polished to rounding level or when 20 step halvings fail to
+    lower its residual norm; stopped rows then face the on-shell gate.
+    """
+    u = np.array(starts, dtype=complex)
+    res, _, coincident = bethe_system(ctx, u)
+    alive = ~coincident
+    running = alive.copy()
+    score = np.linalg.norm(res, axis=1)
     for _ in range(max_iter):
-        rs = VariableSet(current, eps)
         # polish down to rounding level: the determinant formulas downstream
         # amplify any residual off-shellness, so the acceptance tolerance
         # alone is not a good stopping point
-        if np.max(np.abs(res)) <= 1e-14 * onshell_scale(ctx, rs):
+        running &= ~(np.max(np.abs(res), axis=1) <= 1e-14 * onshell_scales(ctx, u))
+        rows = np.flatnonzero(running)
+        if rows.size == 0:
             break
-        try:
-            step = np.linalg.solve(bethe_jacobian(ctx, rs), res)
-        except (CoincidenceError, np.linalg.LinAlgError):
-            return None
-        scale = 1.0
-        improved = False
+        _, jac, _ = bethe_system(ctx, u[rows], jacobian=True)
+        step, ok = _newton_steps(jac, res[rows])
+        alive[rows[~ok]] = running[rows[~ok]] = False
+        rows, step = rows[ok], step[ok]
+        scale = np.ones(rows.size)
+        pending = np.ones(rows.size, dtype=bool)
         for _ in range(20):  # halving guards against the kernel poles
-            cand = current - scale * step
-            try:
-                cres = bethe_residuals(ctx, VariableSet(cand, eps))
-            except CoincidenceError:
-                scale /= 2
-                continue
-            cscore = float(np.linalg.norm(cres))
-            if cscore < score:
-                improved = True
+            idx = np.flatnonzero(pending)
+            if idx.size == 0:
                 break
-            scale /= 2
-        if not improved:
-            break  # stagnated; the final gate decides whether this counts
-        current, res, score = cand, cres, cscore
-    rs = VariableSet(current, eps)
-    if np.max(np.abs(res)) <= onshell_tolerance(ctx, rs, tol):
-        return current
-    return None
+            cand = u[rows[idx]] - scale[idx, None] * step[idx]
+            cres, _, hit_pole = bethe_system(ctx, cand)
+            cscore = np.linalg.norm(cres, axis=1)
+            better = ~hit_pole & (cscore < score[rows[idx]])
+            done = rows[idx[better]]
+            u[done], res[done], score[done] = cand[better], cres[better], cscore[better]
+            pending[idx[better]] = False
+            scale[idx[~better]] /= 2
+        # stagnated; the final gate decides whether this counts
+        running[rows[pending]] = False
+    onshell = np.max(np.abs(res), axis=1) <= tol * onshell_scales(ctx, u)
+    return u[alive & onshell]
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Canonically sort each row, then keep the first row of every group
+    closer than DEDUP_TOL, as _merge would, so later stages see each root
+    set once instead of once per start that found it."""
+    order = np.lexsort((rows.imag, rows.real), axis=-1)
+    rows = np.take_along_axis(rows, order, axis=-1)
+    kept = rows[:0]
+    for row in rows:
+        if np.all(np.max(np.abs(kept - row), axis=1) >= DEDUP_TOL):
+            kept = np.vstack((kept, row))
+    return kept
 
 
 def solve_newton(
@@ -212,8 +251,11 @@ def solve_newton(
 
     Starts fill a disk around the mean inhomogeneity whose radius grows
     with the chain length, since the outermost root sets drift outward as
-    more roots are added.  Root sets that build the zero vector are dropped
-    unless keep_vanishing is set, in which case they come back flagged.
+    more roots are added.  All starts advance together on the batched
+    residual/Jacobian kernel bethe_system, and each distinct converged set
+    is attached and merged once.  Root sets that build the zero vector are
+    dropped unless keep_vanishing is set, in which case they come back
+    flagged.
     """
     n = ctx.sites
     rng = np.random.default_rng(seed)
@@ -221,14 +263,13 @@ def solve_newton(
     center = complex(np.mean(theta))
     scale = max(1.0, abs(ctx.c), 2 * float(np.max(np.abs(theta))))
     radius = 4.0 * (1 + n) * scale
-    pool: list[BetheSolution] = []
-    for _ in range(starts):
+    batch = np.empty((starts, n), dtype=complex)
+    for b in range(starts):
         radii = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
         angles = rng.uniform(0.0, 2 * np.pi, n)
-        start = center + radii * np.exp(1j * angles)
-        hit = _newton_run(ctx, start, max_iter, tol)
-        if hit is None:
-            continue
+        batch[b] = center + radii * np.exp(1j * angles)
+    pool: list[BetheSolution] = []
+    for hit in _distinct_rows(_newton_batch(ctx, batch, max_iter, tol)):
         _merge(pool, _attach(ctx, hit, "newton", tol))
     pool.sort(key=BetheSolution.canonical_key)
     modified = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
@@ -275,16 +316,16 @@ def _tq_linear_fit(
             - y * mul(l2, shift_polynomial(full, ctx.c))
         )
 
-    inhom = 2 * f.rho * ctx.c ** n * mul(l1, l2)
-    cols = []
-    for m in range(n):
-        e = np.zeros(m + 1, dtype=complex)
-        e[m] = 1.0
-        cols.append(apply(e))
-    top = np.zeros(n + 1, dtype=complex)
-    top[n] = 1.0
-    rhs = inhom - apply(top)
-    a = np.column_stack(cols) if cols else np.zeros((2 * n + 1, 0), dtype=complex)
+    try:
+        # one column per coefficient of Q; the monic top one moves to the rhs
+        cols = [apply(e) for e in np.eye(n + 1, dtype=complex)]
+    except OverflowError as exc:
+        raise ValueError(
+            f"coupling c = {ctx.c} overflows the shifted polynomials "
+            "Q(u -+ c) of the T-Q fit"
+        ) from exc
+    rhs = mul(_tq_inhomogeneity(ctx, l1), np.ones(1)) - cols.pop()
+    a = np.column_stack(cols)
     q, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     fit_res = float(
         np.linalg.norm(a @ q - rhs) / max(1.0, float(np.linalg.norm(rhs)))

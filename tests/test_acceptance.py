@@ -139,8 +139,18 @@ def test_criterion_04_raising_closure():
 
 
 def test_criterion_05_completeness(spectra):
+    # a four-site chain on the three-site twist, for this criterion only so
+    # that criteria 6-10 keep their three reference chains
+    four = SpectralContext.create(
+        ChainParams(4, 1.0, tuple(0.15 * (k - 1.5) for k in range(4))),
+        REFERENCE_CHAINS[3][1],
+    )
+    started = time.perf_counter()
+    found = [s for s in solve_newton(four, starts=400, seed=1) if s.flag is None]
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0, f"four-site Newton took {elapsed:.1f}s"
     worst = 0.0
-    for n, (ctx, sols) in spectra.items():
+    for n, (ctx, sols) in [*spectra.items(), (4, (four, found))]:
         assert len(sols) == 2 ** n, f"{len(sols)} of {2 ** n} solutions at {n} sites"
         match = spectrum_match(ctx, sols)
         assert match["counts_match"]

@@ -6,8 +6,10 @@ from twistchain import ChainParams, SpectralContext, TwistParams
 from twistchain.bethe import (
     CoincidenceError,
     VariableSet,
+    bethe_jacobian,
     bethe_residual,
     bethe_residuals,
+    bethe_system,
     cauchy_determinant_closed,
     diag_eigenvalue,
     eigenvalue_gradient,
@@ -135,13 +137,79 @@ def test_single_site_residual_polynomial(config_a):
     assert abs(bethe_residual(config_a, 0, (1.0,)) - (5 * rho - 3)) < 1e-12
 
 
+def _residual_by_products(ctx, roots, i):
+    # E(u_i, ubar_i) written out from the pair products, as the paper has it
+    x = ctx.twist.kappa_tilde - ctx.fact.rho
+    y = ctx.twist.kappa - ctx.fact.rho
+    ui, rest = roots[i], np.delete(roots, i)
+    l1, l2 = ctx.lam(ui)
+    return (
+        -x * l1 * prod_f(rest, ui, ctx.c)
+        + y * l2 * prod_f(ui, rest, ctx.c)
+        + 2 * ctx.fact.rho * l1 * l2 * prod_g(ui, rest, ctx.c)
+    )
+
+
 def test_residuals_vector_matches_scalar():
     rng = np.random.default_rng(44)
-    ctx = random_context(rng, 3)
-    roots = _distinct_points(9, 3)
-    vec = bethe_residuals(ctx, roots)
-    for i in range(3):
-        assert abs(vec[i] - bethe_residual(ctx, i, roots)) < 1e-14
+    for sites in range(1, 7):
+        ctx = random_context(rng, sites)
+        roots = _distinct_points(9 + sites, sites)
+        vec = bethe_residuals(ctx, roots)
+        for i in range(sites):
+            want = _residual_by_products(ctx, roots, i)
+            assert abs(vec[i] - want) <= 1e-13 * max(1.0, abs(want))
+            assert bethe_residual(ctx, i, roots) == vec[i]
+
+
+def _jacobian_gap(ctx, roots, h=1e-6):
+    """Largest gap between the analytic Jacobian and central differences of
+    the residuals, relative to the largest Jacobian entry."""
+    jac = bethe_jacobian(ctx, roots)
+    cols = []
+    for e in np.eye(len(roots)):
+        up = bethe_residuals(ctx, roots + h * e)
+        down = bethe_residuals(ctx, roots - h * e)
+        cols.append((up - down) / (2 * h))
+    return float(np.max(np.abs(jac - np.column_stack(cols))) / np.max(np.abs(jac)))
+
+
+def test_jacobian_matches_finite_difference():
+    rng = np.random.default_rng(71)
+    for sites in range(2, 7):
+        for seed in range(4):
+            ctx = random_context(rng, sites)
+            roots = _distinct_points(100 * sites + seed, sites)
+            assert _jacobian_gap(ctx, roots) < 1e-7
+
+
+def test_jacobian_where_a_pair_is_one_coupling_apart():
+    # u_k - u_i = -c makes f(u_k, u_i) vanish: the products over ubar_i hold
+    # an exact zero, the ones over ubar_ik do not
+    rng = np.random.default_rng(72)
+    for sites in range(2, 7):
+        ctx = random_context(rng, sites)
+        roots = _distinct_points(200 + sites, sites)
+        roots[1] = roots[0] - ctx.c
+        assert kernel_f(roots[1], roots[0], ctx.c) == 0
+        assert _jacobian_gap(ctx, roots) < 1e-7
+
+
+def test_batch_rows_match_single_sets():
+    rng = np.random.default_rng(73)
+    ctx = random_context(rng, 4)
+    batch = np.array([_distinct_points(300 + b, 4) for b in range(5)])
+    batch[2, 3] = batch[2, 0] - ctx.c
+    batch[4, 1] = batch[4, 2] + 1e-12  # coincident: flagged, not raised
+    res, jac, coincident = bethe_system(ctx, batch, jacobian=True)
+    assert res.shape == (5, 4) and jac.shape == (5, 4, 4)
+    assert coincident.tolist() == [False, False, False, False, True]
+    for b in range(4):
+        assert np.array_equal(res[b], bethe_residuals(ctx, batch[b]))
+        assert np.array_equal(jac[b], bethe_jacobian(ctx, batch[b]))
+    assert np.array_equal(bethe_system(ctx, batch)[0], res)
+    with pytest.raises(CoincidenceError):
+        bethe_residuals(ctx, VariableSet(batch[4], 0.0))
 
 
 def test_onshell_scale_and_tolerance():

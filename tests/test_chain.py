@@ -53,6 +53,16 @@ def test_vacuum_weights_and_derivatives():
     f1m, f2m = vacuum_weights(params, u - h)
     assert abs(d1 - (f1p - f1m) / (2 * h)) < 1e-7
     assert abs(d2 - (f2p - f2m) / (2 * h)) < 1e-7
+    # an array of points gives the same numbers point by point
+    us = np.array([u, 0.1, -0.2 + 1j])
+    weights = zip(*vacuum_weights(params, us), *vacuum_weight_derivatives(params, us))
+    for v, row in zip(us, weights):
+        assert row == vacuum_weights(params, v) + vacuum_weight_derivatives(params, v)
+    # each factor is divided by c on its own, so a huge c cannot overflow
+    huge = ChainParams(sites=3, c=1e300, theta=params.theta)
+    d1, d2 = vacuum_weight_derivatives(huge, u)
+    assert abs(d1 - 3e-300) < 1e-12 * 3e-300
+    assert d2 == 0
 
 
 def test_monodromy_polynomial_matches_product():

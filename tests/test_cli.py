@@ -195,6 +195,17 @@ def test_spectrum_with_huge_coupling(tmp_path, capsys):
     assert all(check["passed"] for check in report["checks"])
 
 
+def test_solve_with_huge_coupling(tmp_path, capsys):
+    # Newton runs at this c, since the vacuum weights and their derivatives
+    # divide by c one factor at a time; Q(u -+ c) in the T-Q fit has
+    # coefficients of order c^2 and cannot be represented, which is reported
+    path = _write(tmp_path, MINIMAL)
+    args = ["--set", "chain.sites=2", "--set", "chain.c=1e300"]
+    assert main(["solve", "--config", path, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coupling c = (1e+300+0j) overflows")
+
+
 def test_main_writes_output_file(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL)
     out = tmp_path / "report.json"

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from twistchain import ChainParams, SpectralContext, TwistParams
-from twistchain.bethe import _lam_coeffs, onshell_tolerance
+from twistchain.bethe import (
+    _lam_coeffs,
+    bethe_jacobian,
+    bethe_residuals,
+    onshell_tolerance,
+)
 from twistchain.chain import build_transfer
 from twistchain.linalg import eigenpairs
 from twistchain.solver import (
     BetheSolution,
     _attach,
     _merge,
+    _newton_batch,
     _tq_linear_fit,
     classify_solutions,
     probe_points,
@@ -81,6 +87,27 @@ def test_diagonal_single_site_reduces_to_classical_equation():
     assert len(sols) == 1
     # kappa_tilde lam1(u) = kappa lam2(u) has the single root theta - 2
     assert abs(complex(sols[0].roots[0]) - (theta - 2.0)) < 1e-8
+
+
+def test_batched_newton_drops_only_the_broken_rows():
+    # theta = (0, 0, 1), c = 1: at u_0 = 0 lam1 has a simple zero and lam2 a
+    # double one, and u_1 = u_0 - c zeroes f(u_1, u_0), so row 0 of the
+    # Jacobian vanishes exactly while E_2 stays far from zero
+    ctx = SpectralContext.create(
+        ChainParams(3, 1.0, (0.0, 0.0, 1.0)),
+        TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6),
+    )
+    singular = np.array([0.0, -1.0, 0.4 + 0.3j])
+    assert not np.any(bethe_jacobian(ctx, singular)[0])
+    assert abs(bethe_residuals(ctx, singular)[2]) > 1e-2
+    coincident = np.array([0.5, 0.5, -0.7j])
+    rng = np.random.default_rng(3)
+    starts = 3 * (rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3)))
+    clean = _newton_batch(ctx, starts, 80, 1e-8)
+    assert len(clean) >= 10
+    mixed = np.vstack((starts[:5], singular, coincident, starts[5:]))
+    assert np.array_equal(_newton_batch(ctx, mixed, 80, 1e-8), clean)
+    assert len(_newton_batch(ctx, np.array([singular, coincident]), 80, 1e-8)) == 0
 
 
 def test_vanishing_string_sets_are_filtered():
