@@ -172,17 +172,20 @@ def gaudin_matrix(ctx: SpectralContext, roots) -> np.ndarray:
     return g
 
 
-def gaudin_limit_deviation(ctx: SpectralContext, roots) -> float:
+def gaudin_limit_deviation(
+    ctx: SpectralContext, roots, matrix: np.ndarray | None = None
+) -> float:
     """Check the matrix against the coinciding-point limit of the Jacobian.
 
     Each entry must equal lim c * dLam/du_i / g(v_j, ubar) as v_j
     approaches u_j.  The limit is taken numerically at two offsets with
     Richardson extrapolation killing the linear error term; the return
-    value is the worst relative deviation over all entries.
+    value is the worst relative deviation over all entries.  ``matrix`` is
+    gaudin_matrix(ctx, roots) when the caller already holds it.
     """
     rs = _as_set(roots, ctx.c)
     n = len(rs)
-    ref = gaudin_matrix(ctx, rs)
+    ref = gaudin_matrix(ctx, rs) if matrix is None else matrix
     # deviations are measured against the matrix scale, not entrywise: the
     # extrapolation error of a small entry is set by the large ones
     floor = max(1.0, float(np.max(np.abs(ref))))
@@ -215,8 +218,9 @@ def gaudin_norm(
     if len(rs) != n:
         raise ValueError(f"the norm formula needs exactly {n} roots")
     _require_onshell(ctx, rs, "norm")
+    gaudin = gaudin_matrix(ctx, rs)
     if verify_limit:
-        dev = gaudin_limit_deviation(ctx, rs)
+        dev = gaudin_limit_deviation(ctx, rs, gaudin)
         if dev > limit_tol:
             raise ValueError(
                 f"norm matrix disagrees with its limit form by {dev:.3e}"
@@ -228,7 +232,7 @@ def gaudin_norm(
         for j in range(i + 1, n):
             pair *= kernel_g(rs[i], rs[j], ctx.c) * kernel_g(rs[j], rs[i], ctx.c)
     prefactor = (f.mu ** 2 / stretch) ** n * w0(ctx, rs) * pair
-    return prefactor * determinant(gaudin_matrix(ctx, rs))
+    return prefactor * determinant(gaudin)
 
 
 def slavnov_norm_limit(ctx: SpectralContext, roots) -> complex:

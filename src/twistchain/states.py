@@ -8,18 +8,19 @@ normalization sensitive, so no hidden rescaling is allowed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from .bethe import (
+    CoincidenceError,
     SpectralContext,
     VariableSet,
     _as_set,
     diag_eigenvalue,
     diag_residual,
+    eps_dist,
     kernel_g,
     prod_f,
     raising_eigenpart,
@@ -102,10 +103,18 @@ def transfer_from_modified(
     return (t.kappa_tilde - f.rho) * nu.t11(u) + (t.kappa - f.rho) * nu.t22(u)
 
 
+def _scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    # relative up to a unit floor: the amplitudes grow with the chain and
+    # an absolute gap would just measure their magnitude
+    scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
+    return float(np.linalg.norm(lhs - rhs) / scale)
+
+
 def offshell_action_residuals(
     nu: MonodromyFamily, ctx: SpectralContext, u, roots
 ) -> dict[str, float]:
-    """Residual norms of the five action identities on a creation string.
+    """Residuals of the five action identities on a creation string, each
+    relative to the larger side's norm with a unit floor.
 
     Keys: nu12_action (pure raising, probed through a permuted build order),
     nu11_action, nu22_action, nu21_action (with both lowering sums), and
@@ -132,7 +141,7 @@ def offshell_action_residuals(
     # creation: apply last vs apply first, equal only because the family
     # commutes with itself
     permuted = build_bethe_vector(nu, _append(u, rs)).amplitudes
-    r12 = np.linalg.norm(nu.t12(u) @ base - permuted)
+    r12 = _scaled_gap(nu.t12(u) @ base, permuted)
 
     acc11 = rp * plus + diag_eigenvalue(ctx, u, rs, 1.0, 0.0) * base
     acc22 = rp * plus + diag_eigenvalue(ctx, u, rs, 0.0, 1.0) * base
@@ -142,8 +151,8 @@ def offshell_action_residuals(
         l1, l2 = ctx.lam(ui)
         acc11 = acc11 + kernel_g(u, ui, c) * l1 * prod_f(rest, ui, c) * swapped[i]
         acc22 = acc22 + kernel_g(ui, u, c) * l2 * prod_f(ui, rest, c) * swapped[i]
-    r11 = np.linalg.norm(nu.t11(u) @ base - acc11)
-    r22 = np.linalg.norm(nu.t22(u) @ base - acc22)
+    r11 = _scaled_gap(nu.t11(u) @ base, acc11)
+    r22 = _scaled_gap(nu.t22(u) @ base, acc22)
 
     acc21 = rp ** 2 * plus + rp * diag_eigenvalue(ctx, u, rs, 1.0, 1.0) * base
     for i in range(m):
@@ -156,7 +165,7 @@ def offshell_action_residuals(
         for j in range(i + 1, m):
             pair = build_bethe_vector(nu, _prepend(u, rs.drop2(i, j))).amplitudes
             acc21 = acc21 + term_G(ctx, u, i, j, rs) * pair
-    r21 = np.linalg.norm(nu.t21(u) @ base - acc21)
+    r21 = _scaled_gap(nu.t21(u) @ base, acc21)
 
     x = ctx.twist.kappa_tilde - f.rho
     y = ctx.twist.kappa - f.rho
@@ -167,14 +176,14 @@ def offshell_action_residuals(
         acct = acct + kernel_g(rs[i], u, c) * diag_residual(
             ctx, i, rs, x, y
         ) * swapped[i]
-    rt = np.linalg.norm(transfer_from_modified(nu, ctx, u) @ base - acct)
+    rt = _scaled_gap(transfer_from_modified(nu, ctx, u) @ base, acct)
 
     return {
-        "nu12_action": float(r12),
-        "nu11_action": float(r11),
-        "nu22_action": float(r22),
-        "nu21_action": float(r21),
-        "transfer_action": float(rt),
+        "nu12_action": r12,
+        "nu11_action": r11,
+        "nu22_action": r22,
+        "nu21_action": r21,
+        "transfer_action": rt,
     }
 
 
@@ -199,10 +208,7 @@ def raising_identity_residual(
         rest = rs.drop(i)
         coeff = kernel_g(rs[i], u, c) * raising_eigenpart(ctx, rs[i], rest)
         rhs = rhs + coeff * build_bethe_vector(nu, _prepend(u, rest)).amplitudes
-    # relative up to a unit floor: the amplitudes grow with the chain and
-    # an absolute gap would just measure their magnitude
-    scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    return _scaled_gap(lhs, rhs)
 
 
 def eigenstate_residual(
@@ -287,61 +293,93 @@ class ProjectionExpansion:
     w0_difference: float | None
 
 
-def w_coefficient(ctx: SpectralContext, merged, kept=()) -> complex:
-    """Symmetrized weight of an ordered partition.
+def _weight_table(ctx: SpectralContext, values) -> np.ndarray:
+    """Every ordered-partition weight of the parameters in one table.
 
-    Product over the merged block, each factor evaluated against everything
-    strictly after it in the permuted order plus the whole kept block;
-    averaged over permutations of the merged block.
+    Entry S (bit k set = parameter k merged) is W(S | V - S): the product
+    over the merged block, each factor D(u, T) = lam1(u) f(T, u)
+    + lam2(u) f(u, T) evaluated against everything after it in the order
+    plus the kept block V - S, averaged over the orders of S.  Conditioning
+    on the last element of the order, whose factor faces only V - S, gives
+
+        W(S | V - S) = (1/|S|) sum_{j in S} D(u_j, V - S) W(S - j | V - (S - j)),
+
+    so the table fills in order of |S| from W(empty) = 1.  The f-products
+    over every T are built by doubling, one parameter at a time, and never
+    divide by f, so sets with u_k - u_j = -c (where an f vanishes) stay
+    exact; the only division is by |S|.  O(2^m m) operations in all.
     """
-    merged = tuple(complex(x) for x in merged)
-    kept = tuple(complex(x) for x in kept)
-    m = len(merged)
-    if m == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for perm in permutations(merged):
-        prod = 1.0 + 0.0j
-        for j, uj in enumerate(perm):
-            prod *= diag_eigenvalue(ctx, uj, perm[j + 1 :] + kept, 1.0, 1.0)
-        total += prod
-    return total / math.factorial(m)
+    u = np.asarray(values, dtype=complex)
+    m = u.size
+    c = ctx.c
+    gap = u[:, None] - u[None, :]
+    off = ~np.eye(m, dtype=bool)
+    if np.any(np.abs(gap[off]) <= eps_dist(c)):
+        raise CoincidenceError("kernel g evaluated at coincident parameters")
+    gap[~off] = 1.0
+    g = c / gap  # g[j, k] = g(u_j, u_k); f(u_k, u_j) = 1 - g, f(u_j, u_k) = 1 + g
+    size = 1 << m
+    left = np.ones((size, m), dtype=complex)  # [T, j]: f(T, u_j)
+    right = np.ones((size, m), dtype=complex)  # [T, j]: f(u_j, T)
+    for k in range(m):
+        half = 1 << k
+        np.multiply(left[:half], 1.0 - g[:, k], out=left[half : 2 * half])
+        np.multiply(right[:half], 1.0 + g[:, k], out=right[half : 2 * half])
+    l1, l2 = ctx.lam(u)
+    d = l1 * left + l2 * right  # d[T, j] = D(u_j, T)
+
+    masks = np.arange(size)
+    bits = 1 << np.arange(m)
+    inside = (masks[:, None] & bits) != 0
+    order = inside.sum(axis=1)
+    table = np.zeros(size, dtype=complex)
+    table[0] = 1.0
+    for s in range(1, m + 1):
+        sets = np.flatnonzero(order == s)
+        terms = d[(size - 1) ^ sets] * table[sets[:, None] ^ bits]
+        table[sets] = np.sum(terms, axis=1, where=inside[sets]) / s
+    return table
 
 
 def w0(ctx: SpectralContext, roots) -> complex:
     """Scalar normalization of the creation string: the fully merged weight.
 
-    This matrix-free route stays finite in the diagonal limit, where the
-    direct vacuum-overlap definition degenerates to 0/0.
+    The symmetrized product over all m! orders of the set, computed by the
+    subset recursion of ``_weight_table`` in O(2^m m) operations.  This
+    matrix-free route stays finite in the diagonal limit, where the direct
+    vacuum-overlap definition degenerates to 0/0.
     """
     rs = _as_set(roots, ctx.c)
-    return w_coefficient(ctx, tuple(rs.values), ())
+    return complex(_weight_table(ctx, rs.values)[-1])
 
 
 def projection_expansion(
     ctx: SpectralContext, roots, modified: MonodromyFamily | None = None
 ) -> ProjectionExpansion:
     """All ordered-partition weights, plus the scalar normalization computed
-    both matrix-free and from the vacuum overlap (when the twist allows)."""
+    both matrix-free and from the vacuum overlap (when the twist allows).
+
+    Every term's weight W(merged | kept) is read from the one subset table
+    of ``_weight_table`` (O(2^m m) operations for all 2^m terms), whose
+    full entry is w0.
+    """
     rs = _as_set(roots, ctx.c)
     vals = tuple(complex(x) for x in rs.values)
     m = len(vals)
     f = ctx.fact
+    table = _weight_table(ctx, rs.values)
     terms = []
     for size_kept in range(m + 1):
         for kept_idx in combinations(range(m), size_kept):
-            kept = tuple(vals[k] for k in kept_idx)
-            merged = tuple(
-                vals[k] for k in range(m) if k not in kept_idx
-            )
+            merged_idx = [k for k in range(m) if k not in kept_idx]
             terms.append(
                 ProjectionTerm(
-                    kept=kept,
-                    merged=merged,
-                    weight=w_coefficient(ctx, merged, kept),
+                    kept=tuple(vals[k] for k in kept_idx),
+                    merged=tuple(vals[k] for k in merged_idx),
+                    weight=complex(table[sum(1 << k for k in merged_idx)]),
                 )
             )
-    w0_exp = next(t.weight for t in terms if not t.kept)
+    w0_exp = complex(table[-1])
     w0_dir = None
     diff = None
     if f.rho != 0 and ctx.twist.kappa_minus != 0:

@@ -7,6 +7,7 @@ reference chains are computed once per session and shared by the
 completeness, overlap, norm, orthogonality and gradient criteria.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -112,8 +113,10 @@ def test_criterion_02_hamiltonian_routes():
 def test_criterion_03_offshell_actions():
     rng = np.random.default_rng(23)
     worst = 0.0
-    for _ in range(10):
-        sites = int(rng.integers(1, 4))
+    # ten random sizes from 1..3, then one chain each at 4 and 5 sites; the
+    # generator is lazy, so the draws interleave as the sizes are used
+    drawn = (int(rng.integers(1, 4)) for _ in range(10))
+    for sites in itertools.chain(drawn, (4, 5)):
         ctx = random_context(rng, sites)
         nu = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
         u = draw_points(rng, 1)[0]

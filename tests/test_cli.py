@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +185,17 @@ def test_main_exit_codes(tmp_path, capsys):
     # a triangular twist is valid input the factorization cannot handle
     assert main(["verify", "--config", path, "--set", "twist.kappa_plus=0"]) == 2
     assert "error: kappa_plus * kappa_minus = 0" in capsys.readouterr().err
+
+
+def test_verify_passes_at_five_sites(capsys):
+    # the action residuals are relative to the vector scale, which grows
+    # with the chain; absolute ones failed the 1e-10 tolerance from here on
+    config = Path(__file__).resolve().parent.parent / "configs" / "n3_generic.json"
+    theta = json.dumps([[0.15 * (k - 2), 0.0] for k in range(5)])
+    args = ["--set", "chain.sites=5", "--set", f"chain.inhomogeneities={theta}"]
+    assert main(["verify", "--config", str(config), *args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(check["passed"] for check in report["checks"])
 
 
 def test_spectrum_with_huge_coupling(tmp_path, capsys):

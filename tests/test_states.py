@@ -1,9 +1,13 @@
+import math
+import time
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twistchain import SpectralContext, solve_newton
-from twistchain.bethe import VariableSet, eps_dist
+from twistchain import SpectralContext, solve_newton, states
+from twistchain.bethe import CoincidenceError, VariableSet, diag_eigenvalue, eps_dist
 from twistchain.chain import build_monodromy
 from twistchain.states import (
     build_bethe_vector,
@@ -86,6 +90,28 @@ def test_offshell_actions_all_orders():
                     assert value < 1e-9, (sites, m, name)
 
 
+def test_offshell_action_residual_catches_a_wrong_coefficient(monkeypatch):
+    # the residuals are relative to the vector scale; a coefficient off by
+    # 1e-6 relative must still fail the 1e-10 structural tolerance
+    rng = np.random.default_rng(11)
+    exact = states.term_G
+
+    def skewed(ctx, u, i, j, roots):
+        bump = 1.0 + 1e-6 if (i, j) == (0, 1) else 1.0
+        return bump * exact(ctx, u, i, j, roots)
+
+    for sites in range(2, 7):
+        ctx = random_context(rng, sites)
+        nu = _family(ctx)
+        pts = draw_points(rng, sites + 1)
+        rs = VariableSet(pts[1:], eps_dist(ctx.c))
+        clean = offshell_action_residuals(nu, ctx, pts[0], rs)["nu21_action"]
+        with monkeypatch.context() as patch:
+            patch.setattr(states, "term_G", skewed)
+            broken = offshell_action_residuals(nu, ctx, pts[0], rs)["nu21_action"]
+        assert clean < 1e-10 < broken, (sites, clean, broken)
+
+
 def test_offshell_actions_reject_too_many_parameters():
     rng = np.random.default_rng(13)
     ctx = random_context(rng, 2)
@@ -141,7 +167,7 @@ def test_onshell_states_are_eigenstates_two_sites():
 
 def test_projection_reassembles_creation_string():
     rng = np.random.default_rng(29)
-    for sites in (1, 2, 3):
+    for sites in (1, 2, 3, 4):
         ctx = random_context(rng, sites)
         nu = _family(ctx)
         family = build_monodromy(ctx.chain)
@@ -160,7 +186,7 @@ def test_projection_reassembles_creation_string():
 
 def test_w0_routes_agree_off_diagonal():
     rng = np.random.default_rng(33)
-    for sites in (1, 2, 3):
+    for sites in range(1, 8):
         ctx = random_context(rng, sites)
         exp = projection_expansion(ctx, draw_points(rng, sites))
         assert exp.w0_direct is not None
@@ -181,3 +207,61 @@ def test_w0_closed_form_at_diagonal_onshell_points():
         want = l2 * (k / kt + 1.0) ** 2
         got = w0(ctx, sol.roots)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def _permutation_average(ctx, merged, kept):
+    # the definition: each factor faces everything after it in the order
+    # plus the kept block, averaged over all orders of the merged block
+    total = 0.0
+    for order in permutations(merged):
+        prod = 1.0
+        for j, uj in enumerate(order):
+            prod *= diag_eigenvalue(ctx, uj, order[j + 1 :] + kept, 1.0, 1.0)
+        total += prod
+    return total / math.factorial(len(merged))
+
+
+def _assert_weights_match_definition(ctx, pts):
+    exp = projection_expansion(ctx, pts)
+    assert len(exp.terms) == 2 ** len(pts)
+    for term in exp.terms:
+        want = _permutation_average(ctx, term.merged, term.kept)
+        assert abs(term.weight - want) <= 1e-13 * abs(want), term
+    want = _permutation_average(ctx, tuple(pts), ())
+    assert abs(w0(ctx, pts) - want) <= 1e-13 * abs(want)
+    assert exp.w0_expansion == w0(ctx, pts)
+
+
+def test_weights_match_permutation_average():
+    rng = np.random.default_rng(45)
+    for m in range(1, 7):
+        ctx = random_context(rng, m)
+        _assert_weights_match_definition(ctx, tuple(draw_points(rng, m)))
+
+
+def test_weights_where_a_pair_is_one_coupling_apart():
+    # u_1 - u_0 = -c exactly, so f(u_1, u_0) = 0 in every order that pairs
+    # them that way round
+    rng = np.random.default_rng(47)
+    for m in (2, 3, 4):
+        ctx = random_context(rng, m)
+        pts = (0.25 + 0.5j, -0.75 + 0.5j, *draw_points(rng, m - 2))
+        _assert_weights_match_definition(ctx, pts)
+
+
+def test_weights_reject_coincident_parameters():
+    rng = np.random.default_rng(49)
+    ctx = random_context(rng, 3)
+    pts = VariableSet([0.1, 0.1 + 1e-10, 0.7j], eps=1e-12)
+    with pytest.raises(CoincidenceError):
+        w0(ctx, pts)
+
+
+def test_w0_at_eight_sites_is_fast():
+    rng = np.random.default_rng(51)
+    ctx = random_context(rng, 8)
+    pts = draw_points(rng, 8)
+    started = time.perf_counter()
+    w0(ctx, pts)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"w0 at eight sites took {elapsed:.2f}s"
