@@ -193,10 +193,14 @@ class MonodromyFamily:
         return self.t11(u), self.t12(u), self.t21(u), self.t22(u)
 
 
-def _swap_columns(slot: int, nspaces: int) -> np.ndarray:
-    """Column order that right-multiplies by the swap of slot 0 and `slot`."""
+def _slot_swap(p: int, q: int, nspaces: int) -> np.ndarray:
+    """Index order of the swap P_pq of tensor slots p and q.
+
+    P_pq is a symmetric permutation, so the one order serves both sides:
+    m[:, order] == m @ P_pq and m[order] == P_pq @ m.
+    """
     idx = np.arange(2 ** nspaces)
-    hi, lo = nspaces - 1, nspaces - 1 - slot
+    hi, lo = nspaces - 1 - p, nspaces - 1 - q
     differ = ((idx >> hi) ^ (idx >> lo)) & 1
     return idx ^ (differ * ((1 << hi) | (1 << lo)))
 
@@ -216,7 +220,7 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
     coef = np.zeros((n, 2 ** n, 2 ** n), dtype=complex)
     coef[0] = np.eye(2 ** n)
     for k, theta in enumerate(params.theta):
-        perm = _swap_columns(k + 1, n)
+        perm = _slot_swap(0, k + 1, n)
         for j in range(k + 1, -1, -1):
             step = coef[j][:, perm] - (theta / c) * coef[j]
             if j:
@@ -322,29 +326,18 @@ def structure_checks(
     """Frobenius residuals of the defining exchange structure, relative to
     the scale of each left-hand side (with a unit floor).
 
-    Covers the RTT relation on the doubled auxiliary space, commutativity
-    of the transfer matrix, GL(2) invariance of the R-matrix against the
-    twist, and the three two-point exchange relations used by the algebraic
-    Bethe ansatz.
+    Covers the RTT relation on the doubled auxiliary space (built by
+    permutation gathers in ``_rtt_sides``), commutativity of the transfer
+    matrix, GL(2) invariance of the R-matrix against the twist, and the
+    three two-point exchange relations used by the algebraic Bethe ansatz.
     """
     if abs(u - v) <= 1e-9 * max(1.0, abs(params.c)):
         raise ValueError("structure checks need two distinct spectral points")
     if family is None:
         family = build_monodromy(params)
     c = params.c
-    n = params.sites + 2  # slots: auxiliary a, auxiliary b, then the chain
-
-    def doubled(point, slot):
-        out = np.eye(2 ** n, dtype=complex)
-        for k in range(params.sites):
-            r = build_r_matrix(point - params.theta[k], c)
-            out = out @ _embed_pair(r, slot, k + 2, n)
-        return out
-
-    ta = doubled(u, 0)
-    tb = doubled(v, 1)
-    rab = _embed_pair(build_r_matrix(u - v, c), 0, 1, n)
-    rtt = _relative(rab @ ta @ tb - tb @ ta @ rab, rab @ ta @ tb)
+    lhs, rhs = _rtt_sides(params, u, v)
+    rtt = _relative(lhs - rhs, lhs)
 
     t_poly = build_transfer(params, twist, family)
     tu, tv = t_poly(u), t_poly(v)
@@ -362,6 +355,47 @@ def structure_checks(
     }
     out.update(exchange_residuals(family, c, u, v))
     return out
+
+
+def _rtt_sides(params: ChainParams, u: complex, v: complex):
+    """R_ab(u - v) T_a(u) T_b(v) and T_b(v) T_a(u) R_ab(u - v) on the
+    doubled auxiliary space (slots a, b, then the chain), without a dense
+    matrix product.
+
+    Every factor R(x) = (x/c) I + P is symmetric, so left-multiplying a
+    matrix by it is a row gather plus a scaled copy, and applying the
+    factors of T_a(u) and then those of T_b(v) to the identity this way
+    gives (T_a(u) T_b(v))^T.  R_ab is then one column gather on one side
+    and one row gather on the other.  Both sides are returned as transposed
+    views of the arrays built.
+    """
+    n = params.sites + 2
+    c = params.c
+    swaps = {
+        slot: [_slot_swap(slot, k + 2, n) for k in range(params.sites)]
+        for slot in (0, 1)
+    }
+
+    def transposed(first, second):
+        out = np.eye(2 ** n, dtype=complex)
+        for slot, x in (first, second):
+            for perm, theta in zip(swaps[slot], params.theta):
+                gathered = out[perm]
+                out *= (x - theta) / c
+                out += gathered
+        return out
+
+    a = (u - v) / c
+    perm = _slot_swap(0, 1, n)
+    lhs = transposed((0, u), (1, v))  # (T_a T_b)^T, then times R_ab
+    gathered = lhs[:, perm]
+    lhs *= a
+    lhs += gathered
+    rhs = transposed((1, v), (0, u))  # (T_b T_a)^T, then R_ab times it
+    gathered = rhs[perm]
+    rhs *= a
+    rhs += gathered
+    return lhs.T, rhs.T
 
 
 def _relative(gap: np.ndarray, ref: np.ndarray) -> float:

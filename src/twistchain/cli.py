@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import SpectralContext, VariableSet, eps_dist
-from .chain import ChainParams, build_monodromy, build_transfer, build_hamiltonian, structure_checks
+from .chain import ChainParams, _relative, build_monodromy, build_transfer, build_hamiltonian, structure_checks
 from .linalg import ConvergenceError, eigenpairs
 from .overlaps import norm_report, overlap_report
 from .solver import classify_solutions, probe_points, solve_newton, solve_tq_fit, spectrum_match
@@ -291,12 +291,13 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
     ctx = cfg.context()
     transfer = build_transfer(cfg.chain, cfg.twist)
     probes = probe_points(ctx, 3)
+    mats = [transfer(p) for p in probes]
     table = []
-    for p in probes:
-        values = [val for val, _ in eigenpairs(transfer(p))]
+    for p, t in zip(probes, mats):
+        values = [val for val, _ in eigenpairs(t)]
         table.append({"point": complex(p), "eigenvalues": values})
-    t0, t1 = transfer(probes[0]), transfer(probes[1])
-    comm = float(np.linalg.norm(t0 @ t1 - t1 @ t0))
+    t0, t1 = mats[0], mats[1]
+    comm = _relative(t0 @ t1 - t1 @ t0, t0 @ t1)
     checks = [_check("transfer_commutation", comm, cfg.structural_tol)]
     return {"checks": checks, "probes": table}
 

@@ -103,6 +103,27 @@ def transfer_from_modified(
     return (t.kappa_tilde - f.rho) * nu.t11(u) + (t.kappa - f.rho) * nu.t22(u)
 
 
+class _StringBuilder:
+    """Creation strings over subsets of one parameter set, with the
+    operator evaluated once per parameter.
+
+    ``mats`` maps each parameter to its matrix; calling the builder with a
+    set drawn from those parameters applies one matrix per entry,
+    rightmost first, to the reference state, exactly as
+    ``build_bethe_vector`` does.
+    """
+
+    def __init__(self, op, points: VariableSet, sites: int):
+        self.mats = {complex(x): op(x) for x in points.values}
+        self.sites = sites
+
+    def __call__(self, vs: VariableSet) -> np.ndarray:
+        amp = vacuum_state(self.sites)
+        for x in reversed(vs.values):
+            amp = self.mats[complex(x)] @ amp
+        return amp
+
+
 def _scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     # relative up to a unit floor: the amplitudes grow with the chain and
     # an absolute gap would just measure their magnitude
@@ -130,18 +151,21 @@ def offshell_action_residuals(
     f = ctx.fact
     rp = f.ratio_plus
 
-    base = build_bethe_vector(nu, rs).amplitudes
-    plus = build_bethe_vector(nu, _prepend(u, rs)).amplitudes
+    # each operator is evaluated once per point; every string below is a
+    # product of these matrices
+    plus_set = _prepend(u, rs)
+    string = _StringBuilder(nu.t12, plus_set, n)
+    t11u, t22u, t21u = nu.t11(u), nu.t22(u), nu.t21(u)
+
+    base = string(rs)
+    plus = string(plus_set)
     # B(u, ubar_i): the i-th argument traded for the probe point
-    swapped = [
-        build_bethe_vector(nu, _prepend(u, rs.drop(i))).amplitudes
-        for i in range(m)
-    ]
+    swapped = [string(_prepend(u, rs.drop(i))) for i in range(m)]
 
     # creation: apply last vs apply first, equal only because the family
     # commutes with itself
-    permuted = build_bethe_vector(nu, _append(u, rs)).amplitudes
-    r12 = _scaled_gap(nu.t12(u) @ base, permuted)
+    permuted = string(_append(u, rs))
+    r12 = _scaled_gap(string.mats[u] @ base, permuted)
 
     acc11 = rp * plus + diag_eigenvalue(ctx, u, rs, 1.0, 0.0) * base
     acc22 = rp * plus + diag_eigenvalue(ctx, u, rs, 0.0, 1.0) * base
@@ -151,21 +175,21 @@ def offshell_action_residuals(
         l1, l2 = ctx.lam(ui)
         acc11 = acc11 + kernel_g(u, ui, c) * l1 * prod_f(rest, ui, c) * swapped[i]
         acc22 = acc22 + kernel_g(ui, u, c) * l2 * prod_f(ui, rest, c) * swapped[i]
-    r11 = _scaled_gap(nu.t11(u) @ base, acc11)
-    r22 = _scaled_gap(nu.t22(u) @ base, acc22)
+    r11 = _scaled_gap(t11u @ base, acc11)
+    r22 = _scaled_gap(t22u @ base, acc22)
 
     acc21 = rp ** 2 * plus + rp * diag_eigenvalue(ctx, u, rs, 1.0, 1.0) * base
     for i in range(m):
         acc21 = acc21 + rp * kernel_g(rs[i], u, c) * diag_residual(
             ctx, i, rs, 1.0, 1.0
         ) * swapped[i]
-        lowered = build_bethe_vector(nu, rs.drop(i)).amplitudes
+        lowered = string(rs.drop(i))
         acc21 = acc21 + term_F(ctx, u, i, rs) * lowered
     for i in range(m):
         for j in range(i + 1, m):
-            pair = build_bethe_vector(nu, _prepend(u, rs.drop2(i, j))).amplitudes
+            pair = string(_prepend(u, rs.drop2(i, j)))
             acc21 = acc21 + term_G(ctx, u, i, j, rs) * pair
-    r21 = _scaled_gap(nu.t21(u) @ base, acc21)
+    r21 = _scaled_gap(t21u @ base, acc21)
 
     x = ctx.twist.kappa_tilde - f.rho
     y = ctx.twist.kappa - f.rho
@@ -176,7 +200,8 @@ def offshell_action_residuals(
         acct = acct + kernel_g(rs[i], u, c) * diag_residual(
             ctx, i, rs, x, y
         ) * swapped[i]
-    rt = _scaled_gap(transfer_from_modified(nu, ctx, u) @ base, acct)
+    # the transfer matrix of transfer_from_modified, from the blocks above
+    rt = _scaled_gap((x * t11u + y * t22u) @ base, acct)
 
     return {
         "nu12_action": r12,
@@ -200,14 +225,14 @@ def raising_identity_residual(
     c = ctx.c
     f = ctx.fact
 
-    lhs = (ctx.twist.kappa_minus / f.mu) * build_bethe_vector(
-        nu, _prepend(u, rs)
-    ).amplitudes
-    rhs = raising_eigenpart(ctx, u, rs) * build_bethe_vector(nu, rs).amplitudes
+    plus_set = _prepend(u, rs)
+    string = _StringBuilder(nu.t12, plus_set, n)
+    lhs = (ctx.twist.kappa_minus / f.mu) * string(plus_set)
+    rhs = raising_eigenpart(ctx, u, rs) * string(rs)
     for i in range(n):
         rest = rs.drop(i)
         coeff = kernel_g(rs[i], u, c) * raising_eigenpart(ctx, rs[i], rest)
-        rhs = rhs + coeff * build_bethe_vector(nu, _prepend(u, rest)).amplitudes
+        rhs = rhs + coeff * string(_prepend(u, rest))
     return _scaled_gap(lhs, rhs)
 
 

@@ -6,7 +6,8 @@ from twistchain.bethe import VariableSet, eps_dist
 from twistchain.chain import (
     PERM4,
     _embed_pair,
-    _swap_columns,
+    _rtt_sides,
+    _slot_swap,
     build_hamiltonian,
     build_monodromy,
     build_r_matrix,
@@ -100,11 +101,43 @@ def test_monodromy_coefficients_exact_on_integer_chain():
 
 def test_swap_columns_right_multiplies_by_the_swap():
     rng = np.random.default_rng(4)
-    nspaces = 4
-    m = rng.standard_normal((2**nspaces, 2**nspaces))
-    for slot in range(1, nspaces):
-        swap = _embed_pair(PERM4, 0, slot, nspaces)
-        assert np.array_equal(m[:, _swap_columns(slot, nspaces)], m @ swap)
+    for nspaces in (4, 5):
+        m = rng.standard_normal((2**nspaces, 2**nspaces))
+        for p in range(nspaces):
+            for q in range(p + 1, nspaces):
+                swap = _embed_pair(PERM4, p, q, nspaces)
+                order = _slot_swap(p, q, nspaces)
+                assert np.array_equal(m[:, order], m @ swap), (nspaces, p, q)
+                assert np.array_equal(m[order], swap @ m), (nspaces, p, q)
+
+
+def _dense_rtt_sides(params, u, v):
+    # both sides of R_ab(u - v) T_a(u) T_b(v) = T_b(v) T_a(u) R_ab(u - v)
+    # as dense products of embedded factors on slots a, b, then the chain
+    c = params.c
+    n = params.sites + 2
+
+    def doubled(point, slot):
+        out = np.eye(2**n, dtype=complex)
+        for k in range(params.sites):
+            r = build_r_matrix(point - params.theta[k], c)
+            out = out @ _embed_pair(r, slot, k + 2, n)
+        return out
+
+    ta = doubled(u, 0)
+    tb = doubled(v, 1)
+    rab = _embed_pair(build_r_matrix(u - v, c), 0, 1, n)
+    return rab @ ta @ tb, tb @ ta @ rab
+
+
+def test_rtt_sides_match_dense_products():
+    rng = np.random.default_rng(6)
+    for sites in range(1, 5):
+        params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
+        u, v = draw_points(rng, 2)
+        for got, want in zip(_rtt_sides(params, u, v), _dense_rtt_sides(params, u, v)):
+            gap = np.linalg.norm(got - want)
+            assert gap <= 1e-13 * np.linalg.norm(want), sites
 
 
 def test_highest_weight_structure():
@@ -164,12 +197,20 @@ def test_transfer_family_commutes_up_to_six_sites():
 
 def test_structure_checks_all_small():
     rng = np.random.default_rng(9)
-    for sites in (1, 2, 3):
-        params = ChainParams(sites, 1.0, random_theta(rng, sites))
+    for sites in range(1, 7):
+        params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
         tw = random_twist(rng)
         u, v = draw_points(rng, 2)
         for name, value in structure_checks(params, tw, u, v).items():
-            assert value < 1e-10, name
+            assert value < 1e-10, (sites, name)
+
+
+def test_structure_checks_at_eight_sites():
+    # the grid chain: configs/n3_generic.json's twist, theta_k = 0.15(k - 3.5)
+    params = ChainParams(8, 1.0, tuple(0.15 * (k - 3.5) for k in range(8)))
+    tw = TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6)
+    for name, value in structure_checks(params, tw, 0.4 - 0.9j, -0.7 + 0.3j).items():
+        assert value < 1e-10, name
 
 
 def test_structure_checks_rejects_coincident_points():

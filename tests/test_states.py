@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from twistchain import SpectralContext, solve_newton, states
 from twistchain.bethe import CoincidenceError, VariableSet, diag_eigenvalue, eps_dist
-from twistchain.chain import build_monodromy
+from twistchain.chain import MonodromyFamily, build_monodromy
 from twistchain.states import (
     build_bethe_vector,
     build_dual_vector,
@@ -110,6 +111,48 @@ def test_offshell_action_residual_catches_a_wrong_coefficient(monkeypatch):
             patch.setattr(states, "term_G", skewed)
             broken = offshell_action_residuals(nu, ctx, pts[0], rs)["nu21_action"]
         assert clean < 1e-10 < broken, (sites, clean, broken)
+
+
+class _CountingPolynomial:
+    """A matrix polynomial that records every point it is evaluated at."""
+
+    def __init__(self, poly):
+        self.poly = poly
+        self.points = Counter()
+
+    @property
+    def dim(self):
+        return self.poly.dim
+
+    def __call__(self, u):
+        self.points[complex(u)] += 1
+        return self.poly(u)
+
+
+def test_action_checks_evaluate_each_operator_once_per_point():
+    rng = np.random.default_rng(15)
+    for sites in range(3, 7):
+        ctx = random_context(rng, sites)
+        nu = _family(ctx)
+
+        def evaluations(check, u, rs):
+            counting = MonodromyFamily(*map(_CountingPolynomial, nu.entries()))
+            check(counting, ctx, u, rs)
+            points = {complex(x) for x in (u, *rs.values)}
+            for block in counting.entries():
+                assert set(block.points) <= points
+                assert all(count == 1 for count in block.points.values())
+            return counting.t12.points
+
+        for m in range(1, sites + 1):
+            pts = draw_points(rng, m + 1)
+            rs = VariableSet(pts[1:], eps_dist(ctx.c))
+            seen = evaluations(offshell_action_residuals, pts[0], rs)
+            assert len(seen) == m + 1, (sites, m)
+        pts = draw_points(rng, sites + 1)
+        rs = VariableSet(pts[1:], eps_dist(ctx.c))
+        seen = evaluations(raising_identity_residual, pts[0], rs)
+        assert len(seen) == sites + 1, sites
 
 
 def test_offshell_actions_reject_too_many_parameters():
