@@ -211,21 +211,24 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
     Each factor R_ak(u - theta_k) = (u/c) I + P_ak - (theta_k/c) I is linear
     in u, and right-multiplying by the permutation P_ak only reorders
     columns, so the factors multiply out into the degree-N coefficient
-    stack without a dense matrix product.  The stack is updated in place,
-    highest degree first, so each step reads the lower coefficient before
-    it is overwritten.
+    stack without a dense matrix product.  The stack is built transposed,
+    where that reordering is a row gather, and updated in place, highest
+    degree first, so each step reads the lower coefficient before it is
+    overwritten.  The four blocks are read-only views of the one stack.
     """
     n = params.sites + 1
     c = params.c
-    coef = np.zeros((n, 2 ** n, 2 ** n), dtype=complex)
-    coef[0] = np.eye(2 ** n)
+    coef_t = np.zeros((n, 2 ** n, 2 ** n), dtype=complex)
+    coef_t[0] = np.eye(2 ** n)
     for k, theta in enumerate(params.theta):
         perm = _slot_swap(0, k + 1, n)
         for j in range(k + 1, -1, -1):
-            step = coef[j][:, perm] - (theta / c) * coef[j]
+            step = coef_t[j][perm] - (theta / c) * coef_t[j]
             if j:
-                step += coef[j - 1] / c
-            coef[j] = step
+                step += coef_t[j - 1] / c
+            coef_t[j] = step
+    coef_t.setflags(write=False)
+    coef = coef_t.transpose(0, 2, 1)
     d = params.dim
     return MonodromyFamily(
         MatrixPolynomial(coef[:, :d, :d]),
@@ -235,50 +238,46 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
     )
 
 
+def _contract(blocks, weights) -> np.ndarray:
+    """sum_ij weights[..., i, j] t_ij over the four auxiliary blocks.
+
+    ``blocks`` is (t11, t12, t21, t22), as coefficient stacks or as values
+    at one point; ``weights`` is one 2x2 matrix or a stack of them, and the
+    result carries its leading axes.  A 2x2 matrix M acts on the auxiliary
+    space as a twisted trace, tr_a(M T) = sum_ij M_ji t_ij, with weights
+    M^T, and as a dressing, (A T B)_ab = sum_ij A_ai t_ij B_jb, with weights
+    A_ai B_jb.  The result is one read-only array.
+    """
+    w = np.asarray(weights, dtype=complex)
+    rows = w.reshape(-1, 4)
+    shape = np.shape(blocks[0])
+    out = np.empty((len(rows),) + shape, dtype=complex)
+    for row, acc in zip(rows, out):
+        np.multiply(row[0], blocks[0], out=acc)
+        for x, block in zip(row[1:], blocks[1:]):
+            acc += x * block
+    out.setflags(write=False)
+    return out.reshape(w.shape[:-2] + shape)
+
+
 def build_transfer(params: ChainParams, twist, family: MonodromyFamily | None = None) -> MatrixPolynomial:
     """Twisted transfer matrix t(u) = tr_a( K_a T_a(u) ) as a matrix polynomial."""
     if family is None:
         family = build_monodromy(params)
-    return (
-        twist.kappa_tilde * family.t11
-        + twist.kappa * family.t22
-        + twist.kappa_plus * family.t21
-        + twist.kappa_minus * family.t12
+    return MatrixPolynomial(
+        _contract([b.coeffs for b in family.entries()], twist.matrix().T)
     )
 
 
 def _boundary_substitutions(twist) -> list[np.ndarray]:
-    """Images of sigma^x, sigma^y, sigma^z across the twisted seam.
-
-    The twisted closing of the chain replaces the site-(N+1) Pauli matrices
-    by gamma^-1 times fixed combinations of the site-1 ones, with
-    gamma = det K.
-    """
-    kt, k = twist.kappa_tilde, twist.kappa
-    kp, km = twist.kappa_plus, twist.kappa_minus
+    """Images K^-1 sigma K of sigma^x, sigma^y, sigma^z across the twisted
+    seam, written as adj(K) sigma K / gamma with gamma = det K."""
     gamma = twist.gamma
     if gamma == 0:
         raise ValueError("twist matrix is singular (det K = 0); no twisted closing")
-    rows = [
-        (
-            (kt ** 2 + k ** 2 - kp ** 2 - km ** 2) / 2,
-            1j * (k ** 2 - kt ** 2 - kp ** 2 + km ** 2) / 2,
-            k * km - kt * kp,
-        ),
-        (
-            1j * (kt ** 2 - k ** 2 - kp ** 2 + km ** 2) / 2,
-            (kt ** 2 + k ** 2 + kp ** 2 + km ** 2) / 2,
-            -1j * (kt * kp + k * km),
-        ),
-        (
-            k * kp - kt * km,
-            1j * (kt * km + k * kp),
-            kt * k + kp * km,
-        ),
-    ]
-    return [
-        (cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z) / gamma for cx, cy, cz in rows
-    ]
+    k = twist.matrix()
+    adj = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]])
+    return [adj @ s @ k / gamma for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
 
 
 def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.ndarray:

@@ -91,24 +91,38 @@ def eigenpairs(m) -> list[tuple[complex, np.ndarray]]:
     return [(complex(vals[k]), np.array(vecs[:, k])) for k in order]
 
 
+def _read_only(a: np.ndarray) -> bool:
+    """True when neither the array nor any array it views is writable."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True)
 class MatrixPolynomial:
     """Matrix-valued polynomial sum_k coeffs[k] * u**k.
 
     coeffs has shape (degree + 1, d, d).  Evaluation uses Horner's scheme;
     coefficients are stored exactly as given (no trimming), so the derivative
-    at zero can be read off as coefficient(1).
+    at zero can be read off as coefficient(1).  A read-only complex array is
+    kept as it is, so several polynomials can be views of one stack; any
+    other input is copied.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
+        c = self.coeffs
+        if not (isinstance(c, np.ndarray) and c.dtype == complex and _read_only(c)):
+            # copy, so no caller keeps a writable handle on the coefficients
+            c = np.array(c, dtype=complex)
+            c.setflags(write=False)
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise ValueError(f"coeffs must have shape (k, d, d), got {c.shape}")
         if c.shape[0] == 0:
             raise ValueError("need at least the constant coefficient")
-        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -138,29 +152,3 @@ class MatrixPolynomial:
             return MatrixPolynomial(np.zeros((1, self.dim, self.dim), dtype=complex))
         k = np.arange(1, self.degree + 1, dtype=complex)
         return MatrixPolynomial(self.coeffs[1:] * k[:, None, None])
-
-    def _binary(self, other: "MatrixPolynomial", sign: complex) -> "MatrixPolynomial":
-        if not isinstance(other, MatrixPolynomial):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        out = np.zeros((n, self.dim, self.dim), dtype=complex)
-        out[: self.coeffs.shape[0]] += self.coeffs
-        out[: other.coeffs.shape[0]] += sign * other.coeffs
-        return MatrixPolynomial(out)
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __mul__(self, scalar):
-        return MatrixPolynomial(self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return MatrixPolynomial(-self.coeffs)
-

@@ -28,7 +28,7 @@ from .bethe import (
     term_G,
     transfer_eigenvalue,
 )
-from .chain import MonodromyFamily, build_monodromy, vacuum_state
+from .chain import MonodromyFamily, _contract, build_monodromy, vacuum_state
 from .twist import build_modified_operators
 
 
@@ -95,14 +95,6 @@ def build_dual_vector(nu: MonodromyFamily, roots) -> BetheVector:
     )
 
 
-def transfer_from_modified(
-    nu: MonodromyFamily, ctx: SpectralContext, u: complex
-) -> np.ndarray:
-    """Transfer matrix at u through its modified diagonal form."""
-    t, f = ctx.twist, ctx.fact
-    return (t.kappa_tilde - f.rho) * nu.t11(u) + (t.kappa - f.rho) * nu.t22(u)
-
-
 class _StringBuilder:
     """Creation strings over subsets of one parameter set, with the
     operator evaluated once per parameter.
@@ -155,7 +147,8 @@ def offshell_action_residuals(
     # product of these matrices
     plus_set = _prepend(u, rs)
     string = _StringBuilder(nu.t12, plus_set, n)
-    t11u, t22u, t21u = nu.t11(u), nu.t22(u), nu.t21(u)
+    at_u = (nu.t11(u), string.mats[u], nu.t21(u), nu.t22(u))
+    t11u, t12u, t21u, t22u = at_u
 
     base = string(rs)
     plus = string(plus_set)
@@ -165,7 +158,7 @@ def offshell_action_residuals(
     # creation: apply last vs apply first, equal only because the family
     # commutes with itself
     permuted = string(_append(u, rs))
-    r12 = _scaled_gap(string.mats[u] @ base, permuted)
+    r12 = _scaled_gap(t12u @ base, permuted)
 
     acc11 = rp * plus + diag_eigenvalue(ctx, u, rs, 1.0, 0.0) * base
     acc22 = rp * plus + diag_eigenvalue(ctx, u, rs, 0.0, 1.0) * base
@@ -191,8 +184,7 @@ def offshell_action_residuals(
             acc21 = acc21 + term_G(ctx, u, i, j, rs) * pair
     r21 = _scaled_gap(t21u @ base, acc21)
 
-    x = ctx.twist.kappa_tilde - f.rho
-    y = ctx.twist.kappa - f.rho
+    x, y = np.diag(f.d_factor)
     acct = (ctx.twist.kappa_minus / f.mu) * plus + diag_eigenvalue(
         ctx, u, rs, x, y
     ) * base
@@ -200,8 +192,8 @@ def offshell_action_residuals(
         acct = acct + kernel_g(rs[i], u, c) * diag_residual(
             ctx, i, rs, x, y
         ) * swapped[i]
-    # the transfer matrix of transfer_from_modified, from the blocks above
-    rt = _scaled_gap((x * t11u + y * t22u) @ base, acct)
+    # the transfer matrix tr_a(D nu(u)), from the blocks above
+    rt = _scaled_gap(_contract(at_u, f.d_factor.T) @ base, acct)
 
     return {
         "nu12_action": r12,
@@ -243,7 +235,7 @@ def eigenstate_residual(
     meaningful for on-shell parameter sets of full order."""
     rs = _as_set(roots, ctx.c)
     lam = transfer_eigenvalue(ctx, u, rs)
-    tmat = transfer_from_modified(nu, ctx, complex(u))
+    tmat = _contract(nu.at(complex(u)), ctx.fact.d_factor.T)
     if dual:
         vec = build_dual_vector(nu, rs).amplitudes
         resid = vec @ tmat - lam * vec
@@ -277,7 +269,7 @@ def raising_coefficient(
         raise ValueError("no higher sector available to project onto")
     u = complex(u)
     if which == "transfer":
-        op = transfer_from_modified(nu, ctx, u)
+        op = _contract(nu.at(u), ctx.fact.d_factor.T)
     elif which in ("nu11", "nu22", "nu21"):
         op = getattr(nu, "t" + which[2:])(u)
     else:
@@ -438,16 +430,10 @@ def reassemble_projection(
     n = _sites_of(family)
     m = len(expansion.parameters)
     ratio = fact.ratio_plus if dual else fact.ratio_minus
+    build = build_dual_vector if dual else build_bethe_vector
     out = np.zeros(2 ** n, dtype=complex)
     for term in expansion.terms:
         pref = fact.mu ** m * ratio ** (m - len(term.kept)) * term.weight
-        if dual:
-            vec = vacuum_state(n)
-            for x in term.kept:
-                vec = vec @ family.t21(x)
-        else:
-            vec = vacuum_state(n)
-            for x in reversed(term.kept):
-                vec = family.t12(x) @ vec
-        out = out + pref * vec
+        kept = VariableSet(term.kept, expansion.parameters.eps)
+        out = out + pref * build(family, kept).amplitudes
     return out

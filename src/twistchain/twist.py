@@ -8,9 +8,11 @@ with nonzero off-diagonal product factorizes as K = L D L where
 
 rho is a root of rho^2 - (kappa_tilde + kappa) rho + kappa_plus kappa_minus
 and mu = (kappa_tilde + kappa - rho) / (kappa_tilde + kappa - 2 rho).  The
-similarity by L turns the monodromy blocks into the "modified" operators the
-modified algebraic Bethe ansatz is built from.  All square roots take the
-principal branch so both rho branches are bit-reproducible.
+dressing nu = L T_a L of the monodromy gives the "modified" operators the
+modified algebraic Bethe ansatz is built from, and the transfer matrix is
+tr_a(K T) = tr_a(D nu).  Both are contractions of the four blocks with 2x2
+matrices (``chain._contract``).  All square roots take the principal branch
+so both rho branches are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, vacuum_state, vacuum_weights
+from .chain import ChainParams, MonodromyFamily, _contract, vacuum_state, vacuum_weights
 from .linalg import MatrixPolynomial
-from .chain import MonodromyFamily
 
 __all__ = [
     "TwistDegeneracyError",
@@ -165,19 +166,17 @@ def diagonal_factorization(twist: TwistParams) -> TwistFactorization:
 def build_modified_operators(
     family: MonodromyFamily, fact: TwistFactorization
 ) -> MonodromyFamily:
-    """Blocks of L T_a(u) L, as matrix polynomials.
+    """Blocks of L T_a(u) L = mu L0 T_a(u) L0, as matrix polynomials.
 
-    Written out with the stored ratios rho/kappa_plus and rho/kappa_minus so
-    the diagonal limit (all ratios zero) returns the input family scaled by
-    mu = 1, i.e. unchanged.
+    L0 = [[1, rho/kappa_minus], [rho/kappa_plus, 1]] is built from the
+    stored ratios, so the diagonal limit (both ratios zero, mu = 1) returns
+    the input family unchanged, and mu is applied once rather than as
+    sqrt(mu) on each side.
     """
-    rp, rm, mu = fact.ratio_plus, fact.ratio_minus, fact.mu
-    t11, t12, t21, t22 = family.entries()
-    n11 = mu * (t11 + rp * t12 + rm * t21 + (rp * rm) * t22)
-    n12 = mu * (t12 + rm * (t11 + t22) + rm ** 2 * t21)
-    n21 = mu * (t21 + rp * (t11 + t22) + rp ** 2 * t12)
-    n22 = mu * (t22 + rp * t12 + rm * t21 + (rp * rm) * t11)
-    return MonodromyFamily(n11, n12, n21, n22)
+    l0 = np.array([[1.0, fact.ratio_minus], [fact.ratio_plus, 1.0]], dtype=complex)
+    weights = fact.mu * np.einsum("ai,jb->abij", l0, l0)
+    coef = _contract([b.coeffs for b in family.entries()], weights)
+    return MonodromyFamily(*(MatrixPolynomial(coef[a, b]) for a in (0, 1) for b in (0, 1)))
 
 
 def modified_diagonal_residual(
@@ -187,10 +186,10 @@ def modified_diagonal_residual(
     fact: TwistFactorization,
     u: complex,
 ) -> float:
-    """|| (kt - rho) nu11(u) + (k - rho) nu22(u) - t(u) ||_F."""
-    combo = (twist.kappa_tilde - fact.rho) * modified.t11(u) + (
-        twist.kappa - fact.rho
-    ) * modified.t22(u)
+    """|| tr_a(D nu(u)) - t(u) ||_F, where tr_a(D nu) = tr_a(K T) since
+    K = L D L and nu = L T L; the D entries are kappa_tilde - rho and
+    kappa - rho, so ``twist`` is implied by ``fact``."""
+    combo = _contract(modified.at(u), fact.d_factor.T)
     return float(np.linalg.norm(combo - transfer(u)))
 
 

@@ -5,6 +5,10 @@ from twistchain import ChainParams, SpectralContext, TwistParams
 from twistchain.bethe import VariableSet, eps_dist
 from twistchain.chain import (
     PERM4,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _boundary_substitutions,
     _embed_pair,
     _rtt_sides,
     _slot_swap,
@@ -168,19 +172,74 @@ def test_magnon_number_grading():
 
 
 def test_transfer_combines_blocks_with_twist():
+    # the written-out four-term trace is the reference for the contraction
     rng = np.random.default_rng(11)
-    params = ChainParams(sites=2, c=1.0, theta=(0.15, -0.05))
-    tw = random_twist(rng)
-    family = build_monodromy(params)
-    poly = build_transfer(params, tw, family)
-    u = 0.37 - 0.21j
-    want = (
-        tw.kappa_tilde * family.t11(u)
-        + tw.kappa * family.t22(u)
-        + tw.kappa_plus * family.t21(u)
-        + tw.kappa_minus * family.t12(u)
-    )
-    assert np.linalg.norm(poly(u) - want) < 1e-10
+    for sites in (1, 2, 3, 4):
+        for diagonal in (False, True):
+            params = ChainParams(sites, 1.0, random_theta(rng, sites))
+            tw = random_twist(rng, diagonal)
+            family = build_monodromy(params)
+            poly = build_transfer(params, tw, family)
+            t11, t12, t21, t22 = (b.coeffs for b in family.entries())
+            want = (
+                tw.kappa_tilde * t11
+                + tw.kappa * t22
+                + tw.kappa_plus * t21
+                + tw.kappa_minus * t12
+            )
+            gap = np.max(np.abs(poly.coeffs - want))
+            assert gap <= 1e-14 * np.max(np.abs(want)), (sites, diagonal)
+
+
+def _seam_table(twist):
+    # the written-out Pauli coefficients of K^-1 sigma K, kept as the
+    # reference for the adj(K) sigma K / det K form
+    kt, k = twist.kappa_tilde, twist.kappa
+    kp, km = twist.kappa_plus, twist.kappa_minus
+    rows = [
+        (
+            (kt ** 2 + k ** 2 - kp ** 2 - km ** 2) / 2,
+            1j * (k ** 2 - kt ** 2 - kp ** 2 + km ** 2) / 2,
+            k * km - kt * kp,
+        ),
+        (
+            1j * (kt ** 2 - k ** 2 - kp ** 2 + km ** 2) / 2,
+            (kt ** 2 + k ** 2 + kp ** 2 + km ** 2) / 2,
+            -1j * (kt * kp + k * km),
+        ),
+        (
+            k * kp - kt * km,
+            1j * (kt * km + k * kp),
+            kt * k + kp * km,
+        ),
+    ]
+    return [
+        (cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z) / twist.gamma
+        for cx, cy, cz in rows
+    ]
+
+
+def test_seam_substitutions_match_coefficient_table():
+    rng = np.random.default_rng(19)
+    for diagonal in (False, True) * 10:
+        tw = random_twist(rng, diagonal)
+        for got, want in zip(_boundary_substitutions(tw), _seam_table(tw)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(ValueError):
+        _boundary_substitutions(TwistParams(1.0, 1.0, 1.0, 1.0))
+
+
+def test_blocks_share_one_read_only_array():
+    rng = np.random.default_rng(20)
+    ctx = random_context(rng, 3)
+    family = build_monodromy(ctx.chain)
+    for fam in (family, build_modified_operators(family, ctx.fact)):
+        owner = fam.t11.coeffs.base
+        assert not owner.flags.writeable
+        for block in fam.entries():
+            assert block.coeffs.base is owner
+            assert np.shares_memory(block.coeffs, owner)
+            assert not block.coeffs.flags.writeable
 
 
 def test_transfer_family_commutes_up_to_six_sites():

@@ -73,11 +73,17 @@ def test_matrix_polynomial_derivative_matches_finite_difference():
     assert np.linalg.norm(dp(u) - fd) < 1e-7
 
 
-def test_matrix_polynomial_arithmetic():
-    p = MatrixPolynomial([_rand(2) for _ in range(3)])
-    q = MatrixPolynomial([_rand(2) for _ in range(2)])
-    u = 1.3 + 0.1j
-    assert np.allclose((p + q)(u), p(u) + q(u))
-    assert np.allclose((p - q)(u), p(u) - q(u))
-    assert np.allclose((p * 2.5j)(u), 2.5j * p(u))
-    assert np.allclose((-p)(u), -p(u))
+
+def test_matrix_polynomial_never_aliases_writable_input():
+    coeffs = np.stack([_rand(2) for _ in range(3)])
+    p = MatrixPolynomial(coeffs)
+    assert not np.shares_memory(p.coeffs, coeffs)
+    assert not p.coeffs.flags.writeable
+    # a read-only view of a writable array is copied too
+    view = coeffs[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(MatrixPolynomial(view).coeffs, coeffs)
+    # a read-only array that owns its memory is kept as it is
+    frozen = coeffs.copy()
+    frozen.setflags(write=False)
+    assert MatrixPolynomial(frozen).coeffs is frozen

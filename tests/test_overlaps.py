@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twistchain import ChainParams, SpectralContext, TwistParams, solve_newton
+from twistchain import overlaps
 from twistchain.bethe import CoincidenceError
 from twistchain.chain import build_monodromy
 from twistchain.overlaps import (
@@ -19,6 +20,7 @@ from twistchain.overlaps import (
     slavnov_formula,
     slavnov_norm_limit,
 )
+from twistchain.solver import solve_tq_fit
 from twistchain.states import build_bethe_vector, build_dual_vector, w0
 from twistchain.twist import build_modified_operators
 
@@ -93,6 +95,39 @@ def test_norms_and_limit_checks_two_sites():
         # coinciding-argument limit of the overlap reproduces the norm
         lim = slavnov_norm_limit(N2_CTX, sol.roots)
         assert relative_gap(lim, rep.formula) < 1e-5
+
+
+@pytest.fixture(scope="module")
+def grid6():
+    """The six-site grid chain (configs/n3_generic.json's twist,
+    theta_k = 0.15(k - 2.5)) and its unflagged T-Q sets."""
+    chain = ChainParams(6, 1.0, tuple(0.15 * (k - 2.5) for k in range(6)))
+    ctx = SpectralContext.create(chain, TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6))
+    return ctx, [s.roots for s in solve_tq_fit(ctx) if s.flag is None]
+
+
+def test_gaudin_limit_holds_on_every_six_site_set(grid6):
+    # near the pole a one-sided extrapolation multiplies rounding error by
+    # ten, enough to exceed limit_tol on polished roots
+    ctx, sets = grid6
+    assert len(sets) == 64
+    for roots in sets:
+        gaudin_norm(ctx, roots)
+
+
+def test_gaudin_limit_catches_a_wrong_entry(grid6, monkeypatch):
+    ctx, sets = grid6
+    exact = overlaps.gaudin_matrix
+
+    def skewed(ctx, roots):
+        g = exact(ctx, roots)
+        g.flat[np.argmax(np.abs(g))] *= 1.0 + 1e-4
+        return g
+
+    monkeypatch.setattr(overlaps, "gaudin_matrix", skewed)
+    for roots in sets[::8]:
+        with pytest.raises(ValueError, match="limit form"):
+            gaudin_norm(ctx, roots)
 
 
 def test_distinct_solutions_are_orthogonal_two_sites():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twistchain import ChainParams, SpectralContext, TwistParams
-from twistchain.chain import build_monodromy, build_transfer, exchange_residuals, vacuum_state
+from twistchain.chain import _contract, build_monodromy, build_transfer, exchange_residuals, vacuum_state
 from twistchain.twist import (
     TwistDegeneracyError,
     build_modified_operators,
@@ -135,3 +135,45 @@ def test_both_branches_give_same_transfer(config_a):
         nu = build_modified_operators(family, ctx.fact)
         resid = modified_diagonal_residual(nu, transfer, tw, ctx.fact, 0.4)
         assert resid < 1e-12
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _hand_expanded_nu(family, fact):
+    # the written-out blocks of mu L0 T L0, kept as the reference for the
+    # contraction in build_modified_operators
+    rp, rm, mu = fact.ratio_plus, fact.ratio_minus, fact.mu
+    t11, t12, t21, t22 = (b.coeffs for b in family.entries())
+    return (
+        mu * (t11 + rp * t12 + rm * t21 + (rp * rm) * t22),
+        mu * (t12 + rm * (t11 + t22) + rm ** 2 * t21),
+        mu * (t21 + rp * (t11 + t22) + rp ** 2 * t12),
+        mu * (t22 + rp * t12 + rm * t21 + (rp * rm) * t11),
+    )
+
+
+def test_dressing_and_trace_match_hand_expanded_blocks():
+    rng = np.random.default_rng(16)
+    for sites in (1, 2, 3, 4):
+        for diagonal in (False, True):
+            ctx = random_context(rng, sites, diagonal=diagonal)
+            tw = ctx.twist
+            family = build_monodromy(ctx.chain)
+            if diagonal:
+                facts = [diagonal_factorization(tw)]
+            else:
+                facts = [factorize_twist(tw, branch) for branch in ("minus", "plus")]
+            for fact in facts:
+                nu = build_modified_operators(family, fact)
+                for got, want in zip(nu.entries(), _hand_expanded_nu(family, fact)):
+                    assert _rel(got.coeffs, want) <= 1e-14, (sites, fact.branch)
+                # tr_a(D nu) against its two diagonal terms
+                u = draw_points(rng, 1)[0]
+                two_term = (tw.kappa_tilde - fact.rho) * nu.t11(u) + (
+                    tw.kappa - fact.rho
+                ) * nu.t22(u)
+                got = _contract(nu.at(u), fact.d_factor.T)
+                assert _rel(got, two_term) <= 1e-14, (sites, fact.branch)
+
