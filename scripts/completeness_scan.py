@@ -18,13 +18,13 @@ from twistchain.cli import parse_config
 from twistchain.solver import classify_solutions, solve_newton, solve_tq_fit
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--config", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--starts", type=int, nargs="+", default=[200, 400])
     ap.add_argument("--set", dest="overrides", action="append", default=[])
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = parse_config(args.config, args.overrides)
     ctx = cfg.context()

@@ -22,13 +22,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainParams, vacuum_weight_derivatives, vacuum_weights
+from .chain import (
+    ChainParams,
+    MonodromyFamily,
+    build_monodromy,
+    build_transfer,
+    vacuum_weight_derivatives,
+    vacuum_weights,
+)
+from .linalg import MatrixPolynomial
 from .twist import (
     TwistFactorization,
     TwistParams,
+    build_modified_operators,
     diagonal_factorization,
     factorize_twist,
 )
@@ -175,7 +185,14 @@ def _as_set(x, c) -> VariableSet:
 
 @dataclass(frozen=True)
 class SpectralContext:
-    """Chain data plus one factorization branch of the twist."""
+    """Chain data plus one factorization branch of the twist, and the
+    operators they determine.
+
+    The monodromy blocks T(u), the modified blocks nu(u) = L T(u) L and the
+    transfer matrix t(u) = tr_a(K T(u)) are built on first use and kept:
+    every layer reads them from here.  The inputs are frozen, so a cached
+    operator never goes stale.
+    """
 
     chain: ChainParams
     twist: TwistParams
@@ -207,6 +224,18 @@ class SpectralContext:
 
     def roots(self, values) -> VariableSet:
         return VariableSet(values, eps_dist(self.c))
+
+    @cached_property
+    def family(self) -> MonodromyFamily:
+        return build_monodromy(self.chain)
+
+    @cached_property
+    def modified(self) -> MonodromyFamily:
+        return build_modified_operators(self.family, self.fact)
+
+    @cached_property
+    def transfer(self) -> MatrixPolynomial:
+        return build_transfer(self.chain, self.twist, self.family)
 
 
 def diag_eigenvalue(ctx: SpectralContext, u, roots, x, y) -> complex:

@@ -322,8 +322,8 @@ def structure_checks(
     v: complex,
     family: MonodromyFamily | None = None,
 ) -> dict[str, float]:
-    """Frobenius residuals of the defining exchange structure, relative to
-    the scale of each left-hand side (with a unit floor).
+    """Frobenius residuals of the defining exchange structure, each a
+    ``_scaled_gap`` between its two sides.
 
     Covers the RTT relation on the doubled auxiliary space (built by
     permutation gathers in ``_rtt_sides``), commutativity of the transfer
@@ -335,17 +335,16 @@ def structure_checks(
     if family is None:
         family = build_monodromy(params)
     c = params.c
-    lhs, rhs = _rtt_sides(params, u, v)
-    rtt = _relative(lhs - rhs, lhs)
+    rtt = _scaled_gap(*_rtt_sides(params, u, v))
 
-    t_poly = build_transfer(params, twist, family)
-    tu, tv = t_poly(u), t_poly(v)
-    t_comm = _relative(tu @ tv - tv @ tu, tu @ tv)
-
+    # t(x) = tr_a(K T(x)) at the two points only, from the blocks there
     kmat = twist.matrix()
+    tu, tv = (_contract(family.at(x), kmat.T) for x in (u, v))
+    t_comm = _scaled_gap(tu @ tv, tv @ tu)
+
     r4 = build_r_matrix(u - v, c)
     kk = np.kron(kmat, kmat)
-    gl2 = _relative(r4 @ kk - kk @ r4, r4 @ kk)
+    gl2 = _scaled_gap(r4 @ kk, kk @ r4)
 
     out = {
         "rtt": rtt,
@@ -397,9 +396,13 @@ def _rtt_sides(params: ChainParams, u: complex, v: complex):
     return lhs.T, rhs.T
 
 
-def _relative(gap: np.ndarray, ref: np.ndarray) -> float:
-    # unit floor so tiny reference operators do not inflate pure roundoff
-    return float(np.linalg.norm(gap) / max(1.0, np.linalg.norm(ref)))
+def _scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """||lhs - rhs|| / max(1, ||lhs||, ||rhs||): the gap between the two
+    sides of an operator identity relative to their scale.  Operators and
+    amplitudes grow with the chain, so an absolute gap would measure their
+    size; the unit floor keeps tiny sides from inflating pure roundoff."""
+    scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
+    return float(np.linalg.norm(lhs - rhs) / scale)
 
 
 def exchange_residuals(
@@ -413,19 +416,14 @@ def exchange_residuals(
     g = c / (u - v)
     f_uv = 1.0 + g            # f(u, v)
     f_vu = 1.0 - g            # f(v, u), since g(v, u) = -g(u, v)
-    ex_11 = _relative(
-        t11u @ t12v - f_vu * t12v @ t11u - g * t12u @ t11v, t11u @ t12v
-    )
-    ex_22 = _relative(
-        t22u @ t12v - f_uv * t12v @ t22u + g * t12u @ t22v, t22u @ t12v
-    )
+    ex_11 = _scaled_gap(t11u @ t12v, f_vu * t12v @ t11u + g * t12u @ t11v)
+    ex_22 = _scaled_gap(t22u @ t12v, f_uv * t12v @ t22u - g * t12u @ t22v)
     # The creation/annihilation exchange closes on the diagonal blocks.  The
     # ordering t12(v) t21(u) on the right is the one compatible with the
     # global commutator structure; swapping the arguments only works at N=1
     # where t12 and t21 are constant in the spectral parameter.
-    ex_21 = _relative(
-        t21u @ t12v - t12v @ t21u - g * (t11v @ t22u - t11u @ t22v),
-        t21u @ t12v,
+    ex_21 = _scaled_gap(
+        t21u @ t12v, t12v @ t21u + g * (t11v @ t22u - t11u @ t22v)
     )
     return {
         "exchange_t11_t12": ex_11,

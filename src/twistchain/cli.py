@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import SpectralContext, VariableSet, eps_dist
-from .chain import ChainParams, _relative, build_monodromy, build_transfer, build_hamiltonian, structure_checks
+from .chain import ChainParams, _scaled_gap, build_hamiltonian, structure_checks
 from .linalg import ConvergenceError, eigenpairs
 from .overlaps import norm_report, overlap_report
 from .solver import classify_solutions, probe_points, solve_newton, solve_tq_fit, spectrum_match
 from .states import offshell_action_residuals, raising_identity_residual
-from .twist import TwistParams, build_modified_operators, vacuum_action_residuals
+from .twist import TwistParams, vacuum_action_residuals
 
 
 class ConfigError(ValueError):
@@ -252,9 +252,7 @@ def _solution_row(sol) -> dict:
 
 def _cmd_verify(cfg: RunConfig) -> dict:
     ctx = cfg.context()
-    params, twist, fact = cfg.chain, cfg.twist, ctx.fact
-    family = build_monodromy(params)
-    modified = build_modified_operators(family, fact)
+    params, twist, modified = cfg.chain, cfg.twist, ctx.modified
     rng = np.random.default_rng(cfg.seed)
     center = complex(np.mean(np.asarray(params.theta, dtype=complex)))
     scale = max(1.0, abs(params.c))
@@ -262,9 +260,9 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     worst: dict[str, float] = {}
     for _ in range(3):
         u, v = _draw_points(rng, center, scale, 2)
-        for name, value in structure_checks(params, twist, u, v, family).items():
+        for name, value in structure_checks(params, twist, u, v, ctx.family).items():
             worst[name] = max(worst.get(name, 0.0), value)
-        for name, value in vacuum_action_residuals(modified, fact, params, u).items():
+        for name, value in vacuum_action_residuals(modified, ctx.fact, params, u).items():
             worst[name] = max(worst.get(name, 0.0), value)
     for m in range(1, params.sites + 1):
         pts = _draw_points(rng, center, scale, m + 1)
@@ -282,22 +280,21 @@ def _cmd_verify(cfg: RunConfig) -> dict:
         flat = ChainParams(params.sites, params.c, (0.0,) * params.sites)
         direct = build_hamiltonian(flat, twist, route="direct")
         via_t = build_hamiltonian(flat, twist, route="transfer")
-        resid = np.linalg.norm(direct - via_t) / max(1.0, np.linalg.norm(direct))
-        checks.append(_check("hamiltonian_routes_homogeneous", float(resid), cfg.onshell_tol))
+        resid = _scaled_gap(direct, via_t)
+        checks.append(_check("hamiltonian_routes_homogeneous", resid, cfg.onshell_tol))
     return {"checks": checks}
 
 
 def _cmd_spectrum(cfg: RunConfig) -> dict:
     ctx = cfg.context()
-    transfer = build_transfer(cfg.chain, cfg.twist)
     probes = probe_points(ctx, 3)
-    mats = [transfer(p) for p in probes]
+    mats = [ctx.transfer(p) for p in probes]
     table = []
     for p, t in zip(probes, mats):
         values = [val for val, _ in eigenpairs(t)]
         table.append({"point": complex(p), "eigenvalues": values})
     t0, t1 = mats[0], mats[1]
-    comm = _relative(t0 @ t1 - t1 @ t0, t0 @ t1)
+    comm = _scaled_gap(t0 @ t1, t1 @ t0)
     checks = [_check("transfer_commutation", comm, cfg.structural_tol)]
     return {"checks": checks, "probes": table}
 
@@ -344,7 +341,6 @@ def _onshell_sets(cfg: RunConfig, ctx: SpectralContext):
 
 def _cmd_overlap(cfg: RunConfig) -> dict:
     ctx = cfg.context()
-    modified = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
     onshell = _onshell_sets(cfg, ctx)
     rng = np.random.default_rng(cfg.seed)
     center = complex(np.mean(np.asarray(cfg.chain.theta, dtype=complex)))
@@ -357,7 +353,7 @@ def _cmd_overlap(cfg: RunConfig) -> dict:
             for orientation in ("u-onshell", "v-onshell"):
                 us = sol.roots if orientation == "u-onshell" else tuple(free)
                 vs = tuple(free) if orientation == "u-onshell" else sol.roots
-                rep = overlap_report(ctx, us, vs, orientation, modified)
+                rep = overlap_report(ctx, us, vs, orientation)
                 worst = max(worst, rep.relative_error)
                 rows.append({
                     "onshell_index": i,
@@ -374,11 +370,10 @@ def _cmd_overlap(cfg: RunConfig) -> dict:
 
 def _cmd_norm(cfg: RunConfig) -> dict:
     ctx = cfg.context()
-    modified = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
     rows = []
     worst = 0.0
     for i, sol in enumerate(_onshell_sets(cfg, ctx)):
-        rep = norm_report(ctx, sol.roots, modified)
+        rep = norm_report(ctx, sol.roots)
         worst = max(worst, rep.relative_error)
         rows.append({
             "onshell_index": i,

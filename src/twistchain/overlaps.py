@@ -32,11 +32,10 @@ from .bethe import (
     raising_eigenpart,
     transfer_eigenvalue,
 )
-from .chain import build_monodromy, build_transfer
-from .linalg import MatrixPolynomial, determinant, eigenpairs
+from .linalg import determinant, eigenpairs
 from .solver import BetheSolution, probe_points
 from .states import build_bethe_vector, build_dual_vector, w0
-from .twist import build_modified_operators, twist_alpha
+from .twist import twist_alpha
 
 ERROR_FLOOR = 1e-30
 
@@ -326,9 +325,8 @@ def n1_reference(ctx: SpectralContext, u: complex, v: complex) -> dict:
         raise CoincidenceError("u and v must be distinct")
     t, f = ctx.twist, ctx.fact
     stretch = t.kappa_tilde + t.kappa - f.rho
-    modified = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
-    dual = build_dual_vector(modified, ctx.roots([u]))
-    ket = build_bethe_vector(modified, ctx.roots([v]))
+    dual = build_dual_vector(ctx.modified, ctx.roots([u]))
+    ket = build_bethe_vector(ctx.modified, ctx.roots([v]))
     direct = scalar_direct(dual, ket)
 
     l1u, l2u = ctx.lam(u)
@@ -375,9 +373,7 @@ def n1_reference(ctx: SpectralContext, u: complex, v: complex) -> dict:
 
 
 def simple_aba_check(
-    ctx: SpectralContext,
-    transfer: MatrixPolynomial | None = None,
-    solutions: list[BetheSolution] | None = None,
+    ctx: SpectralContext, solutions: list[BetheSolution] | None = None
 ) -> dict:
     """Verify the eigenvalue branch built from one twist eigenvalue alone.
 
@@ -385,8 +381,6 @@ def simple_aba_check(
     in the exact spectrum at every probe point.  When a solution list is
     supplied, the root set whose eigenvalue tracks the branch is reported.
     """
-    if transfer is None:
-        transfer = build_transfer(ctx.chain, ctx.twist)
     alpha = twist_alpha(ctx.twist)
     beta = ctx.twist.kappa + ctx.twist.kappa_tilde - alpha
     pts = probe_points(ctx, 5)
@@ -396,7 +390,7 @@ def simple_aba_check(
         l1, l2 = ctx.lam(p)
         val = alpha * l1 + beta * l2
         branch.append(val)
-        spectrum = [w for w, _ in eigenpairs(transfer(p))]
+        spectrum = [w for w, _ in eigenpairs(ctx.transfer(p))]
         worst = max(worst, min(abs(w - val) for w in spectrum))
     report = {
         "alpha": alpha,
@@ -425,11 +419,12 @@ def overlap_report(
     orientation: str = "u-onshell",
     modified=None,
 ) -> OverlapReport:
-    """Both overlap routes side by side for dual(us) against ket(vs)."""
+    """Both overlap routes side by side for dual(us) against ket(vs);
+    ``modified`` defaults to ctx.modified."""
     us = _as_set(us, ctx.c).sorted()
     vs = _as_set(vs, ctx.c).sorted()
     if modified is None:
-        modified = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
+        modified = ctx.modified
     direct = scalar_direct(
         build_dual_vector(modified, us), build_bethe_vector(modified, vs)
     )
@@ -443,10 +438,11 @@ def overlap_report(
 
 
 def norm_report(ctx: SpectralContext, roots, modified=None) -> OverlapReport:
-    """Both norm routes side by side for an on-shell root set."""
+    """Both norm routes side by side for an on-shell root set;
+    ``modified`` defaults to ctx.modified."""
     rs = _as_set(roots, ctx.c).sorted()
     if modified is None:
-        modified = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
+        modified = ctx.modified
     direct = scalar_direct(
         build_dual_vector(modified, rs), build_bethe_vector(modified, rs)
     )

@@ -29,10 +29,8 @@ from .bethe import (
     shift_polynomial,
     transfer_eigenvalue,
 )
-from .chain import MonodromyFamily, build_monodromy, build_transfer
-from .linalg import MatrixPolynomial, eigenpairs
+from .linalg import eigenpairs
 from .states import build_bethe_vector
-from .twist import build_modified_operators
 
 DEDUP_TOL = 1e-6
 NEAR_DUP_TOL = 1e-4
@@ -131,11 +129,7 @@ def _merge(pool: list[BetheSolution], sol: BetheSolution) -> None:
     pool.append(sol)
 
 
-def vector_weight(
-    ctx: SpectralContext,
-    roots: VariableSet,
-    modified: MonodromyFamily | None = None,
-) -> float:
+def vector_weight(ctx: SpectralContext, roots: VariableSet) -> float:
     """Size of the constructed state relative to the operators building it.
 
     The residual equations admit exact root sets that nevertheless create
@@ -144,8 +138,7 @@ def vector_weight(
     The normalized weight separates those from physical solutions by many
     orders of magnitude, so a loose threshold is safe.
     """
-    if modified is None:
-        modified = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
+    modified = ctx.modified
     vec = build_bethe_vector(modified, roots)
     ref = 1.0
     for u in roots.values:
@@ -272,10 +265,9 @@ def solve_newton(
     for hit in _distinct_rows(_newton_batch(ctx, batch, max_iter, tol)):
         _merge(pool, _attach(ctx, hit, "newton", tol))
     pool.sort(key=BetheSolution.canonical_key)
-    modified = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
     kept = []
     for sol in pool:
-        if vector_weight(ctx, sol.roots, modified) < VANISHING_TOL:
+        if vector_weight(ctx, sol.roots) < VANISHING_TOL:
             if not keep_vanishing:
                 continue
             sol = replace(sol, flag=sol.flag or "vanishing-vector")
@@ -336,7 +328,6 @@ def _tq_linear_fit(
 
 def solve_tq_fit(
     ctx: SpectralContext,
-    transfer: MatrixPolynomial | None = None,
     tol: float = 1e-8,
     fit_tol: float = 1e-6,
 ) -> list[BetheSolution]:
@@ -349,8 +340,7 @@ def solve_tq_fit(
     spectra break that premise and surface as large fit residuals, which are
     flagged rather than repaired.
     """
-    if transfer is None:
-        transfer = build_transfer(ctx.chain, ctx.twist)
+    transfer = ctx.transfer
     l1, l2 = _lam_coeffs(ctx)
     u0 = probe_points(ctx, 1)[0]
     pool: list[BetheSolution] = []
@@ -417,18 +407,15 @@ def classify_solutions(
 def spectrum_match(
     ctx: SpectralContext,
     solutions: list[BetheSolution],
-    transfer: MatrixPolynomial | None = None,
     probes: int = 3,
 ) -> dict:
     """Compare eigenvalue samples over the solution list against the full
     dense spectrum at each probe point; greedy nearest assignment."""
-    if transfer is None:
-        transfer = build_transfer(ctx.chain, ctx.twist)
     pts = probe_points(ctx, probes)
     expected = 2 ** ctx.sites
     max_rel = 0.0 if solutions else float("inf")
     for p in pts:
-        spectrum = [val for val, _ in eigenpairs(transfer(p))]
+        spectrum = [val for val, _ in eigenpairs(ctx.transfer(p))]
         free = set(range(len(spectrum)))
         for sol in solutions:
             lam = transfer_eigenvalue(ctx, p, sol.roots)

@@ -28,8 +28,7 @@ from .bethe import (
     term_G,
     transfer_eigenvalue,
 )
-from .chain import MonodromyFamily, _contract, build_monodromy, vacuum_state
-from .twist import build_modified_operators
+from .chain import MonodromyFamily, _contract, _scaled_gap, vacuum_state
 
 
 def _sites_of(family: MonodromyFamily) -> int:
@@ -114,13 +113,6 @@ class _StringBuilder:
         for x in reversed(vs.values):
             amp = self.mats[complex(x)] @ amp
         return amp
-
-
-def _scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    # relative up to a unit floor: the amplitudes grow with the chain and
-    # an absolute gap would just measure their magnitude
-    scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
-    return float(np.linalg.norm(lhs - rhs) / scale)
 
 
 def offshell_action_residuals(
@@ -370,9 +362,7 @@ def w0(ctx: SpectralContext, roots) -> complex:
     return complex(_weight_table(ctx, rs.values)[-1])
 
 
-def projection_expansion(
-    ctx: SpectralContext, roots, modified: MonodromyFamily | None = None
-) -> ProjectionExpansion:
+def projection_expansion(ctx: SpectralContext, roots) -> ProjectionExpansion:
     """All ordered-partition weights, plus the scalar normalization computed
     both matrix-free and from the vacuum overlap (when the twist allows).
 
@@ -400,12 +390,9 @@ def projection_expansion(
     w0_dir = None
     diff = None
     if f.rho != 0 and ctx.twist.kappa_minus != 0:
-        if modified is None:
-            modified = build_modified_operators(build_monodromy(ctx.chain), f)
-        n = _sites_of(modified)
-        amp = build_bethe_vector(modified, rs).amplitudes
+        amp = build_bethe_vector(ctx.modified, rs).amplitudes
         ratio = ctx.twist.kappa_minus / (f.mu * f.rho)
-        w0_dir = complex(ratio ** m * (vacuum_state(n) @ amp))
+        w0_dir = complex(ratio ** m * (vacuum_state(ctx.sites) @ amp))
         diff = abs(w0_exp - w0_dir)
     return ProjectionExpansion(
         parameters=rs,

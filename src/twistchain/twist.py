@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, MonodromyFamily, _contract, vacuum_state, vacuum_weights
+from .chain import (
+    ChainParams,
+    MonodromyFamily,
+    _contract,
+    _scaled_gap,
+    vacuum_state,
+    vacuum_weights,
+)
 from .linalg import MatrixPolynomial
 
 __all__ = [
@@ -186,11 +193,10 @@ def modified_diagonal_residual(
     fact: TwistFactorization,
     u: complex,
 ) -> float:
-    """|| tr_a(D nu(u)) - t(u) ||_F, where tr_a(D nu) = tr_a(K T) since
-    K = L D L and nu = L T L; the D entries are kappa_tilde - rho and
-    kappa - rho, so ``twist`` is implied by ``fact``."""
-    combo = _contract(modified.at(u), fact.d_factor.T)
-    return float(np.linalg.norm(combo - transfer(u)))
+    """Scaled gap (``chain._scaled_gap``) between tr_a(D nu(u)) and t(u),
+    equal since K = L D L and nu = L T L; the D entries are
+    kappa_tilde - rho and kappa - rho, so ``twist`` is implied by ``fact``."""
+    return _scaled_gap(_contract(modified.at(u), fact.d_factor.T), transfer(u))
 
 
 def vacuum_action_residuals(
@@ -199,7 +205,8 @@ def vacuum_action_residuals(
     params: ChainParams,
     u: complex,
 ) -> dict[str, float]:
-    """Residuals of the modified-operator actions on the reference state.
+    """Residuals of the modified-operator actions on the reference state,
+    each a scaled gap (``chain._scaled_gap``) between the two sides.
 
     nu11 and nu22 act diagonally up to a rho/kappa_plus leak into the
     creation operator nu12; nu21 annihilates the vacuum only up to the same
@@ -209,13 +216,10 @@ def vacuum_action_residuals(
     l1, l2 = vacuum_weights(params, u)
     rp = fact.ratio_plus
     b = modified.t12(u) @ v0
-    r11 = np.linalg.norm(modified.t11(u) @ v0 - l1 * v0 - rp * b)
-    r22 = np.linalg.norm(modified.t22(u) @ v0 - l2 * v0 - rp * b)
-    r21 = np.linalg.norm(
-        modified.t21(u) @ v0 - rp * (l1 + l2) * v0 - rp ** 2 * b
-    )
     return {
-        "nu11_vacuum": float(r11),
-        "nu22_vacuum": float(r22),
-        "nu21_vacuum": float(r21),
+        "nu11_vacuum": _scaled_gap(modified.t11(u) @ v0, l1 * v0 + rp * b),
+        "nu22_vacuum": _scaled_gap(modified.t22(u) @ v0, l2 * v0 + rp * b),
+        "nu21_vacuum": _scaled_gap(
+            modified.t21(u) @ v0, rp * (l1 + l2) * v0 + rp ** 2 * b
+        ),
     }

@@ -216,7 +216,7 @@ def test_projection_reassembles_creation_string():
         family = build_monodromy(ctx.chain)
         for m in range(1, sites + 1):
             pts = draw_points(rng, m)
-            exp = projection_expansion(ctx, pts, nu)
+            exp = projection_expansion(ctx, pts)
             want = build_bethe_vector(nu, pts).amplitudes
             got = reassemble_projection(exp, family, ctx.fact)
             scale = max(1.0, np.linalg.norm(want))
