@@ -17,6 +17,7 @@ and is annihilated by t21.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,20 +290,18 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
     """
     n = params.sites
     if route == "direct":
-        subs = _boundary_substitutions(twist)
+        # one Kronecker product of single-site factors per term (ops on one
+        # site multiply); the seam couples site N to the twisted site 1
+        def term(*site_ops) -> np.ndarray:
+            factors = [ID2] * n
+            for k, op in site_ops:
+                factors[k] = factors[k] @ op
+            return kron_chain(factors)
+
         paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
-        dim = params.dim
-        h = np.zeros((dim, dim), dtype=complex)
-        for k in range(n - 1):
-            for s in paulis:
-                h += local_operator(s, k, n) @ local_operator(s, k + 1, n)
-        # seam term: site N couples to the twisted image acting on site 1
-        for s, s_twisted in zip(paulis, subs):
-            if n == 1:
-                h += s @ s_twisted
-            else:
-                h += local_operator(s, n - 1, n) @ local_operator(s_twisted, 0, n)
-        return h
+        bonds = [((k, s), (k + 1, s)) for k in range(n - 1) for s in paulis]
+        seam = [((n - 1, s), (0, s_tw)) for s, s_tw in zip(paulis, _boundary_substitutions(twist))]
+        return sum(term(*ops) for ops in bonds + seam)
     if route == "transfer":
         if any(abs(t) > 1e-12 for t in params.theta):
             raise ValueError("transfer route requires vanishing inhomogeneities")
@@ -325,75 +324,72 @@ def structure_checks(
     """Frobenius residuals of the defining exchange structure, each a
     ``_scaled_gap`` between its two sides.
 
-    Covers the RTT relation on the doubled auxiliary space (built by
-    permutation gathers in ``_rtt_sides``), commutativity of the transfer
-    matrix, GL(2) invariance of the R-matrix against the twist, and the
-    three two-point exchange relations used by the algebraic Bethe ansatz.
+    Every two-point check reads the block products t_ij(u) t_kl(v) and
+    t_kl(v) t_ij(u) off the two tables of ``_block_products``: the RTT
+    relation through its 16 block components (``_rtt_gap``), the three
+    exchange relations used by the algebraic Bethe ansatz, which are three
+    of those components, and commutativity of the transfer matrix, the
+    twist-weighted contraction of each table.  GL(2) invariance of the
+    R-matrix against the twist is a 4x4 check.
     """
     if abs(u - v) <= 1e-9 * max(1.0, abs(params.c)):
         raise ValueError("structure checks need two distinct spectral points")
     if family is None:
         family = build_monodromy(params)
     c = params.c
-    rtt = _scaled_gap(*_rtt_sides(params, u, v))
+    uv, vu = _block_products(family, u, v)
 
-    # t(x) = tr_a(K T(x)) at the two points only, from the blocks there
-    kmat = twist.matrix()
-    tu, tv = (_contract(family.at(x), kmat.T) for x in (u, v))
-    t_comm = _scaled_gap(tu @ tv, tv @ tu)
+    # t(x) t(y) = sum_{ij,kl} K_ji K_lk t_ij(x) t_kl(y): contract the
+    # first block pair of a table, then the second
+    kmat, d = twist.matrix(), params.dim
+    tuv, tvu = (
+        _contract(_contract(t.reshape(4, d, 4, d), kmat.T).swapaxes(0, 1), kmat.T) for t in (uv, vu)
+    )
 
     r4 = build_r_matrix(u - v, c)
     kk = np.kron(kmat, kmat)
-    gl2 = _scaled_gap(r4 @ kk, kk @ r4)
-
     out = {
-        "rtt": rtt,
-        "transfer_commutator": t_comm,
-        "gl2_invariance": gl2,
+        "rtt": _rtt_gap(uv, vu, (u - v) / c),
+        "transfer_commutator": _scaled_gap(tuv, tvu),
+        "gl2_invariance": _scaled_gap(r4 @ kk, kk @ r4),
     }
-    out.update(exchange_residuals(family, c, u, v))
+    out.update(_exchange_gaps(uv, vu, c / (u - v)))
     return out
 
 
-def _rtt_sides(params: ChainParams, u: complex, v: complex):
-    """R_ab(u - v) T_a(u) T_b(v) and T_b(v) T_a(u) R_ab(u - v) on the
-    doubled auxiliary space (slots a, b, then the chain), without a dense
-    matrix product.
+def _block_products(family: MonodromyFamily, u: complex, v: complex):
+    """Tables uv[i, j, :, k, l, :] = t_ij(u) t_kl(v) and
+    vu[k, l, :, i, j, :] = t_kl(v) t_ij(u) of every block product.
 
-    Every factor R(x) = (x/c) I + P is symmetric, so left-multiplying a
-    matrix by it is a row gather plus a scaled copy, and applying the
-    factors of T_a(u) and then those of T_b(v) to the identity this way
-    gives (T_a(u) T_b(v))^T.  R_ab is then one column gather on one side
-    and one row gather on the other.  Both sides are returned as transposed
-    views of the arrays built.
+    The blocks are evaluated once at each point; each table is one product
+    of the blocks stacked as rows, (4d x d), with the blocks at the other
+    point side by side, (d x 4d).
     """
-    n = params.sites + 2
-    c = params.c
-    swaps = {
-        slot: [_slot_swap(slot, k + 2, n) for k in range(params.sites)]
-        for slot in (0, 1)
-    }
+    at_u, at_v = family.at(u), family.at(v)
+    d = at_u[0].shape[0]
+    shape = (2, 2, d, 2, 2, d)
+    return tuple(
+        (np.vstack(first) @ np.hstack(second)).reshape(shape)
+        for first, second in ((at_u, at_v), (at_v, at_u))
+    )
 
-    def transposed(first, second):
-        out = np.eye(2 ** n, dtype=complex)
-        for slot, x in (first, second):
-            for perm, theta in zip(swaps[slot], params.theta):
-                gathered = out[perm]
-                out *= (x - theta) / c
-                out += gathered
-        return out
 
-    a = (u - v) / c
-    perm = _slot_swap(0, 1, n)
-    lhs = transposed((0, u), (1, v))  # (T_a T_b)^T, then times R_ab
-    gathered = lhs[:, perm]
-    lhs *= a
-    lhs += gathered
-    rhs = transposed((1, v), (0, u))  # (T_b T_a)^T, then R_ab times it
-    gathered = rhs[perm]
-    rhs *= a
-    rhs += gathered
-    return lhs.T, rhs.T
+def _rtt_gap(uv: np.ndarray, vu: np.ndarray, a: complex) -> float:
+    """Scaled gap between R_ab(u - v) T_a(u) T_b(v) and
+    T_b(v) T_a(u) R_ab(u - v) on slots (a, b, chain), a = (u - v)/c.
+
+    R_ab = a I + P_ab; P_ab swaps the row slots on the left and the column
+    slots on the right, so block (ik, jl) of the two sides is
+    a t_ij(u) t_kl(v) + t_kj(u) t_il(v) and a t_kl(v) t_ij(u) + t_kj(v) t_il(u).
+    The squared norms add up block by block, so neither side is formed.
+    """
+    sq = np.zeros(3)
+    for i, j, k, l in itertools.product((0, 1), repeat=4):
+        lhs = a * uv[i, j, :, k, l] + uv[k, j, :, i, l]
+        rhs = a * vu[k, l, :, i, j] + vu[k, j, :, i, l]
+        sq += [np.vdot(x, x).real for x in (lhs, rhs, lhs - rhs)]
+    norm_l, norm_r, norm_d = np.sqrt(sq)
+    return float(norm_d / max(1.0, norm_l, norm_r))
 
 
 def _scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -411,19 +407,22 @@ def exchange_residuals(
     """Scale-relative residuals of the three two-point exchange relations
     for any family of monodromy blocks; the twisted operators obey the same
     relations as the plain ones, so this is shared by both."""
-    t11u, t12u, t21u, t22u = family.at(u)
-    t11v, t12v, t21v, t22v = family.at(v)
-    g = c / (u - v)
+    return _exchange_gaps(*_block_products(family, u, v), c / (u - v))
+
+
+def _exchange_gaps(uv: np.ndarray, vu: np.ndarray, g: complex) -> dict[str, float]:
+    """The exchange relations read off the ``_block_products`` tables, with
+    g = g(u, v) = c/(u - v); index 0 is 1, so uv[0, 0, :, 0, 1] = t11(u) t12(v)."""
     f_uv = 1.0 + g            # f(u, v)
     f_vu = 1.0 - g            # f(v, u), since g(v, u) = -g(u, v)
-    ex_11 = _scaled_gap(t11u @ t12v, f_vu * t12v @ t11u + g * t12u @ t11v)
-    ex_22 = _scaled_gap(t22u @ t12v, f_uv * t12v @ t22u - g * t12u @ t22v)
+    ex_11 = _scaled_gap(uv[0, 0, :, 0, 1], f_vu * vu[0, 1, :, 0, 0] + g * uv[0, 1, :, 0, 0])
+    ex_22 = _scaled_gap(uv[1, 1, :, 0, 1], f_uv * vu[0, 1, :, 1, 1] - g * uv[0, 1, :, 1, 1])
     # The creation/annihilation exchange closes on the diagonal blocks.  The
     # ordering t12(v) t21(u) on the right is the one compatible with the
     # global commutator structure; swapping the arguments only works at N=1
     # where t12 and t21 are constant in the spectral parameter.
     ex_21 = _scaled_gap(
-        t21u @ t12v, t12v @ t21u + g * (t11v @ t22u - t11u @ t22v)
+        uv[1, 0, :, 0, 1], vu[0, 1, :, 1, 0] + g * (vu[0, 0, :, 1, 1] - uv[0, 0, :, 1, 1])
     )
     return {
         "exchange_t11_t12": ex_11,

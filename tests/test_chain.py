@@ -1,21 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from twistchain import ChainParams, SpectralContext, TwistParams
 from twistchain.bethe import VariableSet, eps_dist
 from twistchain.chain import (
+    ID2,
+    MonodromyFamily,
     PERM4,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     _boundary_substitutions,
     _embed_pair,
-    _rtt_sides,
     _slot_swap,
     build_hamiltonian,
     build_monodromy,
     build_r_matrix,
     build_transfer,
+    local_operator,
     monodromy_matrix,
     structure_checks,
     total_sz,
@@ -23,6 +27,7 @@ from twistchain.chain import (
     vacuum_weight_derivatives,
     vacuum_weights,
 )
+from twistchain.linalg import MatrixPolynomial, kron_chain
 from twistchain.states import offshell_action_residuals
 from twistchain.twist import build_modified_operators
 
@@ -115,33 +120,55 @@ def test_swap_columns_right_multiplies_by_the_swap():
                 assert np.array_equal(m[order], swap @ m), (nspaces, p, q)
 
 
-def _dense_rtt_sides(params, u, v):
-    # both sides of R_ab(u - v) T_a(u) T_b(v) = T_b(v) T_a(u) R_ab(u - v)
-    # as dense products of embedded factors on slots a, b, then the chain
-    c = params.c
-    n = params.sites + 2
+def _dense_checks(family, twist, c, u, v):
+    # the two-point checks of structure_checks from whole operators: the
+    # doubled-space RTT sides with T_a and T_b assembled from the family's
+    # blocks on slots (a, b, chain), the exchange relations and the transfer
+    # matrix from the blocks at each point
+    def gap(lhs, rhs):
+        scale = max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
+        return np.linalg.norm(lhs - rhs) / scale
 
-    def doubled(point, slot):
-        out = np.eye(2**n, dtype=complex)
-        for k in range(params.sites):
-            r = build_r_matrix(point - params.theta[k], c)
-            out = out @ _embed_pair(r, slot, k + 2, n)
-        return out
+    units = [np.outer(e, f) for e in np.eye(2) for f in np.eye(2)]
+    t11u, t12u, t21u, t22u = at_u = family.at(u)
+    t11v, t12v, t21v, t22v = at_v = family.at(v)
+    ta = sum(kron_chain([e, ID2, t]) for e, t in zip(units, at_u))
+    tb = sum(kron_chain([ID2, e, t]) for e, t in zip(units, at_v))
+    rab = np.kron(build_r_matrix(u - v, c), np.eye(family.t11.dim))
+    k = twist.matrix()
+    tu = k[0, 0] * t11u + k[1, 0] * t12u + k[0, 1] * t21u + k[1, 1] * t22u
+    tv = k[0, 0] * t11v + k[1, 0] * t12v + k[0, 1] * t21v + k[1, 1] * t22v
+    g = c / (u - v)
+    return {
+        "rtt": gap(rab @ ta @ tb, tb @ ta @ rab),
+        "transfer_commutator": gap(tu @ tv, tv @ tu),
+        "exchange_t11_t12": gap(t11u @ t12v, (1 - g) * t12v @ t11u + g * t12u @ t11v),
+        "exchange_t22_t12": gap(t22u @ t12v, (1 + g) * t12v @ t22u - g * t12u @ t22v),
+        "exchange_t21_t12": gap(t21u @ t12v, t12v @ t21u + g * (t11v @ t22u - t11u @ t22v)),
+    }
 
-    ta = doubled(u, 0)
-    tb = doubled(v, 1)
-    rab = _embed_pair(build_r_matrix(u - v, c), 0, 1, n)
-    return rab @ ta @ tb, tb @ ta @ rab
 
-
-def test_rtt_sides_match_dense_products():
+def test_structure_checks_match_dense_doubled_space():
+    # a family that breaks the algebra gives every check a gap far above
+    # roundoff, so a mis-indexed block-product table would show.  Scaling
+    # t12 alone would not do: each exchange relation holds t12 once per term.
     rng = np.random.default_rng(6)
     for sites in range(1, 5):
         params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
+        tw = random_twist(rng)
         u, v = draw_points(rng, 2)
-        for got, want in zip(_rtt_sides(params, u, v), _dense_rtt_sides(params, u, v)):
-            gap = np.linalg.norm(got - want)
-            assert gap <= 1e-13 * np.linalg.norm(want), sites
+        t11, t12, t21, t22 = build_monodromy(params).entries()
+        noise = rng.standard_normal(t12.coeffs.shape) + 1j * rng.standard_normal(t12.coeffs.shape)
+        broken = MonodromyFamily(t11, MatrixPolynomial(t12.coeffs + 1e-3 * noise), t21, t22)
+        got = structure_checks(params, tw, u, v, family=broken)
+        want = _dense_checks(broken, tw, params.c, u, v)
+        for name, value in want.items():
+            assert value > 1e-6, (sites, name)
+            assert abs(got[name] - value) <= 1e-10 * value, (sites, name)
+    for sites in range(1, 7):
+        params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
+        u, v = draw_points(rng, 2)
+        assert structure_checks(params, random_twist(rng), u, v)["rtt"] <= 1e-13, sites
 
 
 def test_highest_weight_structure():
@@ -264,12 +291,31 @@ def test_structure_checks_all_small():
             assert value < 1e-10, (sites, name)
 
 
-def test_structure_checks_at_eight_sites():
+def _eight_site_grid():
     # the grid chain: configs/n3_generic.json's twist, theta_k = 0.15(k - 3.5)
     params = ChainParams(8, 1.0, tuple(0.15 * (k - 3.5) for k in range(8)))
-    tw = TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6)
+    return params, TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6)
+
+
+def test_structure_checks_at_eight_sites():
+    params, tw = _eight_site_grid()
     for name, value in structure_checks(params, tw, 0.4 - 0.9j, -0.7 + 0.3j).items():
         assert value < 1e-10, name
+
+
+def test_structure_checks_memory_at_eight_sites():
+    # the two 4*2^N x 4*2^N block-product tables take 32 MB at N=8; an
+    # operator on the doubled auxiliary space, 2^(N+2) square, takes 16 MB
+    # more each time one is formed
+    params, tw = _eight_site_grid()
+    family = build_monodromy(params)
+    tracemalloc.start()
+    try:
+        structure_checks(params, tw, 0.4 - 0.9j, -0.7 + 0.3j, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56e6, peak
 
 
 def test_structure_checks_rejects_coincident_points():
@@ -300,6 +346,24 @@ def test_hamiltonian_routes_agree_homogeneous():
         direct = build_hamiltonian(params, tw, route="direct")
         viat = build_hamiltonian(params, tw, route="transfer")
         assert np.linalg.norm(direct - viat) < 1e-8
+
+
+def test_direct_hamiltonian_matches_embedded_products():
+    # each term as one Kronecker product equals the product of the two
+    # embedded single-site operators bit for bit; at one site the seam is
+    # the 2x2 product itself
+    rng = np.random.default_rng(19)
+    for sites in range(1, 7):
+        params = ChainParams(sites, 1.0, (0.0,) * sites)
+        tw = random_twist(rng)
+        paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
+        want = np.zeros((params.dim, params.dim), dtype=complex)
+        for k in range(sites - 1):
+            for s in paulis:
+                want += local_operator(s, k, sites) @ local_operator(s, k + 1, sites)
+        for s, s_twisted in zip(paulis, _boundary_substitutions(tw)):
+            want += local_operator(s, sites - 1, sites) @ local_operator(s_twisted, 0, sites)
+        assert np.array_equal(build_hamiltonian(params, tw, route="direct"), want), sites
 
 
 def test_periodic_two_site_spectrum():
