@@ -6,8 +6,12 @@ Kernels on C^2 spectral parameters:
 
 Arguments written as sets mean products over all pairs, with the empty
 product equal to 1; ubar_i and ubar_ij denote the set with one or two
-entries removed.  On top of the kernels sit the inhomogeneous eigenvalue of
-the twisted transfer matrix,
+entries removed.  Every such product is read off an array of g values: the
+kernel row g(x, ubar) of one point against a set for the scalar
+coefficients, the pair-difference matrix of a batch of sets for the Bethe
+residuals and Jacobians.  Entries are left out by index, never divided out,
+so a vanishing f stays exact.  On top of the kernels sit the inhomogeneous
+eigenvalue of the twisted transfer matrix,
 
     Lam(u, ubar) = (kt - rho) lam1(u) f(ubar, u)
                  + (k  - rho) lam2(u) f(u, ubar)
@@ -56,15 +60,11 @@ __all__ = [
     "diag_residual",
     "eigenvalue_gradient",
     "eps_dist",
-    "kernel_f",
     "kernel_g",
-    "kernel_h",
     "onshell_scale",
     "onshell_scales",
     "onshell_tolerance",
-    "prod_f",
-    "prod_g",
-    "prod_h",
+    "raising_eigenpart",
     "shift_polynomial",
     "term_F",
     "term_G",
@@ -82,12 +82,6 @@ def eps_dist(c: complex) -> float:
     return 1e-9 * max(1.0, abs(c))
 
 
-def _values(x) -> np.ndarray:
-    if isinstance(x, VariableSet):
-        return x.values
-    return np.atleast_1d(np.asarray(x, dtype=complex))
-
-
 def kernel_g(u, v, c):
     """g(u, v) = c/(u - v); raises on near-coincident arguments."""
     diff = np.asarray(u, dtype=complex) - np.asarray(v, dtype=complex)
@@ -96,41 +90,12 @@ def kernel_g(u, v, c):
     return c / diff
 
 
-def kernel_f(u, v, c):
-    return 1.0 + kernel_g(u, v, c)
-
-
-def kernel_h(u, v, c):
-    """h(u, v) = f/g = (u - v + c)/c, regular everywhere."""
-    diff = np.asarray(u, dtype=complex) - np.asarray(v, dtype=complex)
-    return (diff + c) / c
-
-
-def _pair_product(kernel, a, b, c) -> complex:
-    va, vb = _values(a), _values(b)
-    if va.size == 0 or vb.size == 0:
-        return 1.0 + 0.0j
-    return complex(np.prod(kernel(va[:, None], vb[None, :], c)))
-
-
-def prod_g(a, b, c) -> complex:
-    """Product of g over all pairs; either argument may be a set or scalar."""
-    return _pair_product(kernel_g, a, b, c)
-
-
-def prod_f(a, b, c) -> complex:
-    return _pair_product(kernel_f, a, b, c)
-
-
-def prod_h(a, b, c) -> complex:
-    return _pair_product(kernel_h, a, b, c)
-
-
 class VariableSet:
     """Ordered tuple of pairwise-distinct Bethe parameters.
 
-    Centralizes the empty-set conventions and the ubar_i / ubar_ij removal
-    operations so no caller reimplements them.
+    ``drop`` and ``drop2`` give the sets ubar_i and ubar_ij that creation
+    sub-strings are built from; scalar coefficients leave entries out of a
+    kernel row by index instead.
     """
 
     __slots__ = ("values", "eps")
@@ -238,43 +203,16 @@ class SpectralContext:
         return build_transfer(self.chain, self.twist, self.family)
 
 
-def diag_eigenvalue(ctx: SpectralContext, u, roots, x, y) -> complex:
-    """x lam1(u) f(ubar, u) + y lam2(u) f(u, ubar): the diagonal-twist shape."""
-    rs = _as_set(roots, ctx.c)
-    l1, l2 = ctx.lam(u)
-    return x * l1 * prod_f(rs, u, ctx.c) + y * l2 * prod_f(u, rs, ctx.c)
+def _kernel_row(x, values: np.ndarray, c, leave=()) -> np.ndarray:
+    """Kernel row g(x, v_k) = c/(x - v_k) of a point against a set.
 
-
-def diag_residual(ctx: SpectralContext, i: int, roots, x, y) -> complex:
-    """-x lam1(u_i) f(ubar_i, u_i) + y lam2(u_i) f(u_i, ubar_i)."""
-    rs = _as_set(roots, ctx.c)
-    ui = rs[i]
-    rest = rs.drop(i)
-    l1, l2 = ctx.lam(ui)
-    return -x * l1 * prod_f(rest, ui, ctx.c) + y * l2 * prod_f(ui, rest, ctx.c)
-
-
-def transfer_eigenvalue(ctx: SpectralContext, u, roots) -> complex:
-    """Inhomogeneous eigenvalue Lam(u, ubar) of the twisted transfer matrix."""
-    rs = _as_set(roots, ctx.c)
-    t, f = ctx.twist, ctx.fact
-    l1, l2 = ctx.lam(u)
-    return (
-        (t.kappa_tilde - f.rho) * l1 * prod_f(rs, u, ctx.c)
-        + (t.kappa - f.rho) * l2 * prod_f(u, rs, ctx.c)
-        + 2 * f.rho * l1 * l2 * prod_g(u, rs, ctx.c)
-    )
-
-
-def raising_eigenpart(ctx: SpectralContext, u, roots) -> complex:
-    """2 rho lam1 lam2 g(u, ubar): the sector-raising piece of the spectrum.
-
-    Appears both as the third term of the inhomogeneous eigenvalue and as
-    the coefficient closing the oversized creation string.
+    Every scalar coefficient reads its products over a set S from this row:
+    f(S, x) = prod(1 - g), f(x, S) = prod(1 + g) and g(x, S) = prod(g).  The
+    entries whose indices are in ``leave`` are left out (ubar_i, ubar_ij),
+    never divided out, so a vanishing f stays exact; an empty row gives the
+    empty product 1.  Raises CoincidenceError when x meets a kept entry.
     """
-    rs = _as_set(roots, ctx.c)
-    l1, l2 = ctx.lam(u)
-    return 2 * ctx.fact.rho * l1 * l2 * prod_g(u, rs, ctx.c)
+    return kernel_g(x, np.delete(values, leave), c)
 
 
 def _leave_one_out(factors: np.ndarray) -> np.ndarray:
@@ -290,6 +228,44 @@ def _leave_one_out(factors: np.ndarray) -> np.ndarray:
     np.cumprod(factors[..., :0:-1], axis=-1, out=suffix[..., :-1][..., ::-1])
     prefix *= suffix
     return prefix
+
+
+def diag_eigenvalue(ctx: SpectralContext, u, roots, x, y) -> complex:
+    """x lam1(u) f(ubar, u) + y lam2(u) f(u, ubar): the diagonal-twist shape."""
+    g = _kernel_row(u, _as_set(roots, ctx.c).values, ctx.c)
+    l1, l2 = ctx.lam(u)
+    return x * l1 * np.prod(1 - g) + y * l2 * np.prod(1 + g)
+
+
+def diag_residual(ctx: SpectralContext, i: int, roots, x, y) -> complex:
+    """-x lam1(u_i) f(ubar_i, u_i) + y lam2(u_i) f(u_i, ubar_i)."""
+    rs = _as_set(roots, ctx.c)
+    g = _kernel_row(rs[i], rs.values, ctx.c, i)
+    l1, l2 = ctx.lam(rs[i])
+    return -x * l1 * np.prod(1 - g) + y * l2 * np.prod(1 + g)
+
+
+def transfer_eigenvalue(ctx: SpectralContext, u, roots) -> complex:
+    """Inhomogeneous eigenvalue Lam(u, ubar) of the twisted transfer matrix."""
+    g = _kernel_row(u, _as_set(roots, ctx.c).values, ctx.c)
+    t, f = ctx.twist, ctx.fact
+    l1, l2 = ctx.lam(u)
+    return (
+        (t.kappa_tilde - f.rho) * l1 * np.prod(1 - g)
+        + (t.kappa - f.rho) * l2 * np.prod(1 + g)
+        + 2 * f.rho * l1 * l2 * np.prod(g)
+    )
+
+
+def raising_eigenpart(ctx: SpectralContext, u, roots) -> complex:
+    """2 rho lam1 lam2 g(u, ubar): the sector-raising piece of the spectrum.
+
+    Appears both as the third term of the inhomogeneous eigenvalue and as
+    the coefficient closing the oversized creation string.
+    """
+    g = _kernel_row(u, _as_set(roots, ctx.c).values, ctx.c)
+    l1, l2 = ctx.lam(u)
+    return 2 * ctx.fact.rho * l1 * l2 * np.prod(g)
 
 
 def bethe_system(ctx: SpectralContext, batch, jacobian: bool = False):
@@ -400,14 +376,14 @@ def eigenvalue_gradient(ctx: SpectralContext, u, roots, i: int) -> complex:
         + (k - rho) lam2(u) f(u, ubar_i) + 2 rho lam1 lam2 g(u, ubar_i) ].
     """
     rs = _as_set(roots, ctx.c)
-    rest = rs.drop(i)
     t, f = ctx.twist, ctx.fact
     l1, l2 = ctx.lam(u)
     gi = kernel_g(u, rs[i], ctx.c)
+    g = _kernel_row(u, rs.values, ctx.c, i)
     bracket = (
-        -(t.kappa_tilde - f.rho) * l1 * prod_f(rest, u, ctx.c)
-        + (t.kappa - f.rho) * l2 * prod_f(u, rest, ctx.c)
-        + 2 * f.rho * l1 * l2 * prod_g(u, rest, ctx.c)
+        -(t.kappa_tilde - f.rho) * l1 * np.prod(1 - g)
+        + (t.kappa - f.rho) * l2 * np.prod(1 + g)
+        + 2 * f.rho * l1 * l2 * np.prod(g)
     )
     return gi ** 2 / ctx.c * bracket
 
@@ -421,13 +397,14 @@ def term_F(ctx: SpectralContext, u, i: int, roots) -> complex:
     """
     rs = _as_set(roots, ctx.c)
     ui = rs[i]
-    rest = rs.drop(i)
     c = ctx.c
+    gu = _kernel_row(u, rs.values, c, i)
+    gi = _kernel_row(ui, rs.values, c, i)
     l1u, l2u = ctx.lam(u)
     l1i, l2i = ctx.lam(ui)
     return (
-        kernel_g(u, ui, c) * l1i * l2u * prod_f(u, rest, c) * prod_f(rest, ui, c)
-        + kernel_g(ui, u, c) * l1u * l2i * prod_f(ui, rest, c) * prod_f(rest, u, c)
+        kernel_g(u, ui, c) * l1i * l2u * np.prod(1 + gu) * np.prod(1 - gi)
+        + kernel_g(ui, u, c) * l1u * l2i * np.prod(1 + gi) * np.prod(1 - gu)
     )
 
 
@@ -438,9 +415,13 @@ def term_G(ctx: SpectralContext, u, i: int, j: int, roots) -> complex:
     dressed by f(., rest) from the left.  Fixed by the same coefficient fit.
     """
     rs = _as_set(roots, ctx.c)
+    if i == j:
+        raise ValueError("term_G needs two distinct indices")
     ui, uj = rs[i], rs[j]
-    rest = rs.drop2(i, j)
     c = ctx.c
+    gi = _kernel_row(ui, rs.values, c, (i, j))
+    gj = _kernel_row(uj, rs.values, c, (i, j))
+    gij = kernel_g(ui, uj, c)
     l1i, l2i = ctx.lam(ui)
     l1j, l2j = ctx.lam(uj)
     return (
@@ -448,22 +429,23 @@ def term_G(ctx: SpectralContext, u, i: int, j: int, roots) -> complex:
         * kernel_g(uj, u, c)
         * l1j
         * l2i
-        * kernel_f(ui, uj, c)
-        * prod_f(ui, rest, c)
-        * prod_f(rest, uj, c)
+        * (1.0 + gij)
+        * np.prod(1 + gi)
+        * np.prod(1 - gj)
         + kernel_g(u, uj, c)
         * kernel_g(ui, u, c)
         * l1i
         * l2j
-        * kernel_f(uj, ui, c)
-        * prod_f(uj, rest, c)
-        * prod_f(rest, ui, c)
+        * (1.0 - gij)
+        * np.prod(1 + gj)
+        * np.prod(1 - gi)
     )
 
 
 def cauchy_determinant_closed(vs, us, c) -> complex:
     """Closed form of det[ g(v_i, u_j) ]: g(vbar, ubar) over the pair gaps."""
-    va, ua = _values(vs), _values(us)
+    va = np.atleast_1d(np.asarray(vs, dtype=complex))
+    ua = np.atleast_1d(np.asarray(us, dtype=complex))
     if va.size != ua.size:
         raise ValueError("Cauchy determinant needs equally sized sets")
     n = va.size
@@ -471,7 +453,7 @@ def cauchy_determinant_closed(vs, us, c) -> complex:
     for i in range(n):
         for j in range(i + 1, n):
             denom *= kernel_g(ua[i], ua[j], c) * kernel_g(va[j], va[i], c)
-    return prod_g(va, ua, c) / denom
+    return complex(np.prod(kernel_g(va[:, None], ua[None, :], c))) / denom
 
 
 def shift_polynomial(coeffs, s: complex) -> np.ndarray:

@@ -20,15 +20,14 @@ from .bethe import (
     SpectralContext,
     VariableSet,
     _as_set,
+    _kernel_row,
+    _leave_one_out,
     bethe_residual,
     bethe_residuals,
     diag_residual,
     eigenvalue_gradient,
     kernel_g,
     onshell_tolerance,
-    prod_f,
-    prod_g,
-    prod_h,
     raising_eigenpart,
     transfer_eigenvalue,
 )
@@ -120,12 +119,7 @@ def slavnov_formula(
             for i in range(n)
         ]
     )
-    cauchy = np.array(
-        [
-            [kernel_g(free[i], onshell[j], ctx.c) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    cauchy = kernel_g(free.values[:, None], onshell.values[None, :], ctx.c)
     t, f = ctx.twist, ctx.fact
     stretch = t.kappa_tilde + t.kappa - f.rho
     prefactor = (ctx.c * f.mu ** 2 / stretch) ** n * w0(ctx, onshell)
@@ -137,37 +131,35 @@ def gaudin_matrix(ctx: SpectralContext, roots) -> np.ndarray:
 
     Diagonal entries mix the logarithmic derivatives of the vacuum weights
     with pair kernels over the remaining roots; off-diagonal entries carry
-    only the pair kernels of the removed pair.
+    only the pair kernels of the removed pair.  All of them are read off
+    the pair differences u_i - u_k, as in ``bethe_system``.
     """
-    rs = _as_set(roots, ctx.c)
-    n = len(rs)
+    u = _as_set(roots, ctx.c).values
     c = ctx.c
     t, f = ctx.twist, ctx.fact
     x = t.kappa_tilde - f.rho
     y = t.kappa - f.rho
     sign = (-1) ** ctx.sites
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        ui = rs[i]
-        rest = rs.drop(i)
-        l1, l2 = ctx.lam(ui)
-        d1, d2 = ctx.dlam(ui)
-        s1 = sum(prod_h(rs.drop2(i, j), ui, c) for j in range(n) if j != i)
-        s2 = sum(prod_h(ui, rs.drop2(i, j), c) for j in range(n) if j != i)
-        g[i, i] = (
-            2 * f.rho * c * (l2 * d1 + l1 * d2)
-            + sign * x * (c * prod_h(rest, ui, c) * d1 - l1 * s1)
-            + y * (c * prod_h(ui, rest, c) * d2 + l2 * s2)
-        )
-        for j in range(n):
-            if j == i:
-                continue
-            uj = rs[j]
-            pair = rs.drop2(i, j)
-            m1, m2 = ctx.lam(uj)
-            g[i, j] = sign * x * m1 * prod_h(pair, uj, c) - y * m2 * prod_h(
-                uj, pair, c
-            )
+    diag = np.eye(u.size, dtype=bool)
+    d = u[:, None] - u[None, :]
+    # row i holds h(u_k, u_i) and h(u_i, u_k), 1 on the diagonal; their
+    # leave-one-out products are h(ubar_ij, u_i) and h(u_i, ubar_ij) at
+    # (i, j), and h(ubar_i, u_i) and h(u_i, ubar_i) at (i, i)
+    left = (c - d) / c
+    right = (d + c) / c
+    left[diag] = right[diag] = 1.0
+    left, right = _leave_one_out(left), _leave_one_out(right)
+    l1, l2 = ctx.lam(u)
+    d1, d2 = ctx.dlam(u)
+    s1 = np.sum(left, axis=1, where=~diag)
+    s2 = np.sum(right, axis=1, where=~diag)
+    # off the diagonal, entry (i, j) carries the kernels of u_j over ubar_ij
+    g = (sign * x * l1[:, None] * left - y * l2[:, None] * right).T
+    g[diag] = (
+        2 * f.rho * c * (l2 * d1 + l1 * d2)
+        + sign * x * (c * np.diagonal(left) * d1 - l1 * s1)
+        + y * (c * np.diagonal(right) * d2 + l2 * s2)
+    )
     return g
 
 
@@ -199,7 +191,7 @@ def gaudin_limit_deviation(
                 return (
                     ctx.c
                     * eigenvalue_gradient(ctx, vj, rs, i)
-                    / prod_g(vj, rs, ctx.c)
+                    / np.prod(kernel_g(vj, rs.values, ctx.c))
                 )
 
             limit = (raw(1e-4) + raw(-1e-4)) / 2
@@ -228,10 +220,9 @@ def gaudin_norm(
             )
     t, f = ctx.twist, ctx.fact
     stretch = t.kappa_tilde + t.kappa - f.rho
-    pair = 1.0 + 0.0j
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair *= kernel_g(rs[i], rs[j], ctx.c) * kernel_g(rs[j], rs[i], ctx.c)
+    upper, lower = np.triu_indices(n, 1)
+    a, b = rs.values[upper], rs.values[lower]
+    pair = np.prod(kernel_g(a, b, ctx.c) * kernel_g(b, a, ctx.c))
     prefactor = (f.mu ** 2 / stretch) ** n * w0(ctx, rs) * pair
     return prefactor * determinant(gaudin)
 
@@ -257,17 +248,14 @@ def _classical_gradient(ctx: SpectralContext, u, vs: VariableSet, i: int) -> com
     # two-term Jacobian of the diagonal eigenvalue; deliberately coded
     # apart from the full gradient so the U(1) reduction is compared
     # against an independent path
-    rest = vs.drop(i)
     t = ctx.twist
     l1, l2 = ctx.lam(u)
     gi = kernel_g(u, vs[i], ctx.c)
+    g = _kernel_row(u, vs.values, ctx.c, i)
     return (
         gi ** 2
         / ctx.c
-        * (
-            -t.kappa_tilde * l1 * prod_f(rest, u, ctx.c)
-            + t.kappa * l2 * prod_f(u, rest, ctx.c)
-        )
+        * (-t.kappa_tilde * l1 * np.prod(1 - g) + t.kappa * l2 * np.prod(1 + g))
     )
 
 
@@ -303,9 +291,7 @@ def classical_slavnov(ctx: SpectralContext, us, vs) -> complex:
             for i in range(m)
         ]
     )
-    cauchy = np.array(
-        [[kernel_g(us[i], vs[j], ctx.c) for j in range(m)] for i in range(m)]
-    )
+    cauchy = kernel_g(us.values[:, None], vs.values[None, :], ctx.c)
     return (ctx.c / t.kappa_tilde) ** m * lam2bar * determinant(jac) / determinant(
         cauchy
     )

@@ -18,11 +18,11 @@ from .bethe import (
     SpectralContext,
     VariableSet,
     _as_set,
+    _kernel_row,
     diag_eigenvalue,
     diag_residual,
     eps_dist,
     kernel_g,
-    prod_f,
     raising_eigenpart,
     term_F,
     term_G,
@@ -156,10 +156,10 @@ def offshell_action_residuals(
     acc22 = rp * plus + diag_eigenvalue(ctx, u, rs, 0.0, 1.0) * base
     for i in range(m):
         ui = rs[i]
-        rest = rs.drop(i)
+        g = _kernel_row(ui, rs.values, c, i)
         l1, l2 = ctx.lam(ui)
-        acc11 = acc11 + kernel_g(u, ui, c) * l1 * prod_f(rest, ui, c) * swapped[i]
-        acc22 = acc22 + kernel_g(ui, u, c) * l2 * prod_f(ui, rest, c) * swapped[i]
+        acc11 = acc11 + kernel_g(u, ui, c) * l1 * np.prod(1 - g) * swapped[i]
+        acc22 = acc22 + kernel_g(ui, u, c) * l2 * np.prod(1 + g) * swapped[i]
     r11 = _scaled_gap(t11u @ base, acc11)
     r22 = _scaled_gap(t22u @ base, acc22)
 
@@ -287,10 +287,6 @@ class ProjectionTerm:
     kept: tuple
     merged: tuple
     weight: complex
-
-    @property
-    def sym_arity(self) -> int:
-        return len(self.merged)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,9 @@ from twistchain.bethe import (
     diag_eigenvalue,
     eigenvalue_gradient,
     eps_dist,
-    kernel_f,
     kernel_g,
-    kernel_h,
     onshell_scale,
     onshell_tolerance,
-    prod_f,
-    prod_g,
     raising_eigenpart,
     shift_polynomial,
     tq_polynomial_residual,
@@ -48,31 +44,39 @@ def test_kernel_relations(seed):
     c = 1.0
     g = kernel_g(u, v, c)
     assert abs(g + kernel_g(v, u, c)) < 1e-12
-    assert abs(kernel_f(u, v, c) - (1.0 + g)) < 1e-12
-    assert abs(kernel_h(u, v, c) - kernel_f(u, v, c) / g) < 1e-12
 
 
 @given(st.integers(0, 200), st.integers(1, 5))
 def test_functional_identities(seed, size):
     # f(ubar,u) + sum_i g(u,u_i) f(ubar_i,u_i) = 1 and its mirror
     pts = _distinct_points(seed, size + 1)
-    u, rest = pts[0], VariableSet(pts[1:], 1e-9)
+    u, rest = pts[0], pts[1:]
     c = 1.0
-    total = prod_f(rest, u, c)
-    mirror = prod_f(u, rest, c)
+    total = np.prod(1.0 + kernel_g(rest, u, c))
+    mirror = np.prod(1.0 + kernel_g(u, rest, c))
     for i in range(size):
-        total += kernel_g(u, rest[i], c) * prod_f(rest.drop(i), rest[i], c)
-        mirror += kernel_g(rest[i], u, c) * prod_f(rest[i], rest.drop(i), c)
+        others = np.delete(rest, i)
+        total += kernel_g(u, rest[i], c) * np.prod(1.0 + kernel_g(others, rest[i], c))
+        mirror += kernel_g(rest[i], u, c) * np.prod(1.0 + kernel_g(rest[i], others, c))
     assert abs(total - 1.0) < 1e-12
     assert abs(mirror - 1.0) < 1e-12
 
 
 def test_empty_set_conventions():
+    # every product over the empty set is 1, so the scalar functions reduce
+    # to their vacuum values
     empty = VariableSet(np.array([], dtype=complex))
     assert len(empty) == 0
-    assert prod_f(empty, 0.3, 1.0) == 1.0
-    assert prod_f(0.3, empty, 1.0) == 1.0
-    assert prod_g(empty, empty, 1.0) == 1.0
+    assert kernel_g(0.3, empty.values, 1.0).size == 0
+    ctx = random_context(np.random.default_rng(5), 2)
+    u = 0.3 - 0.2j
+    l1, l2 = ctx.lam(u)
+    x = ctx.twist.kappa_tilde - ctx.fact.rho
+    y = ctx.twist.kappa - ctx.fact.rho
+    raising = 2 * ctx.fact.rho * l1 * l2
+    assert diag_eigenvalue(ctx, u, empty, x, y) == x * l1 + y * l2
+    assert raising_eigenpart(ctx, u, empty) == raising
+    assert transfer_eigenvalue(ctx, u, empty) == x * l1 + y * l2 + raising
 
 
 @given(st.integers(0, 300))
@@ -144,9 +148,9 @@ def _residual_by_products(ctx, roots, i):
     ui, rest = roots[i], np.delete(roots, i)
     l1, l2 = ctx.lam(ui)
     return (
-        -x * l1 * prod_f(rest, ui, ctx.c)
-        + y * l2 * prod_f(ui, rest, ctx.c)
-        + 2 * ctx.fact.rho * l1 * l2 * prod_g(ui, rest, ctx.c)
+        -x * l1 * np.prod(1.0 + kernel_g(rest, ui, ctx.c))
+        + y * l2 * np.prod(1.0 + kernel_g(ui, rest, ctx.c))
+        + 2 * ctx.fact.rho * l1 * l2 * np.prod(kernel_g(ui, rest, ctx.c))
     )
 
 
@@ -191,7 +195,7 @@ def test_jacobian_where_a_pair_is_one_coupling_apart():
         ctx = random_context(rng, sites)
         roots = _distinct_points(200 + sites, sites)
         roots[1] = roots[0] - ctx.c
-        assert kernel_f(roots[1], roots[0], ctx.c) == 0
+        assert 1.0 + kernel_g(roots[1], roots[0], ctx.c) == 0
         assert _jacobian_gap(ctx, roots) < 1e-7
 
 

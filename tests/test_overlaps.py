@@ -3,7 +3,12 @@ import pytest
 
 from twistchain import ChainParams, SpectralContext, TwistParams, solve_newton
 from twistchain import overlaps
-from twistchain.bethe import CoincidenceError
+from twistchain.bethe import (
+    CoincidenceError,
+    eigenvalue_gradient,
+    kernel_g,
+    transfer_eigenvalue,
+)
 from twistchain.chain import build_monodromy
 from twistchain.overlaps import (
     OffShellError,
@@ -24,7 +29,7 @@ from twistchain.solver import solve_tq_fit
 from twistchain.states import build_bethe_vector, build_dual_vector, w0
 from twistchain.twist import build_modified_operators
 
-from conftest import draw_points
+from conftest import draw_points, random_context
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 ROOT5 = np.sqrt(5.0)
@@ -104,6 +109,75 @@ def grid6():
     chain = ChainParams(6, 1.0, tuple(0.15 * (k - 2.5) for k in range(6)))
     ctx = SpectralContext.create(chain, TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6))
     return ctx, [s.roots for s in solve_tq_fit(ctx) if s.flag is None]
+
+
+def _gaudin_by_products(ctx, roots):
+    # the norm matrix entry by entry, from explicit h products over ubar_i
+    # and ubar_ij
+    c = ctx.c
+    x = ctx.twist.kappa_tilde - ctx.fact.rho
+    y = ctx.twist.kappa - ctx.fact.rho
+    sign = (-1) ** ctx.sites
+    n = len(roots)
+
+    def h(a, b):
+        return np.prod((a - b + c) / c)
+
+    out = np.empty((n, n), dtype=complex)
+    for i, ui in enumerate(roots):
+        rest = np.delete(roots, i)
+        pairs = [np.delete(roots, [i, j]) for j in range(n) if j != i]
+        l1, l2 = ctx.lam(ui)
+        d1, d2 = ctx.dlam(ui)
+        out[i, i] = (
+            2 * ctx.fact.rho * c * (l2 * d1 + l1 * d2)
+            + sign * x * (c * h(rest, ui) * d1 - l1 * sum(h(p, ui) for p in pairs))
+            + y * (c * h(ui, rest) * d2 + l2 * sum(h(ui, p) for p in pairs))
+        )
+        for j, uj in enumerate(roots):
+            if j != i:
+                pair = np.delete(roots, [i, j])
+                m1, m2 = ctx.lam(uj)
+                out[i, j] = sign * x * m1 * h(pair, uj) - y * m2 * h(uj, pair)
+    return out
+
+
+@pytest.mark.parametrize("sites", [2, 3, 5])
+def test_scalar_coefficients_where_a_pair_is_one_coupling_apart(sites):
+    # u_1 - u_0 = -c makes f(u_1, u_0) and h(u_1, u_0) vanish: coefficients
+    # that leave entries out by index must stay finite and exact there
+    rng = np.random.default_rng(90 + sites)
+    ctx = random_context(rng, sites)
+    c = ctx.c
+    roots = draw_points(rng, sites)
+    roots[1] = roots[0] - c
+    assert 1.0 + kernel_g(roots[1], roots[0], c) == 0
+    v = 1.7 + 0.9j
+    x = ctx.twist.kappa_tilde - ctx.fact.rho
+    y = ctx.twist.kappa - ctx.fact.rho
+    l1, l2 = ctx.lam(v)
+    g = kernel_g(v, roots, c)
+    want = (
+        x * l1 * np.prod(1.0 + kernel_g(roots, v, c))
+        + y * l2 * np.prod(1.0 + g)
+        + 2 * ctx.fact.rho * l1 * l2 * np.prod(g)
+    )
+    lam = transfer_eigenvalue(ctx, v, roots)
+    assert np.isfinite(lam) and abs(lam - want) <= 1e-13 * max(1.0, abs(want))
+    h = 1e-6
+    for i in range(sites):
+        step = np.zeros(sites, dtype=complex)
+        step[i] = h
+        fd = (
+            transfer_eigenvalue(ctx, v, roots + step)
+            - transfer_eigenvalue(ctx, v, roots - step)
+        ) / (2 * h)
+        grad = eigenvalue_gradient(ctx, v, roots, i)
+        assert np.isfinite(grad) and abs(grad - fd) <= 1e-6 * max(1.0, abs(fd))
+    got = gaudin_matrix(ctx, roots)
+    ref = _gaudin_by_products(ctx, roots)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_gaudin_limit_holds_on_every_six_site_set(grid6):
