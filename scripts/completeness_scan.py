@@ -1,10 +1,11 @@
 """Scans the multi-start root finder against the known state count.
 
 For each (start budget, seed) pair, runs the Newton solver and reports
-which of the expected distinct root sets were missed, so sampling
-regressions are visible before they reach the test suite.  The eigenvalue
-fitter provides the reference list, hence "missed" means a genuinely
-absent basin rather than a dedup artifact.
+which of the expected distinct root sets were missed, and which Newton sets
+the reference lacks, so sampling and over-counting regressions are visible
+before they reach the test suite.  The eigenvalue fitter provides the
+reference list, hence "missed" means a genuinely absent basin rather than a
+dedup artifact.  The exit status is 1 when any run missed or added a set.
 
 Usage:
     python scripts/completeness_scan.py --config configs/n3_generic.json \
@@ -44,9 +45,14 @@ def main(argv=None) -> int:
                 [f"{complex(z):.4f}" for z in reference[k].roots]
                 for k in match.unmatched_b
             ]
-            worst = max(worst, len(missed))
+            extra = [
+                [f"{complex(z):.4f}" for z in sols[k].roots]
+                for k in match.unmatched_a
+            ]
+            worst = max(worst, len(missed) + len(extra))
             print(f"starts={starts:5d} seed={seed}  found={len(sols)}"
                   f"  missed={missed if missed else 'none'}"
+                  f"  extra={extra if extra else 'none'}"
                   f"  ({time.time() - t0:.1f}s)")
     return 1 if worst else 0
 

@@ -4,8 +4,9 @@ Two independent routes are provided.  Damped Newton iteration from random
 starts works directly on the residual map with its analytic Jacobian.  The
 polynomial-fit route extracts each eigenvalue of the transfer matrix from
 exact diagonalization, then solves a linear system for the monic root
-polynomial that the functional relation forces.  Agreement of the two lists
-is the desk-scale completeness check.
+polynomial that the functional relation forces.  Agreement of the two lists,
+each root set compared as the unordered roots of Q by root_distance, is the
+desk-scale completeness check.
 """
 
 from __future__ import annotations
@@ -32,8 +33,12 @@ from .bethe import (
 from .linalg import eigenpairs
 from .states import build_bethe_vector
 
+# thresholds on root_distance: one set below DEDUP_TOL of an earlier one is
+# absorbed, below NEAR_DUP_TOL it is kept but flagged, and across methods
+# two sets below MATCH_TOL are paired
 DEDUP_TOL = 1e-6
 NEAR_DUP_TOL = 1e-4
+MATCH_TOL = 1e-5
 VANISHING_TOL = 1e-9
 
 # fixed generic offsets, scaled by |c| and recentered on the mean
@@ -75,23 +80,32 @@ def probe_points(ctx: SpectralContext, count: int = 3) -> list[complex]:
     return [base + scale * off for off in _PROBE_OFFSETS[:count]]
 
 
-def root_distance(a, b) -> float:
-    """Max entrywise gap between two canonically sorted root vectors."""
-    if not isinstance(a, VariableSet):
-        a = VariableSet(a, 0.0)
-    if not isinstance(b, VariableSet):
-        b = VariableSet(b, 0.0)
-    if len(a) != len(b):
-        return float("inf")
-    return float(np.max(np.abs(a.sorted().values - b.sorted().values)))
+def root_distance(a, rows):
+    """Order-free, scale-relative distance from root set a to each row.
+
+    Each root is paired with its nearest root in the other set, and the gap
+    |a_i - b_j| / max(1, |a_i|, |b_j|) is read both ways; the distance is
+    the largest gap, or inf unless the pairing is one-to-one both ways, so
+    two different multisets never compare equal.  rows is one set (a float
+    comes back) or a (K, n) stack (K distances come back).
+    """
+    a = np.asarray(getattr(a, "values", a), dtype=complex)
+    b = np.asarray(getattr(rows, "values", rows), dtype=complex)
+    stack = np.atleast_2d(b)
+    dist = np.full(len(stack), np.inf)
+    if stack.shape[1] == a.size:
+        ai, bj = a[:, None], stack[:, None, :]
+        gap = np.abs(ai - bj) / np.maximum(1.0, np.maximum(np.abs(ai), np.abs(bj)))
+        ident = np.arange(a.size)
+        paired = np.all(np.sort(gap.argmin(axis=2), axis=1) == ident, axis=1)
+        paired &= np.all(np.sort(gap.argmin(axis=1), axis=1) == ident, axis=1)
+        far = np.maximum(gap.min(axis=2).max(axis=1), gap.min(axis=1).max(axis=1))
+        dist[paired] = far[paired]
+    return float(dist[0]) if b.ndim == 1 else dist
 
 
 def _attach(
-    ctx: SpectralContext,
-    values: np.ndarray,
-    method: str,
-    tol: float,
-    flag: str | None = None,
+    ctx: SpectralContext, values, method: str, tol: float, flag: str | None = None
 ) -> BetheSolution:
     try:
         rs = VariableSet(values, eps_dist(ctx.c)).sorted()
@@ -118,15 +132,27 @@ def _attach(
     )
 
 
-def _merge(pool: list[BetheSolution], sol: BetheSolution) -> None:
-    """Dedup against the pool; a gap inside the near-duplicate band keeps
-    the newcomer but marks it instead of silently collapsing."""
-    best = min((root_distance(sol.roots, s.roots) for s in pool), default=np.inf)
-    if best < DEDUP_TOL:
-        return
-    if best < NEAR_DUP_TOL and sol.flag is None:
-        sol = replace(sol, flag="near-duplicate")
-    pool.append(sol)
+def _pool(ctx: SpectralContext, rows, method: str, tol: float, flags=None) -> list:
+    """Attach each distinct root set among rows once, canonically ordered.
+
+    The first row of every group closer than DEDUP_TOL is kept; one inside
+    NEAR_DUP_TOL of an earlier kept row is flagged instead of collapsed.
+    flags[k], when given, is row k's own flag.
+    """
+    left = np.arange(len(rows))
+    near = np.zeros(len(rows), dtype=bool)
+    pool = []
+    while left.size:
+        k, left = left[0], left[1:]
+        sol = _attach(ctx, rows[k], method, tol, flags[k] if flags else None)
+        if near[k] and sol.flag is None:
+            sol = replace(sol, flag="near-duplicate")
+        pool.append(sol)
+        d = root_distance(rows[k], rows[left])
+        near[left[d < NEAR_DUP_TOL]] = True
+        left = left[d >= DEDUP_TOL]
+    pool.sort(key=BetheSolution.canonical_key)
+    return pool
 
 
 def vector_weight(ctx: SpectralContext, roots: VariableSet) -> float:
@@ -218,19 +244,6 @@ def _newton_batch(
     return u[alive & onshell]
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """Canonically sort each row, then keep the first row of every group
-    closer than DEDUP_TOL, as _merge would, so later stages see each root
-    set once instead of once per start that found it."""
-    order = np.lexsort((rows.imag, rows.real), axis=-1)
-    rows = np.take_along_axis(rows, order, axis=-1)
-    kept = rows[:0]
-    for row in rows:
-        if np.all(np.max(np.abs(kept - row), axis=1) >= DEDUP_TOL):
-            kept = np.vstack((kept, row))
-    return kept
-
-
 def solve_newton(
     ctx: SpectralContext,
     starts: int = 200,
@@ -240,13 +253,13 @@ def solve_newton(
     keep_vanishing: bool = False,
 ) -> list[BetheSolution]:
     """Multi-start damped Newton on the residual map; deterministic in the
-    seed, deduplicated modulo permutation, canonically ordered.
+    seed, one entry per unordered root set, canonically ordered.
 
     Starts fill a disk around the mean inhomogeneity whose radius grows
     with the chain length, since the outermost root sets drift outward as
     more roots are added.  All starts advance together on the batched
-    residual/Jacobian kernel bethe_system, and each distinct converged set
-    is attached and merged once.  Root sets that build the zero vector are
+    residual/Jacobian kernel bethe_system; the converged rows go through
+    one _pool pass.  Root sets that build the zero vector are
     dropped unless keep_vanishing is set, in which case they come back
     flagged.
     """
@@ -261,12 +274,8 @@ def solve_newton(
         radii = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
         angles = rng.uniform(0.0, 2 * np.pi, n)
         batch[b] = center + radii * np.exp(1j * angles)
-    pool: list[BetheSolution] = []
-    for hit in _distinct_rows(_newton_batch(ctx, batch, max_iter, tol)):
-        _merge(pool, _attach(ctx, hit, "newton", tol))
-    pool.sort(key=BetheSolution.canonical_key)
     kept = []
-    for sol in pool:
+    for sol in _pool(ctx, _newton_batch(ctx, batch, max_iter, tol), "newton", tol):
         if vector_weight(ctx, sol.roots) < VANISHING_TOL:
             if not keep_vanishing:
                 continue
@@ -343,15 +352,13 @@ def solve_tq_fit(
     transfer = ctx.transfer
     l1, l2 = _lam_coeffs(ctx)
     u0 = probe_points(ctx, 1)[0]
-    pool: list[BetheSolution] = []
+    rows, flags = [], []
     for _, vec in eigenpairs(transfer(u0)):
         lam_poly = transfer.coeffs @ vec @ vec.conj()
         monic, fit_res = _tq_linear_fit(ctx, lam_poly, l1, l2)
-        flag = "tq-residual" if fit_res > fit_tol else None
-        roots = np.roots(monic[::-1])
-        _merge(pool, _attach(ctx, roots, "tq", tol, flag=flag))
-    pool.sort(key=BetheSolution.canonical_key)
-    return pool
+        flags.append("tq-residual" if fit_res > fit_tol else None)
+        rows.append(np.roots(monic[::-1]))
+    return _pool(ctx, np.array(rows), "tq", tol, flags)
 
 
 @dataclass(frozen=True)
@@ -369,37 +376,30 @@ class MatchReport:
         return not self.unmatched_a and not self.unmatched_b
 
 
-def classify_solutions(
-    a: list[BetheSolution], b: list[BetheSolution], match_tol: float = 1e-5
-) -> MatchReport:
-    """Greedy nearest pairing by canonical root distance; eigenvalue samples
-    are compared on the paired entries only."""
-    free_b = set(range(len(b)))
-    pairs = []
-    unmatched_a = []
-    worst_d = 0.0
+def classify_solutions(a: list[BetheSolution], b: list[BetheSolution]) -> MatchReport:
+    """Greedy nearest pairing by root_distance below MATCH_TOL; eigenvalue
+    samples are compared on the paired entries only."""
+    stack = np.array([s.roots.values for s in b])
+    free = np.ones(len(b), dtype=bool)
+    pairs, unmatched_a = [], []
     worst_gap = 0.0
     for i, sa in enumerate(a):
-        best_j, best_d = None, match_tol
-        for j in free_b:
-            d = root_distance(sa.roots, b[j].roots)
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j is None:
+        d = np.where(free, root_distance(sa.roots, stack), np.inf)
+        if not d.size or d.min() >= MATCH_TOL:
             unmatched_a.append(i)
             continue
-        free_b.discard(best_j)
-        pairs.append((i, best_j, best_d))
-        worst_d = max(worst_d, best_d)
-        la, lb = sa.matched_eigenvalue, b[best_j].matched_eigenvalue
+        j = int(np.argmin(d))
+        free[j] = False
+        pairs.append((i, j, float(d[j])))
+        la, lb = sa.matched_eigenvalue, b[j].matched_eigenvalue
         if la is not None and lb is not None:
             gap = np.nanmax(np.abs(la - lb))
             worst_gap = max(worst_gap, float(gap))
     return MatchReport(
         pairs=tuple(pairs),
         unmatched_a=tuple(unmatched_a),
-        unmatched_b=tuple(sorted(free_b)),
-        max_root_distance=worst_d,
+        unmatched_b=tuple(int(j) for j in np.flatnonzero(free)),
+        max_root_distance=max((p[2] for p in pairs), default=0.0),
         max_eigenvalue_gap=worst_gap,
     )
 

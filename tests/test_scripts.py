@@ -20,7 +20,8 @@ def test_completeness_scan_finds_every_set(capsys):
     config = str(ROOT / "configs" / "n3_generic.json")
     scan = _load("completeness_scan")
     assert scan.main(["--config", config, "--seeds", "1", "--starts", "400"]) == 0
-    assert "missed=none" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "missed=none" in out and "extra=none" in out
 
 
 def test_traced_functions_resolve_on_the_package():

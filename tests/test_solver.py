@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from twistchain.bethe import (
 from twistchain.chain import build_transfer
 from twistchain.linalg import eigenpairs
 from twistchain.solver import (
+    DEDUP_TOL,
     BetheSolution,
-    _attach,
-    _merge,
     _newton_batch,
+    _pool,
     _tq_linear_fit,
     classify_solutions,
     probe_points,
@@ -66,16 +68,34 @@ def test_newton_deterministic_and_seed_invariant(config_a):
 
 
 def test_two_site_example_finds_four_solutions():
-    sols = solve_newton(N2_CTX, starts=200, seed=1)
-    assert len(sols) == 4
-    report = spectrum_match(N2_CTX, sols)
-    assert report["expected"] == 4
-    assert report["counts_match"]
-    assert report["max_rel_gap"] < 1e-8
-    again = solve_newton(N2_CTX, starts=200, seed=2)
-    assert len(again) == 4
-    for x, y in zip(sols, again):
-        assert root_distance(x.roots, y.roots) < 1e-8
+    # at c = 1e20 the roots have size ~|c| and rounding error ~1e4, which
+    # only a scale-relative root distance merges into four sets
+    for c in (1.0, 1e20):
+        ctx = SpectralContext.create(replace(N2_CTX.chain, c=c), N2_CTX.twist)
+        sols = solve_newton(ctx, starts=200, seed=1)
+        assert len(sols) == 4
+        report = spectrum_match(ctx, sols)
+        assert report["expected"] == 4
+        assert report["counts_match"]
+        assert report["max_rel_gap"] < 1e-8
+        again = solve_newton(ctx, starts=200, seed=2)
+        assert len(again) == 4
+        for x, y in zip(sols, again):
+            assert root_distance(x.roots, y.roots) < 1e-8
+
+
+def test_diagonal_twist_conjugate_pair_is_one_set():
+    # the pair's real parts differ in the last bit, so any lexsort orders
+    # the two roots differently from start to start
+    ctx = SpectralContext.create(
+        ChainParams(2, 1.0, (0.1, -0.1)), TwistParams(1.9, 1.1, 0.0, 0.0)
+    )
+    sols = solve_newton(ctx, starts=200, seed=1)
+    assert len(sols) == 1
+    report = spectrum_match(ctx, sols)
+    assert report["max_rel_gap"] <= 1e-12
+    # the full-order description reaches only part of the diagonal spectrum
+    assert report["found"] == 1 and report["expected"] == 4
 
 
 def test_diagonal_single_site_reduces_to_classical_equation():
@@ -125,17 +145,19 @@ def test_vanishing_string_sets_are_filtered():
         )
 
 
-def test_merge_flags_near_duplicates(config_a):
-    base = _attach(config_a, np.array([GOLDEN]), "newton", 1e-8)
-    nudged = _attach(config_a, np.array([GOLDEN + 3e-5]), "newton", 1e-8)
-    pool = []
-    _merge(pool, base)
-    _merge(pool, nudged)
+def test_pool_flags_near_duplicates(config_a):
+    rows = np.array([[GOLDEN], [GOLDEN + 3e-5]])
+    pool = _pool(config_a, rows, "newton", 1e-8)
     assert len(pool) == 2
+    assert pool[0].flag is None
     assert pool[1].flag == "near-duplicate"
-    # below the dedup tolerance the newcomer is absorbed instead
-    _merge(pool, _attach(config_a, np.array([GOLDEN + 1e-9]), "newton", 1e-8))
+    # below the dedup tolerance the later row is absorbed instead, and the
+    # first row of the group is the one kept
+    rows = np.array([[GOLDEN + 1e-9], [GOLDEN], [GOLDEN + 3e-5]])
+    pool = _pool(config_a, rows, "newton", 1e-8)
     assert len(pool) == 2
+    assert pool[0].roots[0] == GOLDEN + 1e-9
+    assert pool[1].flag == "near-duplicate"
 
 
 def test_tq_fit_recovers_newton_solutions(config_a):
@@ -181,12 +203,36 @@ def test_classify_handles_empty_lists(config_a):
     assert not report.pairs
     assert report.unmatched_b == tuple(range(len(sols)))
     assert not classify_solutions([], []).pairs
+    report = classify_solutions(sols, [])
+    assert report.unmatched_a == tuple(range(len(sols)))
+    assert not _pool(config_a, np.empty((0, 1)), "newton", 1e-8)
+    assert not _pool(config_a, np.empty((0, 1)), "tq", 1e-8, [])
 
 
 def test_root_distance_is_permutation_invariant():
     a = np.array([1.0 + 1j, -2.0, 0.5j])
     b = a[[2, 0, 1]] + 1e-12
     assert root_distance(a, b) < 1e-9
+    assert root_distance(b, a) == root_distance(a, b)
+    # a conjugate pair whose real parts differ in the last bit
+    pair = np.array([-2.37500000000001 + 1.80433505757662j,
+                     -2.37500000000001 - 1.80433505757662j])
+    swapped = np.array([-2.375 - 1.80433505757661j, -2.375 + 1.80433505757661j])
+    assert root_distance(pair, swapped) < 1e-12
+    # rounding noise on roots of size ~1e20 is relative, not absolute
+    big = 1e20 * np.array([1.0, -0.5 + 2j, 3j])
+    assert root_distance(big, big[::-1] + 1e4 * np.array([1, -1j, 1 + 1j])) < DEDUP_TOL
+    # two different multisets never compare equal
+    x, y = np.array([0.0, 1e-7, 5.0]), np.array([0.0, 5.0, 5.0 + 1e-7])
+    assert root_distance(x, y) >= DEDUP_TOL
+    assert root_distance(y, x) >= DEDUP_TOL
+    assert root_distance(a, a[:2]) == np.inf
+    assert root_distance(a[:2], a) == np.inf
+    # one set against a stack gives one distance per row
+    stack = np.vstack((b, a + 1.0, a[::-1]))
+    np.testing.assert_array_equal(
+        root_distance(a, stack), [root_distance(a, row) for row in stack]
+    )
 
 
 def test_probe_points_fixed_and_distinct(config_a):
