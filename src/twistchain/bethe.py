@@ -18,8 +18,9 @@ eigenvalue of the twisted transfer matrix,
                  + 2 rho lam1(u) lam2(u) g(u, ubar),
 
 its off-shell residual E(u_i, ubar_i) (the Bethe equations read E = 0), the
-analytic Jacobians of both, and the equivalent finite-difference-free T-Q
-restatement used by the spectrum-first solver.
+analytic Jacobians of both, and the equivalent T-Q relation, written once as
+a matrix on the coefficients of Q that the spectrum-first solver fits and
+tq_polynomial_residual checks.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "SpectralContext",
     "VariableSet",
     "bethe_jacobian",
-    "bethe_residual",
     "bethe_residuals",
     "bethe_system",
     "cauchy_determinant_closed",
@@ -61,7 +61,6 @@ __all__ = [
     "eigenvalue_gradient",
     "eps_dist",
     "kernel_g",
-    "onshell_scale",
     "onshell_scales",
     "onshell_tolerance",
     "raising_eigenpart",
@@ -230,30 +229,36 @@ def _leave_one_out(factors: np.ndarray) -> np.ndarray:
     return prefix
 
 
+def _three_term(ctx: SpectralContext, u, roots, a, b, z, leave=()) -> complex:
+    """a lam1(u) f(S, u) + b lam2(u) f(u, S) + z lam1(u) lam2(u) g(u, S).
+
+    S is the root set with the entries in ``leave`` left out of the kernel
+    row.  Every eigenvalue-type coefficient is this shape for one choice of
+    (a, b, z) and S: the eigenvalue Lam takes (kt - rho, k - rho, 2 rho)
+    over ubar, the residual E takes (-(kt - rho), k - rho, 2 rho) at u_i
+    over ubar_i.
+    """
+    g = _kernel_row(u, _as_set(roots, ctx.c).values, ctx.c, leave)
+    l1, l2 = ctx.lam(u)
+    return a * l1 * np.prod(1 - g) + b * l2 * np.prod(1 + g) + z * l1 * l2 * np.prod(g)
+
+
 def diag_eigenvalue(ctx: SpectralContext, u, roots, x, y) -> complex:
     """x lam1(u) f(ubar, u) + y lam2(u) f(u, ubar): the diagonal-twist shape."""
-    g = _kernel_row(u, _as_set(roots, ctx.c).values, ctx.c)
-    l1, l2 = ctx.lam(u)
-    return x * l1 * np.prod(1 - g) + y * l2 * np.prod(1 + g)
+    return _three_term(ctx, u, roots, x, y, 0.0)
 
 
 def diag_residual(ctx: SpectralContext, i: int, roots, x, y) -> complex:
     """-x lam1(u_i) f(ubar_i, u_i) + y lam2(u_i) f(u_i, ubar_i)."""
     rs = _as_set(roots, ctx.c)
-    g = _kernel_row(rs[i], rs.values, ctx.c, i)
-    l1, l2 = ctx.lam(rs[i])
-    return -x * l1 * np.prod(1 - g) + y * l2 * np.prod(1 + g)
+    return _three_term(ctx, rs[i], rs, -x, y, 0.0, i)
 
 
 def transfer_eigenvalue(ctx: SpectralContext, u, roots) -> complex:
     """Inhomogeneous eigenvalue Lam(u, ubar) of the twisted transfer matrix."""
-    g = _kernel_row(u, _as_set(roots, ctx.c).values, ctx.c)
     t, f = ctx.twist, ctx.fact
-    l1, l2 = ctx.lam(u)
-    return (
-        (t.kappa_tilde - f.rho) * l1 * np.prod(1 - g)
-        + (t.kappa - f.rho) * l2 * np.prod(1 + g)
-        + 2 * f.rho * l1 * l2 * np.prod(g)
+    return _three_term(
+        ctx, u, roots, t.kappa_tilde - f.rho, t.kappa - f.rho, 2 * f.rho
     )
 
 
@@ -263,9 +268,7 @@ def raising_eigenpart(ctx: SpectralContext, u, roots) -> complex:
     Appears both as the third term of the inhomogeneous eigenvalue and as
     the coefficient closing the oversized creation string.
     """
-    g = _kernel_row(u, _as_set(roots, ctx.c).values, ctx.c)
-    l1, l2 = ctx.lam(u)
-    return 2 * ctx.fact.rho * l1 * l2 * np.prod(g)
+    return _three_term(ctx, u, roots, 0.0, 0.0, 2 * ctx.fact.rho)
 
 
 def bethe_system(ctx: SpectralContext, batch, jacobian: bool = False):
@@ -342,11 +345,6 @@ def bethe_residuals(ctx: SpectralContext, roots) -> np.ndarray:
     return _single_row(ctx, roots, jacobian=False)[0]
 
 
-def bethe_residual(ctx: SpectralContext, i: int, roots) -> complex:
-    """E(u_i, ubar_i); the inhomogeneous Bethe equations are E = 0."""
-    return complex(bethe_residuals(ctx, roots)[i])
-
-
 def bethe_jacobian(ctx: SpectralContext, roots) -> np.ndarray:
     """J[i, j] = d E(u_i, ubar_i) / d u_j, exact up to rounding: one row of
     bethe_system."""
@@ -354,19 +352,15 @@ def bethe_jacobian(ctx: SpectralContext, roots) -> np.ndarray:
 
 
 def onshell_scales(ctx: SpectralContext, batch) -> np.ndarray:
-    """onshell_scale of each row of a (B, n) batch of root sets."""
+    """max(1, |lam1 lam2|) over each row of a (B, n) batch of root sets;
+    normalizes on-shell tolerances."""
     l1, l2 = ctx.lam(np.asarray(batch, dtype=complex))
     return np.maximum(1.0, np.max(np.abs(l1 * l2), axis=-1, initial=0.0))
 
 
-def onshell_scale(ctx: SpectralContext, roots) -> float:
-    """max(1, |lam1 lam2|) over the set; normalizes on-shell tolerances."""
-    rs = _as_set(roots, ctx.c)
-    return float(onshell_scales(ctx, rs.values[None, :])[0])
-
-
 def onshell_tolerance(ctx: SpectralContext, roots, factor: float = 1e-8) -> float:
-    return factor * onshell_scale(ctx, roots)
+    rs = _as_set(roots, ctx.c)
+    return factor * float(onshell_scales(ctx, rs.values[None, :])[0])
 
 
 def eigenvalue_gradient(ctx: SpectralContext, u, roots, i: int) -> complex:
@@ -377,13 +371,9 @@ def eigenvalue_gradient(ctx: SpectralContext, u, roots, i: int) -> complex:
     """
     rs = _as_set(roots, ctx.c)
     t, f = ctx.twist, ctx.fact
-    l1, l2 = ctx.lam(u)
     gi = kernel_g(u, rs[i], ctx.c)
-    g = _kernel_row(u, rs.values, ctx.c, i)
-    bracket = (
-        -(t.kappa_tilde - f.rho) * l1 * np.prod(1 - g)
-        + (t.kappa - f.rho) * l2 * np.prod(1 + g)
-        + 2 * f.rho * l1 * l2 * np.prod(g)
+    bracket = _three_term(
+        ctx, u, rs, -(t.kappa_tilde - f.rho), t.kappa - f.rho, 2 * f.rho, i
     )
     return gi ** 2 / ctx.c * bracket
 
@@ -456,13 +446,28 @@ def cauchy_determinant_closed(vs, us, c) -> complex:
     return complex(np.prod(kernel_g(va[:, None], ua[None, :], c))) / denom
 
 
+def _shift_matrix(n: int, s: complex) -> np.ndarray:
+    """Binomial matrix [m, k] = C(k, m) s^(k - m): it takes the low-to-high
+    coefficients of a polynomial p of degree at most n to those of p(u + s).
+    Powers of s beyond the float range come out inf or nan, not raised."""
+    k = np.arange(n + 1)
+    gap = np.maximum(k - k[:, None], 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.vectorize(math.comb)(k, k[:, None]) * complex(s) ** gap
+
+
 def shift_polynomial(coeffs, s: complex) -> np.ndarray:
     """Coefficients (low to high) of p(u + s) given those of p(u)."""
     a = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    out = np.zeros_like(a)
-    for k, ck in enumerate(a):
-        for m in range(k + 1):
-            out[m] += ck * math.comb(k, m) * s ** (k - m)
+    return _shift_matrix(a.size - 1, s) @ a
+
+
+def _product_matrix(p: np.ndarray, n: int) -> np.ndarray:
+    """The (2n + 1) x (n + 1) matrix taking Q's coefficients to those of p Q,
+    for p of degree at most n: entry [j + k, j] is p[k]."""
+    out = np.zeros((2 * n + 1, n + 1), dtype=complex)
+    j = np.arange(n + 1)
+    out[np.arange(p.size)[:, None] + j, j] = p[:, None]
     return out
 
 
@@ -477,12 +482,43 @@ def _lam_coeffs(ctx: SpectralContext) -> tuple[np.ndarray, np.ndarray]:
     return l1, l2
 
 
-def _tq_inhomogeneity(ctx: SpectralContext, l1: np.ndarray) -> np.ndarray:
-    """Coefficients of 2 rho c^N lam1 lam2, with c^N lam2 = prod (u - theta)."""
-    from numpy.polynomial import polynomial as P
+def _tq_base(ctx: SpectralContext) -> tuple[np.ndarray, np.ndarray]:
+    """The Lam-free part of the T-Q relation on the N + 1 coefficients of Q.
 
-    theta = np.array(ctx.chain.theta, dtype=complex)
-    return 2 * ctx.fact.rho * np.convolve(l1, P.polyfromroots(theta))
+    Returns (B, b), each with 2N + 1 rows: B q holds the coefficients of
+    (kt - rho) lam1 Q(u - c) + (k - rho) lam2 Q(u + c), and b those of
+    2 rho c^N lam1 lam2, with c^N lam2 = prod (u - theta).
+    """
+    n, c = ctx.sites, ctx.c
+    down, up = _shift_matrix(n, -c), _shift_matrix(n, c)
+    if not np.all(np.isfinite((down, up))):
+        raise ValueError(
+            f"coupling c = {c} overflows the shifted polynomials "
+            "Q(u -+ c) of the T-Q fit"
+        )
+    t, f = ctx.twist, ctx.fact
+    l1, l2 = _lam_coeffs(ctx)
+    mat = (t.kappa_tilde - f.rho) * _product_matrix(l1, n) @ down
+    mat += (t.kappa - f.rho) * _product_matrix(l2, n) @ up
+    inhom = 2 * f.rho * np.convolve(l1, np.poly(ctx.chain.theta)[::-1])
+    return mat, inhom
+
+
+def _tq_system(lam_coeffs, base) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) such that A q - b holds the coefficients of the T-Q relation
+
+        Lam Q - (kt - rho) lam1 Q(u - c) - (k - rho) lam2 Q(u + c)
+              - 2 rho c^N lam1 lam2
+
+    for Lam of degree at most N (low to high); base is _tq_base(ctx), the
+    part every Lam of one chain shares.
+    """
+    mat, inhom = base
+    n = mat.shape[1] - 1
+    lam = np.atleast_1d(np.asarray(lam_coeffs, dtype=complex))
+    if lam.size > n + 1:
+        raise ValueError(f"Lam must have degree at most {n}, got {lam.size - 1}")
+    return _product_matrix(lam, n) - mat, inhom
 
 
 def tq_polynomial_residual(ctx: SpectralContext, lam_coeffs, q_coeffs) -> float:
@@ -491,22 +527,11 @@ def tq_polynomial_residual(ctx: SpectralContext, lam_coeffs, q_coeffs) -> float:
     lam_coeffs and q_coeffs are low-to-high coefficient arrays; Q must be
     monic of degree N.
     """
-    from numpy.polynomial import polynomial as P
-
     q = np.atleast_1d(np.asarray(q_coeffs, dtype=complex))
     n = ctx.sites
     if q.size != n + 1:
         raise ValueError(f"Q must have degree {n}, got degree {q.size - 1}")
     if abs(q[-1] - 1.0) > 1e-10:
         raise ValueError("Q must be monic")
-    lam = np.atleast_1d(np.asarray(lam_coeffs, dtype=complex))
-    l1, l2 = _lam_coeffs(ctx)
-    t, f = ctx.twist, ctx.fact
-    lhs = P.polymul(lam, q)
-    rhs = (
-        (t.kappa_tilde - f.rho) * P.polymul(l1, shift_polynomial(q, -ctx.c))
-        + (t.kappa - f.rho) * P.polymul(l2, shift_polynomial(q, ctx.c))
-    )
-    rhs = P.polyadd(rhs, _tq_inhomogeneity(ctx, l1))
-    res = P.polysub(lhs, rhs)
-    return float(np.max(np.abs(res)))
+    a, b = _tq_system(lam_coeffs, _tq_base(ctx))
+    return float(np.max(np.abs(a @ q - b)))

@@ -22,7 +22,6 @@ from .bethe import (
     _as_set,
     _kernel_row,
     _leave_one_out,
-    bethe_residual,
     bethe_residuals,
     diag_residual,
     eigenvalue_gradient,
@@ -37,6 +36,8 @@ from .states import build_bethe_vector, build_dual_vector, w0
 from .twist import twist_alpha
 
 ERROR_FLOOR = 1e-30
+# largest deviation of the norm matrix from its coinciding-point limit form
+LIMIT_TOL = 1e-5
 
 
 class OffShellError(ValueError):
@@ -58,8 +59,12 @@ def relative_gap(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), ERROR_FLOOR)
 
 
-def _require_onshell(ctx: SpectralContext, rs: VariableSet, label: str) -> None:
-    res = np.abs(bethe_residuals(ctx, rs))
+def _require_onshell(
+    ctx: SpectralContext, rs: VariableSet, label: str, res=None
+) -> None:
+    """Raise OffShellError unless the residuals of rs are within tolerance;
+    res defaults to the Bethe residuals of the modified ansatz."""
+    res = np.abs(bethe_residuals(ctx, rs) if res is None else res)
     tau = onshell_tolerance(ctx, rs)
     if float(np.max(res)) > tau:
         raise OffShellError(
@@ -203,7 +208,6 @@ def gaudin_norm(
     ctx: SpectralContext,
     roots,
     verify_limit: bool = True,
-    limit_tol: float = 1e-5,
 ) -> complex:
     """Determinant form of the squared norm of an on-shell state."""
     rs = _as_set(roots, ctx.c).sorted()
@@ -214,7 +218,7 @@ def gaudin_norm(
     gaudin = gaudin_matrix(ctx, rs)
     if verify_limit:
         dev = gaudin_limit_deviation(ctx, rs, gaudin)
-        if dev > limit_tol:
+        if dev > LIMIT_TOL:
             raise ValueError(
                 f"norm matrix disagrees with its limit form by {dev:.3e}"
             )
@@ -273,15 +277,8 @@ def classical_slavnov(ctx: SpectralContext, us, vs) -> complex:
     _require_disjoint(us, vs)
     t = ctx.twist
     m = len(vs)
-    res = np.array(
-        [diag_residual(ctx, i, vs, t.kappa_tilde, t.kappa) for i in range(m)]
-    )
-    tau = onshell_tolerance(ctx, vs)
-    if float(np.max(np.abs(res))) > tau:
-        raise OffShellError(
-            f"classical set is off shell: residuals {np.abs(res).tolist()}, "
-            f"tolerance {tau:.3e}"
-        )
+    res = [diag_residual(ctx, i, vs, t.kappa_tilde, t.kappa) for i in range(m)]
+    _require_onshell(ctx, vs, "classical", res)
     lam2bar = 1.0 + 0.0j
     for v in vs:
         lam2bar *= ctx.lam(v)[1]
@@ -345,12 +342,12 @@ def n1_reference(ctx: SpectralContext, u: complex, v: complex) -> dict:
         report["alternative"] = alternative
         report["alternative_error"] = relative_gap(direct, alternative)
     vset = ctx.roots([v])
-    resv = abs(bethe_residual(ctx, 0, vset))
+    resv = abs(bethe_residuals(ctx, vset)[0])
     if resv <= onshell_tolerance(ctx, vset):
         reduced = (
             -(f.mu ** 2 / stretch)
             * w0v
-            * bethe_residual(ctx, 0, ctx.roots([u]))
+            * bethe_residuals(ctx, ctx.roots([u]))[0]
             * kernel_g(v, u, ctx.c)
         )
         report["onshell_reduction"] = reduced

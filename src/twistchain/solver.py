@@ -14,20 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .bethe import (
     CoincidenceError,
     SpectralContext,
     VariableSet,
-    _lam_coeffs,
-    _tq_inhomogeneity,
+    _tq_base,
+    _tq_system,
     bethe_residuals,
     bethe_system,
     eps_dist,
     onshell_scales,
     onshell_tolerance,
-    shift_polynomial,
     transfer_eigenvalue,
 )
 from .linalg import eigenpairs
@@ -40,6 +38,10 @@ DEDUP_TOL = 1e-6
 NEAR_DUP_TOL = 1e-4
 MATCH_TOL = 1e-5
 VANISHING_TOL = 1e-9
+# a T-Q fit whose relative least-squares residual exceeds FIT_TOL is flagged
+FIT_TOL = 1e-6
+# eigenvalue samples per root set, compared across methods and to the spectrum
+PROBES = 3
 
 # fixed generic offsets, scaled by |c| and recentered on the mean
 # inhomogeneity, so probe evaluations are reproducible run to run
@@ -114,8 +116,8 @@ def _attach(
         flag = flag or "coincident-roots"
     res = np.abs(bethe_residuals(ctx, rs))
     tau = onshell_tolerance(ctx, rs, tol)
-    lam = np.empty(3, dtype=complex)
-    for k, p in enumerate(probe_points(ctx, 3)):
+    lam = np.empty(PROBES, dtype=complex)
+    for k, p in enumerate(probe_points(ctx, PROBES)):
         try:
             lam[k] = transfer_eigenvalue(ctx, p, rs)
         except CoincidenceError:
@@ -284,62 +286,24 @@ def solve_newton(
     return kept
 
 
-def _tq_linear_fit(
-    ctx: SpectralContext,
-    lam_poly: np.ndarray,
-    l1: np.ndarray,
-    l2: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Solve the functional relation for the monic root polynomial.
+def _tq_linear_fit(lam_poly: np.ndarray, base) -> tuple[np.ndarray, float]:
+    """Solve the T-Q relation for the monic root polynomial.
 
-    Linear in the unknown low-order coefficients; overdetermined by one
-    equation, least squares keeps the fit honest.
+    Linear in the N unknown low-order coefficients of Q, with 2N + 1
+    equations; least squares keeps the fit honest.  base is _tq_base(ctx).
     """
-    n = ctx.sites
-    t, f = ctx.twist, ctx.fact
-    x = t.kappa_tilde - f.rho
-    y = t.kappa - f.rho
-    width = 2 * n + 1
-
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # polymul trims trailing zeros; keep a fixed coefficient width
-        out = np.zeros(width, dtype=complex)
-        prod = P.polymul(a, b)
-        out[: min(prod.size, width)] = prod[:width]
-        return out
-
-    def apply(qc: np.ndarray) -> np.ndarray:
-        full = np.zeros(n + 1, dtype=complex)
-        full[: qc.size] = qc
-        return (
-            mul(lam_poly, full)
-            - x * mul(l1, shift_polynomial(full, -ctx.c))
-            - y * mul(l2, shift_polynomial(full, ctx.c))
-        )
-
-    try:
-        # one column per coefficient of Q; the monic top one moves to the rhs
-        cols = [apply(e) for e in np.eye(n + 1, dtype=complex)]
-    except OverflowError as exc:
-        raise ValueError(
-            f"coupling c = {ctx.c} overflows the shifted polynomials "
-            "Q(u -+ c) of the T-Q fit"
-        ) from exc
-    rhs = mul(_tq_inhomogeneity(ctx, l1), np.ones(1)) - cols.pop()
-    a = np.column_stack(cols)
+    a, b = _tq_system(lam_poly, base)
+    # the monic top coefficient moves to the rhs
+    rhs = b - a[:, -1]
+    a = a[:, :-1]
     q, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     fit_res = float(
         np.linalg.norm(a @ q - rhs) / max(1.0, float(np.linalg.norm(rhs)))
     )
-    monic = np.concatenate((q, [1.0 + 0.0j]))
-    return monic, fit_res
+    return np.concatenate((q, [1.0 + 0.0j])), fit_res
 
 
-def solve_tq_fit(
-    ctx: SpectralContext,
-    tol: float = 1e-8,
-    fit_tol: float = 1e-6,
-) -> list[BetheSolution]:
+def solve_tq_fit(ctx: SpectralContext, tol: float = 1e-8) -> list[BetheSolution]:
     """One solution candidate per transfer-matrix eigenvector.
 
     The eigenvector is computed once at a probe point; because the transfer
@@ -349,14 +313,14 @@ def solve_tq_fit(
     spectra break that premise and surface as large fit residuals, which are
     flagged rather than repaired.
     """
+    base = _tq_base(ctx)
     transfer = ctx.transfer
-    l1, l2 = _lam_coeffs(ctx)
     u0 = probe_points(ctx, 1)[0]
     rows, flags = [], []
     for _, vec in eigenpairs(transfer(u0)):
         lam_poly = transfer.coeffs @ vec @ vec.conj()
-        monic, fit_res = _tq_linear_fit(ctx, lam_poly, l1, l2)
-        flags.append("tq-residual" if fit_res > fit_tol else None)
+        monic, fit_res = _tq_linear_fit(lam_poly, base)
+        flags.append("tq-residual" if fit_res > FIT_TOL else None)
         rows.append(np.roots(monic[::-1]))
     return _pool(ctx, np.array(rows), "tq", tol, flags)
 
@@ -404,14 +368,10 @@ def classify_solutions(a: list[BetheSolution], b: list[BetheSolution]) -> MatchR
     )
 
 
-def spectrum_match(
-    ctx: SpectralContext,
-    solutions: list[BetheSolution],
-    probes: int = 3,
-) -> dict:
+def spectrum_match(ctx: SpectralContext, solutions: list[BetheSolution]) -> dict:
     """Compare eigenvalue samples over the solution list against the full
     dense spectrum at each probe point; greedy nearest assignment."""
-    pts = probe_points(ctx, probes)
+    pts = probe_points(ctx, PROBES)
     expected = 2 ** ctx.sites
     max_rel = 0.0 if solutions else float("inf")
     for p in pts:

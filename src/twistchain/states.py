@@ -18,7 +18,7 @@ from .bethe import (
     SpectralContext,
     VariableSet,
     _as_set,
-    _kernel_row,
+    _three_term,
     diag_eigenvalue,
     diag_residual,
     eps_dist,
@@ -156,10 +156,10 @@ def offshell_action_residuals(
     acc22 = rp * plus + diag_eigenvalue(ctx, u, rs, 0.0, 1.0) * base
     for i in range(m):
         ui = rs[i]
-        g = _kernel_row(ui, rs.values, c, i)
-        l1, l2 = ctx.lam(ui)
-        acc11 = acc11 + kernel_g(u, ui, c) * l1 * np.prod(1 - g) * swapped[i]
-        acc22 = acc22 + kernel_g(ui, u, c) * l2 * np.prod(1 + g) * swapped[i]
+        nu11 = kernel_g(u, ui, c) * _three_term(ctx, ui, rs, 1.0, 0.0, 0.0, i)
+        nu22 = kernel_g(ui, u, c) * _three_term(ctx, ui, rs, 0.0, 1.0, 0.0, i)
+        acc11 = acc11 + nu11 * swapped[i]
+        acc22 = acc22 + nu22 * swapped[i]
     r11 = _scaled_gap(t11u @ base, acc11)
     r22 = _scaled_gap(t22u @ base, acc22)
 
@@ -200,7 +200,8 @@ def raising_identity_residual(
     nu: MonodromyFamily, ctx: SpectralContext, u, roots
 ) -> float:
     """Residual of the closure identity expressing the order-(N+1) string
-    through order-N strings; requires exactly N parameters."""
+    through order-N strings, relative to the sum of the norms of its lhs and
+    of every term on its rhs; requires exactly N parameters."""
     rs = _as_set(roots, ctx.c)
     n = _sites_of(nu)
     if len(rs) != n:
@@ -212,12 +213,15 @@ def raising_identity_residual(
     plus_set = _prepend(u, rs)
     string = _StringBuilder(nu.t12, plus_set, n)
     lhs = (ctx.twist.kappa_minus / f.mu) * string(plus_set)
-    rhs = raising_eigenpart(ctx, u, rs) * string(rs)
+    terms = [raising_eigenpart(ctx, u, rs) * string(rs)]
     for i in range(n):
         rest = rs.drop(i)
         coeff = kernel_g(rs[i], u, c) * raising_eigenpart(ctx, rs[i], rest)
-        rhs = rhs + coeff * string(_prepend(u, rest))
-    return _scaled_gap(lhs, rhs)
+        terms.append(coeff * string(_prepend(u, rest)))
+    # the terms can be many orders larger than their sum and cancel, so the
+    # gap is taken relative to the sum of all the norms, with a unit floor
+    scale = max(1.0, sum(float(np.linalg.norm(v)) for v in (lhs, *terms)))
+    return float(np.linalg.norm(lhs - sum(terms)) / scale)
 
 
 def eigenstate_residual(

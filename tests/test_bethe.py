@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 from twistchain import ChainParams, SpectralContext, TwistParams
 from twistchain.bethe import (
     CoincidenceError,
+    _tq_base,
+    _tq_system,
     VariableSet,
     bethe_jacobian,
-    bethe_residual,
     bethe_residuals,
     bethe_system,
     cauchy_determinant_closed,
@@ -15,13 +16,15 @@ from twistchain.bethe import (
     eigenvalue_gradient,
     eps_dist,
     kernel_g,
-    onshell_scale,
+    onshell_scales,
     onshell_tolerance,
     raising_eigenpart,
     shift_polynomial,
     tq_polynomial_residual,
     transfer_eigenvalue,
 )
+
+from twistchain.solver import solve_tq_fit
 
 from conftest import draw_points, random_context
 
@@ -132,13 +135,13 @@ def test_single_site_residual_polynomial(config_a):
     rho = config_a.fact.rho
     for u in (0.7, -1.2, 0.3 + 0.8j):
         want = 2 * rho * u**2 + (2 * rho - 1) * u - (2 - rho)
-        got = bethe_residual(config_a, 0, (u,))
+        got = bethe_residuals(config_a, (u,))[0]
         assert abs(got - want) < 1e-12
     # its roots are the golden-ratio pair
-    assert abs(bethe_residual(config_a, 0, (GOLDEN,))) < 1e-12
-    assert abs(bethe_residual(config_a, 0, (-(3 + np.sqrt(5.0)) / 4,))) < 1e-12
+    assert abs(bethe_residuals(config_a, (GOLDEN,))[0]) < 1e-12
+    assert abs(bethe_residuals(config_a, (-(3 + np.sqrt(5.0)) / 4,))[0]) < 1e-12
     # and the frozen spot value at u = 1
-    assert abs(bethe_residual(config_a, 0, (1.0,)) - (5 * rho - 3)) < 1e-12
+    assert abs(bethe_residuals(config_a, (1.0,))[0] - (5 * rho - 3)) < 1e-12
 
 
 def _residual_by_products(ctx, roots, i):
@@ -163,7 +166,6 @@ def test_residuals_vector_matches_scalar():
         for i in range(sites):
             want = _residual_by_products(ctx, roots, i)
             assert abs(vec[i] - want) <= 1e-13 * max(1.0, abs(want))
-            assert bethe_residual(ctx, i, roots) == vec[i]
 
 
 def _jacobian_gap(ctx, roots, h=1e-6):
@@ -220,7 +222,7 @@ def test_onshell_scale_and_tolerance():
     rng = np.random.default_rng(55)
     ctx = random_context(rng, 2)
     roots = _distinct_points(11, 2)
-    scale = onshell_scale(ctx, roots)
+    scale = float(onshell_scales(ctx, roots[None, :])[0])
     assert scale >= 1.0
     assert abs(onshell_tolerance(ctx, roots) - 1e-8 * scale) < 1e-20 * scale
     assert eps_dist(1.0) == 1e-9
@@ -289,6 +291,33 @@ def test_tq_relation_pointwise(config_a):
         assert abs(lam * q(u) - three) <= 1e-10 * max(1.0, abs(three))
 
 
+def _tq_matrix_matches_pointwise(ctx, rng):
+    # the coefficient matrix of the T-Q relation, applied to a random monic
+    # Q and a random Lam of degree N, against the relation of
+    # test_tq_relation_pointwise at random points
+    x = ctx.twist.kappa_tilde - ctx.fact.rho
+    y = ctx.twist.kappa - ctx.fact.rho
+    rho, c, n = ctx.fact.rho, ctx.c, ctx.sites
+    lam = draw_points(rng, n + 1)
+    roots = draw_points(rng, n)
+    a, b = _tq_system(lam, _tq_base(ctx))
+    relation = a @ np.poly(roots)[::-1] - b
+
+    def q(u):
+        return np.prod(u - roots)
+
+    for u in draw_points(rng, 10, scale=1.5):
+        l1, l2 = ctx.lam(u)
+        want = (
+            np.polyval(lam[::-1], u) * q(u)
+            - x * l1 * q(u - c)
+            - y * l2 * q(u + c)
+            - 2 * rho * c**n * l1 * l2
+        )
+        got = np.polyval(relation[::-1], u)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), n
+
+
 def test_tq_polynomial_residual_flags_offshell(config_a):
     # on-shell roots make the eigenvalue a polynomial and the functional
     # relation closes; nudging the root breaks it by orders of magnitude
@@ -306,3 +335,26 @@ def test_tq_polynomial_residual_flags_offshell(config_a):
         tq_polynomial_residual(ctx, np.array([1.0, 1.0]), np.array([0.5, 2.0]))
     with pytest.raises(ValueError):
         tq_polynomial_residual(ctx, np.array([1.0, 1.0]), np.array([0.5, 0.5, 1.0]))
+    # beyond one site: every unflagged T-Q fit set closes the relation to
+    # rounding, relative to the size of Lam Q, and a nudged root does not
+    rng = np.random.default_rng(67)
+    for sites in range(2, 6):
+        ctx = random_context(rng, sites)
+        _tq_matrix_matches_pointwise(ctx, rng)
+        center = complex(np.mean(ctx.chain.theta))
+        nodes = center + 2 * np.exp(2j * np.pi * np.arange(sites + 1) / (sites + 1))
+        vander = np.vander(nodes, sites + 1, increasing=True)
+        for sol in solve_tq_fit(ctx):
+            if sol.flag is not None:
+                continue
+            roots = sol.roots.values
+            lam = np.linalg.solve(
+                vander, [transfer_eigenvalue(ctx, p, roots) for p in nodes]
+            )
+            q = np.poly(roots)[::-1]
+            scale = np.max(np.abs(np.convolve(lam, q)))
+            good = tq_polynomial_residual(ctx, lam, q)
+            assert good <= 1e-9 * scale, sites
+            nudged = np.poly(roots + 1e-3 * (np.arange(sites) == 0))[::-1]
+            assert tq_polynomial_residual(ctx, lam, nudged) >= 10 * good, sites
+

@@ -241,9 +241,10 @@ def test_vacuum_actions_are_scale_relative_on_a_wide_chain():
     for name in ("nu11_vacuum", "nu22_vacuum", "nu21_vacuum"):
         assert checks[name]["passed"], checks[name]
         assert checks[name]["residual"] < 1e-14
-    # raising_closure fails on this chain by cancellation between large
-    # terms, not by scale; every other check passes
-    assert all(c["passed"] for n, c in checks.items() if n != "raising_closure")
+    # the raising closure cancels terms up to 1e8 times its result here; it
+    # passes because its gap is relative to the sum of the term norms
+    assert all(c["passed"] for c in checks.values())
+    assert checks["raising_closure"]["residual"] < 1e-14
 
 
 def _count_builds(monkeypatch) -> Counter:

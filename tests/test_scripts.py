@@ -1,5 +1,6 @@
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -36,3 +37,22 @@ def test_traced_functions_resolve_on_the_package():
         if not callable(owner):
             missing.append(span)
     assert missing == []
+
+
+def test_benchmark_workloads_run_on_the_package(monkeypatch):
+    # one pass of two benchmark workloads and one scaling row set, on the
+    # package the other tests imported: a changed signature that the
+    # benchmark relies on fails here instead of in a benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    scaling = importlib.import_module("scaling")
+    layers = ("linalg", "chain", "twist", "bethe", "states", "solver", "overlaps", "cli")
+    tc = SimpleNamespace(
+        **{name: importlib.import_module(f"twistchain.{name}") for name in layers}
+    )
+    for name in ("solve-n3", "determinants-n5"):
+        workload = workloads.WORKLOADS[name](tc, ROOT, 1)
+        out, _ = workload.run()
+        result = workload.evaluate(out)
+        assert result.failures == [] and result.ref_ok, name
+    assert scaling.rows_for(tc, ROOT, 3)

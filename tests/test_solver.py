@@ -5,7 +5,7 @@ import pytest
 
 from twistchain import ChainParams, SpectralContext, TwistParams
 from twistchain.bethe import (
-    _lam_coeffs,
+    _tq_base,
     bethe_jacobian,
     bethe_residuals,
     onshell_tolerance,
@@ -187,13 +187,13 @@ def test_tq_fit_two_sites():
 def test_tq_fit_sensitivity_to_eigenvalue_perturbation():
     ctx = N2_CTX
     transfer = build_transfer(ctx.chain, ctx.twist)
-    l1, l2 = _lam_coeffs(ctx)
+    base = _tq_base(ctx)
     u0 = probe_points(ctx, 1)[0]
     _, vec = eigenpairs(transfer(u0))[0]
     lam_poly = transfer.coeffs @ vec @ vec.conj()
-    clean = _tq_linear_fit(ctx, lam_poly, l1, l2)[1]
+    clean = _tq_linear_fit(lam_poly, base)[1]
     lam_poly[1] += 1e-3
-    dirty = _tq_linear_fit(ctx, lam_poly, l1, l2)[1]
+    dirty = _tq_linear_fit(lam_poly, base)[1]
     assert dirty >= 10 * max(clean, 1e-14)
 
 

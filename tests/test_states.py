@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twistchain import SpectralContext, solve_newton, states
+from twistchain import ChainParams, SpectralContext, TwistParams, solve_newton, states
 from twistchain.bethe import CoincidenceError, VariableSet, diag_eigenvalue, eps_dist
 from twistchain.chain import MonodromyFamily, build_monodromy
 from twistchain.states import (
@@ -172,6 +172,34 @@ def test_raising_closure_identity():
             pts = draw_points(rng, sites + 1)
             resid = raising_identity_residual(nu, ctx, pts[0], pts[1:])
             assert resid < 1e-9, sites
+
+
+def test_raising_closure_flags_one_perturbed_coefficient_on_a_wide_chain(
+    monkeypatch,
+):
+    # the closure's terms cancel by up to 1e8 on this chain, so its gap is
+    # taken relative to the sum of the term norms; that looser floor must
+    # still fail a closure whose first coefficient is off by 1e-6 by at
+    # least ten times the 1e-10 tolerance
+    theta = (-45.0, -30.0, -15.0, 0.0, 15.0, 30.0)
+    ctx = SpectralContext.create(
+        ChainParams(6, 1.0, theta), TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6)
+    )
+    nu = _family(ctx)
+    rng = np.random.default_rng(0)
+    exact = states.raising_eigenpart
+    for _ in range(10):
+        pts = -7.5 + draw_points(rng, 7)
+        rs = VariableSet(pts[1:], eps_dist(ctx.c))
+        assert raising_identity_residual(nu, ctx, pts[0], rs) < 1e-14
+
+        def perturbed(ctx, u, roots, _probe=complex(pts[0])):
+            # the coefficient of the order-N string B(ubar) sits at the probe
+            return exact(ctx, u, roots) * (1 + 1e-6 * (u == _probe))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(states, "raising_eigenpart", perturbed)
+            assert raising_identity_residual(nu, ctx, pts[0], rs) >= 1e-9
 
 
 def test_raising_coefficients_are_twist_ratios():
