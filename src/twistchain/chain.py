@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -187,6 +188,30 @@ class MonodromyFamily:
     t21: MatrixPolynomial
     t22: MatrixPolynomial
 
+    @classmethod
+    def from_stack(cls, coeffs: np.ndarray) -> "MonodromyFamily":
+        """The family whose blocks t_ij are the read-only views coeffs[i, j]
+        of one C-contiguous (2, 2, k, d, d) coefficient stack."""
+        coeffs.setflags(write=False)
+        return cls(*(MatrixPolynomial(coeffs[i, j]) for i in (0, 1) for j in (0, 1)))
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """All coefficients as one read-only (2, 2, k, d, d) stack: the array
+        the blocks view when the family came from ``from_stack``, otherwise
+        the blocks stacked into a new one."""
+        blocks = [b.coeffs for b in self.entries()]
+        shape = (2, 2) + blocks[0].shape
+        owner = blocks[0].base
+        if owner is not None and owner.shape == shape and all(
+            b.__array_interface__ == view.__array_interface__
+            for b, view in zip(blocks, owner.reshape(4, *shape[2:]))
+        ):
+            return owner
+        out = np.stack(blocks).reshape(shape)
+        out.setflags(write=False)
+        return out
+
     def entries(self):
         return self.t11, self.t12, self.t21, self.t22
 
@@ -194,80 +219,69 @@ class MonodromyFamily:
         return self.t11(u), self.t12(u), self.t21(u), self.t22(u)
 
 
-def _slot_swap(p: int, q: int, nspaces: int) -> np.ndarray:
-    """Index order of the swap P_pq of tensor slots p and q.
-
-    P_pq is a symmetric permutation, so the one order serves both sides:
-    m[:, order] == m @ P_pq and m[order] == P_pq @ m.
-    """
-    idx = np.arange(2 ** nspaces)
-    hi, lo = nspaces - 1 - p, nspaces - 1 - q
-    differ = ((idx >> hi) ^ (idx >> lo)) & 1
-    return idx ^ (differ * ((1 << hi) | (1 << lo)))
-
-
 def build_monodromy(params: ChainParams) -> MonodromyFamily:
     """Exact coefficients of T_a(u), one block polynomial per t_ij.
 
-    Each factor R_ak(u - theta_k) = (u/c) I + P_ak - (theta_k/c) I is linear
-    in u, and right-multiplying by the permutation P_ak only reorders
-    columns, so the factors multiply out into the degree-N coefficient
-    stack without a dense matrix product.  The stack is built transposed,
-    where that reordering is a row gather, and updated in place, highest
-    degree first, so each step reads the lower coefficient before it is
-    overwritten.  The four blocks are read-only views of the one stack.
+    Site by site, T^(n) = T^(n-1) R_an(u - theta_n) with
+    R_an = ((u - theta_n)/c) I + P_an, and P_an = sum_jk E_kj (x) E_jk on
+    aux (x) site n, so the blocks follow the recursion
+
+        t_ij^(n) = ((u - theta_n)/c) t_ij^(n-1) (x) I + sum_k t_ik^(n-1) (x) E_jk
+
+    with the new site as the fastest tensor slot.  Each step writes the
+    doubled block-major stack (2, 2, n+1, 2^n, 2^n) from the previous one
+    with a few strided assignments, so the work doubles per site and the
+    last site dominates.  A step only copies, scales and adds coefficients,
+    so with c = 1 and integer inhomogeneities every coefficient is an exact
+    integer.  The four blocks are read-only views of the one C-contiguous
+    stack (``MonodromyFamily.from_stack``).
     """
-    n = params.sites + 1
     c = params.c
-    coef_t = np.zeros((n, 2 ** n, 2 ** n), dtype=complex)
-    coef_t[0] = np.eye(2 ** n)
-    for k, theta in enumerate(params.theta):
-        perm = _slot_swap(0, k + 1, n)
-        for j in range(k + 1, -1, -1):
-            step = coef_t[j][perm] - (theta / c) * coef_t[j]
-            if j:
-                step += coef_t[j - 1] / c
-            coef_t[j] = step
-    coef_t.setflags(write=False)
-    coef = coef_t.transpose(0, 2, 1)
-    d = params.dim
-    return MonodromyFamily(
-        MatrixPolynomial(coef[:, :d, :d]),
-        MatrixPolynomial(coef[:, :d, d:]),
-        MatrixPolynomial(coef[:, d:, :d]),
-        MatrixPolynomial(coef[:, d:, d:]),
-    )
+    coef = np.eye(2, dtype=complex).reshape(2, 2, 1, 1, 1)
+    for theta in params.theta:
+        _, _, m, d, _ = coef.shape
+        out = np.zeros((2, 2, m + 1, 2 * d, 2 * d), dtype=complex)
+        # axes (i, j, degree, row of sites < n, row of site n, column of
+        # sites < n, column of site n)
+        grid = out.reshape(2, 2, m + 1, d, 2, d, 2)
+        for j, k in itertools.product((0, 1), repeat=2):
+            grid[:, j, :m, :, j, :, k] = coef[:, k]  # t_ik (x) E_jk
+        for s in (0, 1):  # ((u - theta)/c) t_ij (x) I
+            diag = grid[:, :, :, :, s, :, s]
+            diag[:, :, :m] -= (theta / c) * coef
+            diag[:, :, 1:] += coef / c
+        coef = out
+    return MonodromyFamily.from_stack(coef)
 
 
 def _contract(blocks, weights) -> np.ndarray:
     """sum_ij weights[..., i, j] t_ij over the four auxiliary blocks.
 
-    ``blocks`` is (t11, t12, t21, t22), as coefficient stacks or as values
-    at one point; ``weights`` is one 2x2 matrix or a stack of them, and the
+    ``blocks`` holds t11, t12, t21, t22 on its leading axis, or t_ij at
+    [i, j] of its two leading axes: a ``MonodromyFamily.coeffs`` stack,
+    four blocks evaluated at one point, or any array with those leading
+    axes.  ``weights`` is one 2x2 matrix or a stack of them, and the
     result carries its leading axes.  A 2x2 matrix M acts on the auxiliary
     space as a twisted trace, tr_a(M T) = sum_ij M_ji t_ij, with weights
     M^T, and as a dressing, (A T B)_ab = sum_ij A_ai t_ij B_jb, with weights
-    A_ai B_jb.  The result is one read-only array.
+    A_ai B_jb.  The whole contraction is one (k x 4) @ (4 x rest) product
+    into one new read-only array.
     """
     w = np.asarray(weights, dtype=complex)
+    b = np.asarray(blocks, dtype=complex)
+    rest = b.shape[1:] if len(b) == 4 else b.shape[2:]
     rows = w.reshape(-1, 4)
-    shape = np.shape(blocks[0])
-    out = np.empty((len(rows),) + shape, dtype=complex)
-    for row, acc in zip(rows, out):
-        np.multiply(row[0], blocks[0], out=acc)
-        for x, block in zip(row[1:], blocks[1:]):
-            acc += x * block
+    out = np.empty(w.shape[:-2] + rest, dtype=complex)
+    np.matmul(rows, b.reshape(4, -1), out=out.reshape(len(rows), -1))
     out.setflags(write=False)
-    return out.reshape(w.shape[:-2] + shape)
+    return out
 
 
 def build_transfer(params: ChainParams, twist, family: MonodromyFamily | None = None) -> MatrixPolynomial:
     """Twisted transfer matrix t(u) = tr_a( K_a T_a(u) ) as a matrix polynomial."""
     if family is None:
         family = build_monodromy(params)
-    return MatrixPolynomial(
-        _contract([b.coeffs for b in family.entries()], twist.matrix().T)
-    )
+    return MatrixPolynomial(_contract(family.coeffs, twist.matrix().T))
 
 
 def _boundary_substitutions(twist) -> list[np.ndarray]:

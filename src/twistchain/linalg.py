@@ -142,9 +142,12 @@ class MatrixPolynomial:
         return np.array(self.coeffs[k])
 
     def __call__(self, u: complex) -> np.ndarray:
+        # Horner in place on one fresh accumulator: no temporary per degree,
+        # and the result never shares memory with the coefficients
         acc = np.array(self.coeffs[-1])
         for c in self.coeffs[-2::-1]:
-            acc = acc * u + c
+            acc *= u
+            acc += c
         return acc
 
     def derivative(self) -> "MatrixPolynomial":

@@ -320,7 +320,8 @@ def solve_tq_fit(ctx: SpectralContext, tol: float = 1e-8) -> list[BetheSolution]
     for _, vec in eigenpairs(transfer(u0)):
         lam_poly = transfer.coeffs @ vec @ vec.conj()
         monic, fit_res = _tq_linear_fit(lam_poly, base)
-        flags.append("tq-residual" if fit_res > FIT_TOL else None)
+        # a residual that overflowed to nan is no passing fit
+        flags.append(None if fit_res <= FIT_TOL else "tq-residual")
         rows.append(np.roots(monic[::-1]))
     return _pool(ctx, np.array(rows), "tq", tol, flags)
 

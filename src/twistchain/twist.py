@@ -173,17 +173,18 @@ def diagonal_factorization(twist: TwistParams) -> TwistFactorization:
 def build_modified_operators(
     family: MonodromyFamily, fact: TwistFactorization
 ) -> MonodromyFamily:
-    """Blocks of L T_a(u) L = mu L0 T_a(u) L0, as matrix polynomials.
+    """Blocks of L T_a(u) L = mu L0 T_a(u) L0, as matrix polynomials that
+    view one block-major stack, the input's shape.
 
     L0 = [[1, rho/kappa_minus], [rho/kappa_plus, 1]] is built from the
     stored ratios, so the diagonal limit (both ratios zero, mu = 1) returns
     the input family unchanged, and mu is applied once rather than as
-    sqrt(mu) on each side.
+    sqrt(mu) on each side.  The dressing is one ``chain._contract``
+    product over the input's coefficient stack.
     """
     l0 = np.array([[1.0, fact.ratio_minus], [fact.ratio_plus, 1.0]], dtype=complex)
     weights = fact.mu * np.einsum("ai,jb->abij", l0, l0)
-    coef = _contract([b.coeffs for b in family.entries()], weights)
-    return MonodromyFamily(*(MatrixPolynomial(coef[a, b]) for a in (0, 1) for b in (0, 1)))
+    return MonodromyFamily.from_stack(_contract(family.coeffs, weights))
 
 
 def modified_diagonal_residual(

@@ -13,8 +13,7 @@ from twistchain.chain import (
     SIGMA_Y,
     SIGMA_Z,
     _boundary_substitutions,
-    _embed_pair,
-    _slot_swap,
+    _contract,
     build_hamiltonian,
     build_monodromy,
     build_r_matrix,
@@ -29,7 +28,7 @@ from twistchain.chain import (
 )
 from twistchain.linalg import MatrixPolynomial, kron_chain
 from twistchain.states import offshell_action_residuals
-from twistchain.twist import build_modified_operators
+from twistchain.twist import build_modified_operators, factorize_twist
 
 from conftest import draw_points, random_context, random_theta, random_twist
 
@@ -106,18 +105,6 @@ def test_monodromy_coefficients_exact_on_integer_chain():
             [family.t21(u), family.t22(u)],
         ])
         assert np.array_equal(blocks, monodromy_matrix(params, u))
-
-
-def test_swap_columns_right_multiplies_by_the_swap():
-    rng = np.random.default_rng(4)
-    for nspaces in (4, 5):
-        m = rng.standard_normal((2**nspaces, 2**nspaces))
-        for p in range(nspaces):
-            for q in range(p + 1, nspaces):
-                swap = _embed_pair(PERM4, p, q, nspaces)
-                order = _slot_swap(p, q, nspaces)
-                assert np.array_equal(m[:, order], m @ swap), (nspaces, p, q)
-                assert np.array_equal(m[order], swap @ m), (nspaces, p, q)
 
 
 def _dense_checks(family, twist, c, u, v):
@@ -260,13 +247,65 @@ def test_blocks_share_one_read_only_array():
     rng = np.random.default_rng(20)
     ctx = random_context(rng, 3)
     family = build_monodromy(ctx.chain)
+    shape = (2, 2, ctx.sites + 1, ctx.chain.dim, ctx.chain.dim)
     for fam in (family, build_modified_operators(family, ctx.fact)):
         owner = fam.t11.coeffs.base
-        assert not owner.flags.writeable
-        for block in fam.entries():
+        assert owner.shape == shape
+        assert owner.flags.c_contiguous and not owner.flags.writeable
+        assert fam.coeffs is owner
+        for (i, j), block in zip(np.ndindex(2, 2), fam.entries()):
             assert block.coeffs.base is owner
             assert np.shares_memory(block.coeffs, owner)
+            assert block.coeffs.flags.c_contiguous
             assert not block.coeffs.flags.writeable
+            assert block.coeffs.__array_interface__ == owner[i, j].__array_interface__
+    # blocks built apart are stacked into a new read-only array, and blocks
+    # of one stack in another order are not mistaken for its views
+    for blocks in (
+        [MatrixPolynomial(b.coeffs.copy()) for b in family.entries()],
+        family.entries()[::-1],
+    ):
+        apart = MonodromyFamily(*blocks)
+        assert not np.shares_memory(apart.coeffs, family.coeffs)
+        assert not apart.coeffs.flags.writeable
+        for (i, j), block in zip(np.ndindex(2, 2), blocks):
+            assert np.array_equal(apart.coeffs[i, j], block.coeffs)
+
+
+def _rel_per_coefficient(got, want):
+    # worst entry gap of each coefficient matrix relative to its largest entry
+    scale = np.max(np.abs(want), axis=(-2, -1))
+    return np.max(np.max(np.abs(got - want), axis=(-2, -1)) / scale)
+
+
+def test_contract_matches_written_out_sum():
+    # the one-product contraction over the stack against sum_ij w_ij t_ij,
+    # coefficient by coefficient: the twisted trace of the transfer matrix
+    # and the dressing mu L0 T L0 of the modified family
+    rng = np.random.default_rng(23)
+    for sites in range(1, 7):
+        ctx = random_context(rng, sites)
+        family = build_monodromy(ctx.chain)
+        blocks = dict(zip(np.ndindex(2, 2), (b.coeffs for b in family.entries())))
+
+        def written_out(weights):
+            return sum(weights[ij] * block for ij, block in blocks.items())
+
+        kmat = ctx.twist.matrix()
+        transfer = build_transfer(ctx.chain, ctx.twist, family)
+        assert _rel_per_coefficient(transfer.coeffs, written_out(kmat.T)) <= 1e-14, sites
+        fact = ctx.fact
+        l0 = np.array([[1.0, fact.ratio_minus], [fact.ratio_plus, 1.0]])
+        nu = build_modified_operators(family, fact)
+        for (a, b), block in zip(np.ndindex(2, 2), nu.entries()):
+            want = written_out(fact.mu * np.outer(l0[a], l0[:, b]))
+            assert _rel_per_coefficient(block.coeffs, want) <= 1e-14, (sites, a, b)
+        # four blocks evaluated at one point contract the same way
+        u = draw_points(rng, 1)[0]
+        at_u = dict(zip(np.ndindex(2, 2), family.at(u)))
+        want = sum(kmat.T[ij] * value for ij, value in at_u.items())
+        got = _contract(family.at(u), kmat.T)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), sites
 
 
 def test_transfer_family_commutes_up_to_six_sites():
@@ -316,6 +355,28 @@ def test_structure_checks_memory_at_eight_sites():
     finally:
         tracemalloc.stop()
     assert peak < 56e6, peak
+
+
+def test_operator_build_memory_at_eight_sites():
+    # the block-major stack holds 4 (N+1) 4^N complex coefficients, 37.7 MB
+    # at N=8.  Building it keeps the stack of N-1 sites and one temporary
+    # of that size beside it; the modified family is one product into a
+    # stack of the same size, with no temporary block
+    params, tw = _eight_site_grid()
+    tracemalloc.start()
+    try:
+        family = build_monodromy(params)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        build_modified_operators(family, factorize_twist(tw))
+        modified_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    stack = family.coeffs.nbytes
+    assert stack == 4 * 9 * 4 ** 8 * 16
+    assert build_peak < 56e6, build_peak
+    assert modified_peak <= 1.05 * stack, modified_peak
 
 
 def test_structure_checks_rejects_coincident_points():

@@ -87,3 +87,24 @@ def test_matrix_polynomial_never_aliases_writable_input():
     frozen = coeffs.copy()
     frozen.setflags(write=False)
     assert MatrixPolynomial(frozen).coeffs is frozen
+
+
+def test_matrix_polynomial_evaluation_does_not_alias():
+    # Horner runs in place on its accumulator; that accumulator is a fresh
+    # array every call, never a coefficient or a view of the stack
+    stack = np.array(np.stack([_rand(3) for _ in range(8)]).reshape(2, 4, 3, 3))
+    stack.setflags(write=False)
+    before = stack.copy()
+    for coeffs in (stack[1], stack[1, :1]):
+        p = MatrixPolynomial(coeffs)
+        assert p.coeffs.base is stack
+        first, second = p(0.4 - 1.1j), p(0.4 - 1.1j)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        for value in (first, second):
+            assert value.flags.writeable
+            assert not np.shares_memory(value, stack)
+        first += 1.0
+        assert np.array_equal(p(0.4 - 1.1j), second)
+    assert not stack.flags.writeable
+    assert np.array_equal(stack, before)

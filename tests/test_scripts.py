@@ -40,9 +40,10 @@ def test_traced_functions_resolve_on_the_package():
 
 
 def test_benchmark_workloads_run_on_the_package(monkeypatch):
-    # one pass of two benchmark workloads and one scaling row set, on the
-    # package the other tests imported: a changed signature that the
-    # benchmark relies on fails here instead of in a benchmark run
+    # one pass of each benchmark workload, the structure sweep cut to four
+    # sites, and one scaling row set, on the package the other tests
+    # imported: a changed signature that the benchmark relies on fails here
+    # instead of in a benchmark run
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     scaling = importlib.import_module("scaling")
@@ -50,9 +51,14 @@ def test_benchmark_workloads_run_on_the_package(monkeypatch):
     tc = SimpleNamespace(
         **{name: importlib.import_module(f"twistchain.{name}") for name in layers}
     )
-    for name in ("solve-n3", "determinants-n5"):
-        workload = workloads.WORKLOADS[name](tc, ROOT, 1)
+
+    class SmallSweep(workloads.WORKLOADS["structure-sweep"]):
+        MAX_SITES = 4
+
+    kinds = [workloads.WORKLOADS["solve-n3"], workloads.WORKLOADS["determinants-n5"], SmallSweep]
+    for kind in kinds:
+        workload = kind(tc, ROOT, 1)
         out, _ = workload.run()
         result = workload.evaluate(out)
-        assert result.failures == [] and result.ref_ok, name
+        assert result.failures == [] and result.ref_ok, kind.__name__
     assert scaling.rows_for(tc, ROOT, 3)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from twistchain.bethe import (
     onshell_tolerance,
 )
 from twistchain.chain import build_transfer
+from twistchain.cli import parse_config
 from twistchain.linalg import eigenpairs
 from twistchain.solver import (
     DEDUP_TOL,
+    FIT_TOL,
     BetheSolution,
     _newton_batch,
     _pool,
@@ -195,6 +198,21 @@ def test_tq_fit_sensitivity_to_eigenvalue_perturbation():
     lam_poly[1] += 1e-3
     dirty = _tq_linear_fit(lam_poly, base)[1]
     assert dirty >= 10 * max(clean, 1e-14)
+
+
+def test_tq_fit_flags_a_residual_that_is_not_finite():
+    # at c = 1e100 the shifted-Q entries reach c^2, the norm of the fit's
+    # rhs overflows, and the relative fit residual is nan; nan fails every
+    # comparison, so only a test for a passing fit flags it
+    config = Path(__file__).resolve().parent.parent / "configs" / "n2_generic.json"
+    ctx = parse_config(str(config), ["chain.c=1e100"]).context()
+    base = _tq_base(ctx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = eigenpairs(ctx.transfer(probe_points(ctx, 1)[0]))
+        fits = [_tq_linear_fit(ctx.transfer.coeffs @ v @ v.conj(), base)[1] for _, v in pairs]
+        tq = solve_tq_fit(ctx)
+    assert sum(not fit <= FIT_TOL for fit in fits) >= 2
+    assert tq and all(sol.flag == "tq-residual" for sol in tq)
 
 
 def test_classify_handles_empty_lists(config_a):
