@@ -179,44 +179,31 @@ def monodromy_matrix(params: ChainParams, u: complex) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MonodromyFamily:
-    """The four auxiliary-space blocks as matrix polynomials in u."""
+def _block(i: int, j: int) -> cached_property:
+    return cached_property(lambda self: MatrixPolynomial(self.coeffs[i, j]))
 
-    t11: MatrixPolynomial
-    t12: MatrixPolynomial
-    t21: MatrixPolynomial
-    t22: MatrixPolynomial
 
-    @classmethod
-    def from_stack(cls, coeffs: np.ndarray) -> "MonodromyFamily":
-        """The family whose blocks t_ij are the read-only views coeffs[i, j]
-        of one C-contiguous (2, 2, k, d, d) coefficient stack."""
-        coeffs.setflags(write=False)
-        return cls(*(MatrixPolynomial(coeffs[i, j]) for i in (0, 1) for j in (0, 1)))
+class MonodromyFamily(MatrixPolynomial):
+    """T_a(u) as one matrix polynomial over its auxiliary blocks.
 
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        """All coefficients as one read-only (2, 2, k, d, d) stack: the array
-        the blocks view when the family came from ``from_stack``, otherwise
-        the blocks stacked into a new one."""
-        blocks = [b.coeffs for b in self.entries()]
-        shape = (2, 2) + blocks[0].shape
-        owner = blocks[0].base
-        if owner is not None and owner.shape == shape and all(
-            b.__array_interface__ == view.__array_interface__
-            for b, view in zip(blocks, owner.reshape(4, *shape[2:]))
-        ):
-            return owner
-        out = np.stack(blocks).reshape(shape)
-        out.setflags(write=False)
-        return out
+    coeffs has shape (2, 2, N + 1, d, d) with t_ij at [i, j], so ``at(u)``
+    evaluates all four blocks in one Horner pass, and t11..t22 are the
+    blocks as polynomials whose coefficients are read-only views of the
+    stack.
+    """
 
-    def entries(self):
-        return self.t11, self.t12, self.t21, self.t22
+    t11, t12, t21, t22 = (_block(i, j) for i, j in itertools.product((0, 1), repeat=2))
 
-    def at(self, u: complex):
-        return self.t11(u), self.t12(u), self.t21(u), self.t22(u)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.coeffs.ndim != 5 or self.coeffs.shape[:2] != (2, 2):
+            raise ValueError(
+                f"coeffs must have shape (2, 2, k, d, d), got {self.coeffs.shape}"
+            )
+
+    def at(self, u: complex) -> np.ndarray:
+        """The four blocks at u as one (2, 2, d, d) array, t_ij(u) at [i, j]."""
+        return self(u)
 
 
 def build_monodromy(params: ChainParams) -> MonodromyFamily:
@@ -233,8 +220,8 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
     with a few strided assignments, so the work doubles per site and the
     last site dominates.  A step only copies, scales and adds coefficients,
     so with c = 1 and integer inhomogeneities every coefficient is an exact
-    integer.  The four blocks are read-only views of the one C-contiguous
-    stack (``MonodromyFamily.from_stack``).
+    integer.  The family keeps the final stack, read-only, as its
+    coefficients.
     """
     c = params.c
     coef = np.eye(2, dtype=complex).reshape(2, 2, 1, 1, 1)
@@ -251,36 +238,34 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
             diag[:, :, :m] -= (theta / c) * coef
             diag[:, :, 1:] += coef / c
         coef = out
-    return MonodromyFamily.from_stack(coef)
+    coef.setflags(write=False)
+    return MonodromyFamily(coef)
 
 
 def _contract(blocks, weights) -> np.ndarray:
     """sum_ij weights[..., i, j] t_ij over the four auxiliary blocks.
 
-    ``blocks`` holds t11, t12, t21, t22 on its leading axis, or t_ij at
-    [i, j] of its two leading axes: a ``MonodromyFamily.coeffs`` stack,
-    four blocks evaluated at one point, or any array with those leading
-    axes.  ``weights`` is one 2x2 matrix or a stack of them, and the
-    result carries its leading axes.  A 2x2 matrix M acts on the auxiliary
-    space as a twisted trace, tr_a(M T) = sum_ij M_ji t_ij, with weights
-    M^T, and as a dressing, (A T B)_ab = sum_ij A_ai t_ij B_jb, with weights
+    ``blocks`` holds t_ij at [i, j] of its two leading axes: a
+    ``MonodromyFamily.coeffs`` stack, the (2, 2, d, d) value of
+    ``MonodromyFamily.at``, or any array with those leading axes.
+    ``weights`` is one 2x2 matrix or a stack of them, and the result
+    carries its leading axes.  A 2x2 matrix M acts on the auxiliary space
+    as a twisted trace, tr_a(M T) = sum_ij M_ji t_ij, with weights M^T, and
+    as a dressing, (A T B)_ab = sum_ij A_ai t_ij B_jb, with weights
     A_ai B_jb.  The whole contraction is one (k x 4) @ (4 x rest) product
     into one new read-only array.
     """
     w = np.asarray(weights, dtype=complex)
     b = np.asarray(blocks, dtype=complex)
-    rest = b.shape[1:] if len(b) == 4 else b.shape[2:]
     rows = w.reshape(-1, 4)
-    out = np.empty(w.shape[:-2] + rest, dtype=complex)
+    out = np.empty(w.shape[:-2] + b.shape[2:], dtype=complex)
     np.matmul(rows, b.reshape(4, -1), out=out.reshape(len(rows), -1))
     out.setflags(write=False)
     return out
 
 
-def build_transfer(params: ChainParams, twist, family: MonodromyFamily | None = None) -> MatrixPolynomial:
+def build_transfer(params: ChainParams, twist, family: MonodromyFamily) -> MatrixPolynomial:
     """Twisted transfer matrix t(u) = tr_a( K_a T_a(u) ) as a matrix polynomial."""
-    if family is None:
-        family = build_monodromy(params)
     return MatrixPolynomial(_contract(family.coeffs, twist.matrix().T))
 
 
@@ -319,7 +304,7 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
     if route == "transfer":
         if any(abs(t) > 1e-12 for t in params.theta):
             raise ValueError("transfer route requires vanishing inhomogeneities")
-        t_poly = build_transfer(params, twist)
+        t_poly = build_transfer(params, twist, build_monodromy(params))
         t0 = t_poly(0.0)
         if np.linalg.cond(t0) > 1e12:
             raise ValueError("transfer matrix is singular at u = 0")
@@ -333,7 +318,7 @@ def structure_checks(
     twist,
     u: complex,
     v: complex,
-    family: MonodromyFamily | None = None,
+    family: MonodromyFamily,
 ) -> dict[str, float]:
     """Frobenius residuals of the defining exchange structure, each a
     ``_scaled_gap`` between its two sides.
@@ -348,17 +333,13 @@ def structure_checks(
     """
     if abs(u - v) <= 1e-9 * max(1.0, abs(params.c)):
         raise ValueError("structure checks need two distinct spectral points")
-    if family is None:
-        family = build_monodromy(params)
     c = params.c
     uv, vu = _block_products(family, u, v)
 
     # t(x) t(y) = sum_{ij,kl} K_ji K_lk t_ij(x) t_kl(y): contract the
     # first block pair of a table, then the second
-    kmat, d = twist.matrix(), params.dim
-    tuv, tvu = (
-        _contract(_contract(t.reshape(4, d, 4, d), kmat.T).swapaxes(0, 1), kmat.T) for t in (uv, vu)
-    )
+    kmat = twist.matrix()
+    tuv, tvu = (_contract(np.moveaxis(_contract(t, kmat.T), 0, 2), kmat.T) for t in (uv, vu))
 
     r4 = build_r_matrix(u - v, c)
     kk = np.kron(kmat, kmat)
@@ -376,16 +357,18 @@ def _block_products(family: MonodromyFamily, u: complex, v: complex):
     vu[k, l, :, i, j, :] = t_kl(v) t_ij(u) of every block product.
 
     The blocks are evaluated once at each point; each table is one product
-    of the blocks stacked as rows, (4d x d), with the blocks at the other
-    point side by side, (d x 4d).
+    of the blocks at one point stacked as rows, (4d x d), with the blocks at
+    the other point side by side, (d x 4d).
     """
     at_u, at_v = family.at(u), family.at(v)
-    d = at_u[0].shape[0]
-    shape = (2, 2, d, 2, 2, d)
-    return tuple(
-        (np.vstack(first) @ np.hstack(second)).reshape(shape)
-        for first, second in ((at_u, at_v), (at_v, at_u))
-    )
+    d = family.dim
+
+    def table(first, second):
+        rows = first.reshape(4 * d, d)
+        side_by_side = second.transpose(2, 0, 1, 3).reshape(d, 4 * d)
+        return (rows @ side_by_side).reshape(2, 2, d, 2, 2, d)
+
+    return table(at_u, at_v), table(at_v, at_u)
 
 
 def _rtt_gap(uv: np.ndarray, vu: np.ndarray, a: complex) -> float:

@@ -11,6 +11,7 @@ given the config and seed, except for the wall-time field.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -78,10 +79,21 @@ def _as_complex(value, field: str) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2 or not all(isinstance(x, (int, float)) for x in value):
             raise ConfigError(f"{field}: expected [re, im], got {value!r}")
-        return complex(value[0], value[1])
-    if isinstance(value, (int, float)):
-        return complex(value)
-    raise ConfigError(f"{field}: expected a number or [re, im], got {value!r}")
+        z = complex(value[0], value[1])
+    elif isinstance(value, (int, float)):
+        z = complex(value)
+    else:
+        raise ConfigError(f"{field}: expected a number or [re, im], got {value!r}")
+    # json reads NaN and Infinity; no parameter of the chain may be either
+    if not cmath.isfinite(z):
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return z
+
+
+def _positive(value, field: str) -> float:
+    if not isinstance(value, (int, float)) or not 0 < value < float("inf"):
+        raise ConfigError(f"{field}: expected a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _section(data: dict, name: str, known: set[str]) -> dict:
@@ -142,27 +154,22 @@ def build_config(data: dict) -> RunConfig:
     for name, value in (("max_iter", max_iter), ("starts", starts), ("seed", seed)):
         if not isinstance(value, int) or value < 1:
             raise ConfigError(f"solver.{name}: expected a positive integer, got {value!r}")
-    tol = solver.get("tol", 1e-8)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise ConfigError(f"solver.tol: expected a positive number, got {tol!r}")
+    tol = _positive(solver.get("tol", 1e-8), "solver.tol")
 
     tols = _section(data, "tolerances", {"structural", "onshell"})
-    structural = tols.get("structural", 1e-10)
-    onshell = tols.get("onshell", 1e-8)
-    for name, value in (("structural", structural), ("onshell", onshell)):
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerances.{name}: expected a positive number, got {value!r}")
+    structural = _positive(tols.get("structural", 1e-10), "tolerances.structural")
+    onshell = _positive(tols.get("onshell", 1e-8), "tolerances.onshell")
 
     return RunConfig(
         chain=ChainParams(sites=sites, c=c, theta=theta),
         twist=TwistParams(**kw),
         rho_branch=branch,
         max_iter=max_iter,
-        tol=float(tol),
+        tol=tol,
         starts=starts,
         seed=seed,
-        structural_tol=float(structural),
-        onshell_tol=float(onshell),
+        structural_tol=structural,
+        onshell_tol=onshell,
     )
 
 
@@ -193,6 +200,8 @@ def parse_config(path: str, overrides=()) -> RunConfig:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise ConfigError("top level: expected an object")
     for spec in overrides:
         _apply_override(data, spec)
     return build_config(data)

@@ -19,7 +19,6 @@ __all__ = [
     "MAX_EIG_DIM",
     "determinant",
     "eigenpairs",
-    "kron",
     "kron_chain",
 ]
 
@@ -48,11 +47,6 @@ def _square(m) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, first factor on the slow (most significant) index."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
 
 
 def kron_chain(ops) -> np.ndarray:
@@ -102,13 +96,15 @@ def _read_only(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class MatrixPolynomial:
-    """Matrix-valued polynomial sum_k coeffs[k] * u**k.
+    """Matrix-valued polynomial sum_k coeffs[..., k, :, :] * u**k.
 
-    coeffs has shape (degree + 1, d, d).  Evaluation uses Horner's scheme;
-    coefficients are stored exactly as given (no trimming), so the derivative
-    at zero can be read off as coefficient(1).  A read-only complex array is
-    kept as it is, so several polynomials can be views of one stack; any
-    other input is copied.
+    coeffs has shape (*blocks, degree + 1, d, d): any leading axes index a
+    stack of blocks that share the degree and are evaluated together, so a
+    value carries those axes in front of its d x d matrix.  Evaluation uses
+    Horner's scheme; coefficients are stored exactly as given (no
+    trimming), so the derivative at zero can be read off as
+    coefficient(1).  A read-only complex array is kept as it is, so several
+    polynomials can be views of one stack; any other input is copied.
     """
 
     coeffs: np.ndarray
@@ -119,39 +115,31 @@ class MatrixPolynomial:
             # copy, so no caller keeps a writable handle on the coefficients
             c = np.array(c, dtype=complex)
             c.setflags(write=False)
-        if c.ndim != 3 or c.shape[1] != c.shape[2]:
-            raise ValueError(f"coeffs must have shape (k, d, d), got {c.shape}")
-        if c.shape[0] == 0:
+        if c.ndim < 3 or c.shape[-1] != c.shape[-2]:
+            raise ValueError(f"coeffs must have shape (..., k, d, d), got {c.shape}")
+        if c.shape[-3] == 0:
             raise ValueError("need at least the constant coefficient")
         object.__setattr__(self, "coeffs", c)
 
     @property
     def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-3] - 1
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     def coefficient(self, k: int) -> np.ndarray:
-        """k-th coefficient matrix, zero matrix beyond the stored degree."""
-        if k < 0:
-            raise ValueError("coefficient index must be non-negative")
-        if k > self.degree:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return np.array(self.coeffs[k])
+        """k-th coefficient, one d x d matrix per block."""
+        if not 0 <= k <= self.degree:
+            raise ValueError(f"coefficient index must lie in 0..{self.degree}, got {k}")
+        return np.array(self.coeffs[..., k, :, :])
 
     def __call__(self, u: complex) -> np.ndarray:
         # Horner in place on one fresh accumulator: no temporary per degree,
         # and the result never shares memory with the coefficients
-        acc = np.array(self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
+        acc = np.array(self.coeffs[..., -1, :, :])
+        for k in range(self.degree - 1, -1, -1):
             acc *= u
-            acc += c
+            acc += self.coeffs[..., k, :, :]
         return acc
-
-    def derivative(self) -> "MatrixPolynomial":
-        if self.degree == 0:
-            return MatrixPolynomial(np.zeros((1, self.dim, self.dim), dtype=complex))
-        k = np.arange(1, self.degree + 1, dtype=complex)
-        return MatrixPolynomial(self.coeffs[1:] * k[:, None, None])

@@ -175,9 +175,11 @@ def gaudin_limit_deviation(
 
     Each entry must equal lim c * dLam/du_i / g(v_j, ubar) as v_j
     approaches u_j.  The limit is taken numerically as the mean of the
-    values at offsets +h and -h, which cancels the linear error term
-    without the rounding gain of a one-sided extrapolation near the pole;
-    the return value is the worst relative deviation over all entries.
+    values at offsets +h and -h, h = 1e-4 max(1, |c|) so the offset keeps
+    its distance from the coincidence guard ``eps_dist(c)``; this cancels
+    the linear error term without the rounding gain of a one-sided
+    extrapolation near the pole.  The return value is the worst relative
+    deviation over all entries.
     ``matrix`` is gaudin_matrix(ctx, roots) when the caller already holds
     it.
     """
@@ -187,6 +189,7 @@ def gaudin_limit_deviation(
     # deviations are measured against the matrix scale, not entrywise: the
     # extrapolation error of a small entry is set by the large ones
     floor = max(1.0, float(np.max(np.abs(ref))))
+    h = 1e-4 * max(1.0, abs(ctx.c))
     worst = 0.0
     for i in range(n):
         for j in range(n):
@@ -199,7 +202,7 @@ def gaudin_limit_deviation(
                     / np.prod(kernel_g(vj, rs.values, ctx.c))
                 )
 
-            limit = (raw(1e-4) + raw(-1e-4)) / 2
+            limit = (raw(h) + raw(-h)) / 2
             worst = max(worst, abs(limit - ref[i, j]) / floor)
     return worst
 
@@ -236,16 +239,18 @@ def slavnov_norm_limit(ctx: SpectralContext, roots) -> complex:
 
     Confirms that the norm is the coinciding-set limit of the overlap: the
     free set is displaced by eps times (1, ..., N), and the mean of the
-    displacements +eps and -eps removes the linear error.
+    displacements +eps and -eps, eps = 1e-5 max(1, |c|), removes the
+    linear error.
     """
     rs = _as_set(roots, ctx.c).sorted()
     offsets = np.arange(1, len(rs) + 1, dtype=complex)
+    eps = 1e-5 * max(1.0, abs(ctx.c))
 
     def sample(eps: float) -> complex:
         shifted = VariableSet(rs.values + eps * offsets, rs.eps)
         return slavnov_formula(ctx, rs, shifted, "u-onshell")
 
-    return (sample(1e-5) + sample(-1e-5)) / 2
+    return (sample(eps) + sample(-eps)) / 2
 
 
 def _classical_gradient(ctx: SpectralContext, u, vs: VariableSet, i: int) -> complex:

@@ -32,7 +32,7 @@ from .chain import MonodromyFamily, _contract, _scaled_gap, vacuum_state
 
 
 def _sites_of(family: MonodromyFamily) -> int:
-    d = family.t12.dim
+    d = family.dim
     n = d.bit_length() - 1
     if 2 ** n != d:
         raise ValueError(f"operator dimension {d} is not a power of two")
@@ -135,12 +135,14 @@ def offshell_action_residuals(
     f = ctx.fact
     rp = f.ratio_plus
 
-    # each operator is evaluated once per point; every string below is a
+    # each operator is evaluated once per point: all four at u, the
+    # creation operator alone at each root; every string below is a
     # product of these matrices
     plus_set = _prepend(u, rs)
-    string = _StringBuilder(nu.t12, plus_set, n)
-    at_u = (nu.t11(u), string.mats[u], nu.t21(u), nu.t22(u))
-    t11u, t12u, t21u, t22u = at_u
+    at_u = nu.at(u)
+    (t11u, t12u), (t21u, t22u) = at_u
+    string = _StringBuilder(nu.t12, rs, n)
+    string.mats[u] = t12u
 
     base = string(rs)
     plus = string(plus_set)

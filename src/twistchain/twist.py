@@ -173,8 +173,7 @@ def diagonal_factorization(twist: TwistParams) -> TwistFactorization:
 def build_modified_operators(
     family: MonodromyFamily, fact: TwistFactorization
 ) -> MonodromyFamily:
-    """Blocks of L T_a(u) L = mu L0 T_a(u) L0, as matrix polynomials that
-    view one block-major stack, the input's shape.
+    """L T_a(u) L = mu L0 T_a(u) L0 as a family of the input's shape.
 
     L0 = [[1, rho/kappa_minus], [rho/kappa_plus, 1]] is built from the
     stored ratios, so the diagonal limit (both ratios zero, mu = 1) returns
@@ -184,7 +183,7 @@ def build_modified_operators(
     """
     l0 = np.array([[1.0, fact.ratio_minus], [fact.ratio_plus, 1.0]], dtype=complex)
     weights = fact.mu * np.einsum("ai,jb->abij", l0, l0)
-    return MonodromyFamily.from_stack(_contract(family.coeffs, weights))
+    return MonodromyFamily(_contract(family.coeffs, weights))
 
 
 def modified_diagonal_residual(
@@ -216,11 +215,10 @@ def vacuum_action_residuals(
     v0 = vacuum_state(params.sites)
     l1, l2 = vacuum_weights(params, u)
     rp = fact.ratio_plus
-    b = modified.t12(u) @ v0
+    # nu_ij(u) |0> for all four blocks, from one evaluation
+    (nu11, b), (nu21, nu22) = modified.at(u) @ v0
     return {
-        "nu11_vacuum": _scaled_gap(modified.t11(u) @ v0, l1 * v0 + rp * b),
-        "nu22_vacuum": _scaled_gap(modified.t22(u) @ v0, l2 * v0 + rp * b),
-        "nu21_vacuum": _scaled_gap(
-            modified.t21(u) @ v0, rp * (l1 + l2) * v0 + rp ** 2 * b
-        ),
+        "nu11_vacuum": _scaled_gap(nu11, l1 * v0 + rp * b),
+        "nu22_vacuum": _scaled_gap(nu22, l2 * v0 + rp * b),
+        "nu21_vacuum": _scaled_gap(nu21, rp * (l1 + l2) * v0 + rp ** 2 * b),
     }

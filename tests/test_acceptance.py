@@ -86,7 +86,7 @@ def test_criterion_01_structural_relations():
             u, v = draw_points(rng, 2, scale=1.5)
             while abs(u - v) < 0.2:
                 v = draw_points(rng, 1, scale=1.5)[0]
-            checks = structure_checks(ctx.chain, ctx.twist, u, v)
+            checks = structure_checks(ctx.chain, ctx.twist, u, v, ctx.family)
             worst = max(worst, max(checks.values()))
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"structural suite took {elapsed:.1f}s"

@@ -26,7 +26,7 @@ from twistchain.chain import (
     vacuum_weight_derivatives,
     vacuum_weights,
 )
-from twistchain.linalg import MatrixPolynomial, kron_chain
+from twistchain.linalg import kron_chain
 from twistchain.states import offshell_action_residuals
 from twistchain.twist import build_modified_operators, factorize_twist
 
@@ -95,8 +95,7 @@ def test_monodromy_coefficients_exact_on_integer_chain():
     # integer, so the polynomial reproduces the dense product bit for bit
     params = ChainParams(4, 1.0, (0.0, 1.0, -1.0, 2.0))
     family = build_monodromy(params)
-    for block in family.entries():
-        assert np.array_equal(block.coeffs, np.round(block.coeffs))
+    assert np.array_equal(family.coeffs, np.round(family.coeffs))
     assert np.array_equal(family.t11.coefficient(4), np.eye(params.dim))
     assert not family.t12.coefficient(4).any()
     for u in (-2.0, 0.0, 3.0):
@@ -116,12 +115,13 @@ def _dense_checks(family, twist, c, u, v):
         scale = max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
         return np.linalg.norm(lhs - rhs) / scale
 
+    d = family.dim
     units = [np.outer(e, f) for e in np.eye(2) for f in np.eye(2)]
-    t11u, t12u, t21u, t22u = at_u = family.at(u)
-    t11v, t12v, t21v, t22v = at_v = family.at(v)
-    ta = sum(kron_chain([e, ID2, t]) for e, t in zip(units, at_u))
-    tb = sum(kron_chain([ID2, e, t]) for e, t in zip(units, at_v))
-    rab = np.kron(build_r_matrix(u - v, c), np.eye(family.t11.dim))
+    (t11u, t12u), (t21u, t22u) = at_u = family.at(u)
+    (t11v, t12v), (t21v, t22v) = at_v = family.at(v)
+    ta = sum(kron_chain([e, ID2, t]) for e, t in zip(units, at_u.reshape(4, d, d)))
+    tb = sum(kron_chain([ID2, e, t]) for e, t in zip(units, at_v.reshape(4, d, d)))
+    rab = np.kron(build_r_matrix(u - v, c), np.eye(d))
     k = twist.matrix()
     tu = k[0, 0] * t11u + k[1, 0] * t12u + k[0, 1] * t21u + k[1, 1] * t22u
     tv = k[0, 0] * t11v + k[1, 0] * t12v + k[0, 1] * t21v + k[1, 1] * t22v
@@ -144,10 +144,11 @@ def test_structure_checks_match_dense_doubled_space():
         params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
         tw = random_twist(rng)
         u, v = draw_points(rng, 2)
-        t11, t12, t21, t22 = build_monodromy(params).entries()
-        noise = rng.standard_normal(t12.coeffs.shape) + 1j * rng.standard_normal(t12.coeffs.shape)
-        broken = MonodromyFamily(t11, MatrixPolynomial(t12.coeffs + 1e-3 * noise), t21, t22)
-        got = structure_checks(params, tw, u, v, family=broken)
+        coeffs = build_monodromy(params).coeffs.copy()
+        shape = coeffs[0, 1].shape
+        coeffs[0, 1] += 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        broken = MonodromyFamily(coeffs)
+        got = structure_checks(params, tw, u, v, broken)
         want = _dense_checks(broken, tw, params.c, u, v)
         for name, value in want.items():
             assert value > 1e-6, (sites, name)
@@ -155,7 +156,8 @@ def test_structure_checks_match_dense_doubled_space():
     for sites in range(1, 7):
         params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
         u, v = draw_points(rng, 2)
-        assert structure_checks(params, random_twist(rng), u, v)["rtt"] <= 1e-13, sites
+        family = build_monodromy(params)
+        assert structure_checks(params, random_twist(rng), u, v, family)["rtt"] <= 1e-13, sites
 
 
 def test_highest_weight_structure():
@@ -194,7 +196,7 @@ def test_transfer_combines_blocks_with_twist():
             tw = random_twist(rng, diagonal)
             family = build_monodromy(params)
             poly = build_transfer(params, tw, family)
-            t11, t12, t21, t22 = (b.coeffs for b in family.entries())
+            (t11, t12), (t21, t22) = family.coeffs
             want = (
                 tw.kappa_tilde * t11
                 + tw.kappa * t22
@@ -249,27 +251,16 @@ def test_blocks_share_one_read_only_array():
     family = build_monodromy(ctx.chain)
     shape = (2, 2, ctx.sites + 1, ctx.chain.dim, ctx.chain.dim)
     for fam in (family, build_modified_operators(family, ctx.fact)):
-        owner = fam.t11.coeffs.base
+        owner = fam.coeffs
         assert owner.shape == shape
         assert owner.flags.c_contiguous and not owner.flags.writeable
-        assert fam.coeffs is owner
-        for (i, j), block in zip(np.ndindex(2, 2), fam.entries()):
+        for (i, j), block in zip(np.ndindex(2, 2), (fam.t11, fam.t12, fam.t21, fam.t22)):
             assert block.coeffs.base is owner
-            assert np.shares_memory(block.coeffs, owner)
             assert block.coeffs.flags.c_contiguous
             assert not block.coeffs.flags.writeable
             assert block.coeffs.__array_interface__ == owner[i, j].__array_interface__
-    # blocks built apart are stacked into a new read-only array, and blocks
-    # of one stack in another order are not mistaken for its views
-    for blocks in (
-        [MatrixPolynomial(b.coeffs.copy()) for b in family.entries()],
-        family.entries()[::-1],
-    ):
-        apart = MonodromyFamily(*blocks)
-        assert not np.shares_memory(apart.coeffs, family.coeffs)
-        assert not apart.coeffs.flags.writeable
-        for (i, j), block in zip(np.ndindex(2, 2), blocks):
-            assert np.array_equal(apart.coeffs[i, j], block.coeffs)
+    with pytest.raises(ValueError):
+        MonodromyFamily(family.coeffs[0])
 
 
 def _rel_per_coefficient(got, want):
@@ -286,10 +277,9 @@ def test_contract_matches_written_out_sum():
     for sites in range(1, 7):
         ctx = random_context(rng, sites)
         family = build_monodromy(ctx.chain)
-        blocks = dict(zip(np.ndindex(2, 2), (b.coeffs for b in family.entries())))
 
-        def written_out(weights):
-            return sum(weights[ij] * block for ij, block in blocks.items())
+        def written_out(weights, blocks=family.coeffs):
+            return sum(weights[ij] * blocks[ij] for ij in np.ndindex(2, 2))
 
         kmat = ctx.twist.matrix()
         transfer = build_transfer(ctx.chain, ctx.twist, family)
@@ -297,14 +287,13 @@ def test_contract_matches_written_out_sum():
         fact = ctx.fact
         l0 = np.array([[1.0, fact.ratio_minus], [fact.ratio_plus, 1.0]])
         nu = build_modified_operators(family, fact)
-        for (a, b), block in zip(np.ndindex(2, 2), nu.entries()):
+        for a, b in np.ndindex(2, 2):
             want = written_out(fact.mu * np.outer(l0[a], l0[:, b]))
-            assert _rel_per_coefficient(block.coeffs, want) <= 1e-14, (sites, a, b)
+            assert _rel_per_coefficient(nu.coeffs[a, b], want) <= 1e-14, (sites, a, b)
         # four blocks evaluated at one point contract the same way
-        u = draw_points(rng, 1)[0]
-        at_u = dict(zip(np.ndindex(2, 2), family.at(u)))
-        want = sum(kmat.T[ij] * value for ij, value in at_u.items())
-        got = _contract(family.at(u), kmat.T)
+        at_u = family.at(draw_points(rng, 1)[0])
+        want = written_out(kmat.T, at_u)
+        got = _contract(at_u, kmat.T)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), sites
 
 
@@ -313,7 +302,7 @@ def test_transfer_family_commutes_up_to_six_sites():
     for sites in (2, 4, 6):
         params = ChainParams(sites, 1.0, random_theta(rng, sites))
         tw = random_twist(rng)
-        transfer = build_transfer(params, tw)
+        transfer = build_transfer(params, tw, build_monodromy(params))
         for _ in range(5):
             u, v = draw_points(rng, 2)
             tu, tv = transfer(u), transfer(v)
@@ -326,7 +315,7 @@ def test_structure_checks_all_small():
         params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
         tw = random_twist(rng)
         u, v = draw_points(rng, 2)
-        for name, value in structure_checks(params, tw, u, v).items():
+        for name, value in structure_checks(params, tw, u, v, build_monodromy(params)).items():
             assert value < 1e-10, (sites, name)
 
 
@@ -338,7 +327,8 @@ def _eight_site_grid():
 
 def test_structure_checks_at_eight_sites():
     params, tw = _eight_site_grid()
-    for name, value in structure_checks(params, tw, 0.4 - 0.9j, -0.7 + 0.3j).items():
+    family = build_monodromy(params)
+    for name, value in structure_checks(params, tw, 0.4 - 0.9j, -0.7 + 0.3j, family).items():
         assert value < 1e-10, name
 
 
@@ -382,7 +372,7 @@ def test_operator_build_memory_at_eight_sites():
 def test_structure_checks_rejects_coincident_points():
     params = ChainParams(1, 1.0, (0.0,))
     with pytest.raises(ValueError):
-        structure_checks(params, TwistParams(2, 1, 1, 1), 0.3, 0.3)
+        structure_checks(params, TwistParams(2, 1, 1, 1), 0.3, 0.3, build_monodromy(params))
 
 
 def test_plain_string_actions_match_direct_application():

@@ -190,6 +190,44 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error: kappa_plus * kappa_minus = 0" in capsys.readouterr().err
 
 
+N2_CONFIG = N3_CONFIG.with_name("n2_generic.json")
+
+
+@pytest.mark.parametrize(
+    "command, config, overrides, field",
+    [
+        # an infinite tolerance passed a chain that fails 12 of 16 checks
+        ("verify", N2_CONFIG, ["chain.c=1e300", "tolerances.structural=Infinity"],
+         "tolerances.structural"),
+        # a NaN tolerance gated out every Newton set without a word
+        ("solve", N2_CONFIG, ["solver.tol=NaN"], "solver.tol"),
+        # a NaN inhomogeneity died with a KeyError traceback
+        ("verify", N3_CONFIG, ["chain.inhomogeneities=[[NaN,0],[0,0],[0.2,0]]"],
+         "chain.inhomogeneities[0]"),
+        ("verify", N2_CONFIG, ["chain.c=Infinity"], "chain.c"),
+        ("verify", N2_CONFIG, ["twist.kappa_tilde=NaN"], "twist.kappa_tilde"),
+        ("verify", N2_CONFIG, ["twist.kappa=[1,Infinity]"], "twist.kappa"),
+        ("verify", N2_CONFIG, ["twist.kappa_plus=-Infinity"], "twist.kappa_plus"),
+        ("verify", N2_CONFIG, ["twist.kappa_minus=[NaN,0]"], "twist.kappa_minus"),
+        ("verify", N2_CONFIG, ["tolerances.onshell=NaN"], "tolerances.onshell"),
+    ],
+)
+def test_non_finite_numbers_exit_2_naming_the_field(capsys, command, config, overrides, field):
+    args = [arg for spec in overrides for arg in ("--set", spec)]
+    assert main([command, "--config", str(config), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: expected a finite")
+
+
+@pytest.mark.parametrize("overrides", [[], ["chain.sites=2"], ["seed=3"]])
+def test_top_level_list_exits_2_with_or_without_overrides(tmp_path, capsys, overrides):
+    path = _write(tmp_path, [MINIMAL])
+    args = [arg for spec in overrides for arg in ("--set", spec)]
+    assert main(["verify", "--config", path, *args]) == 2
+    assert capsys.readouterr().err == "error: top level: expected an object\n"
+
+
 def test_verify_passes_at_five_sites(capsys):
     # the action residuals are relative to the vector scale, which grows
     # with the chain; absolute ones failed the 1e-10 tolerance from here on

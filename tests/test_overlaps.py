@@ -5,6 +5,7 @@ from twistchain import ChainParams, SpectralContext, TwistParams, solve_newton
 from twistchain import overlaps
 from twistchain.bethe import (
     CoincidenceError,
+    bethe_system,
     eigenvalue_gradient,
     kernel_g,
     transfer_eigenvalue,
@@ -102,6 +103,22 @@ def test_norms_and_limit_checks_two_sites():
         assert relative_gap(lim, rep.formula) < 1e-5
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e6, 1e10])
+def test_norm_limit_checks_on_a_rescaled_chain(scale):
+    # u, theta and c scaled together leave the Bethe equations unchanged, so
+    # the two-site roots scaled by the same factor are on shell; the limit
+    # offsets must scale with c, or they fall inside the coincidence guard
+    # eps_dist(c) = 1e-9 |c| and the kernel g refuses them
+    ctx = SpectralContext.create(
+        ChainParams(2, scale, (0.1 * scale, -0.1 * scale)), N2_CTX.twist
+    )
+    for sol in solve_newton(N2_CTX, starts=200, seed=1):
+        roots = ctx.roots(scale * sol.roots.values)
+        rep = norm_report(ctx, roots)
+        assert rep.relative_error < 1e-8, rep.relative_error
+        assert relative_gap(slavnov_norm_limit(ctx, roots), rep.formula) < 1e-5
+
+
 @pytest.fixture(scope="module")
 def grid6():
     """The six-site grid chain (configs/n3_generic.json's twist,
@@ -187,6 +204,29 @@ def test_gaudin_limit_holds_on_every_six_site_set(grid6):
     assert len(sets) == 64
     for roots in sets:
         gaudin_norm(ctx, roots)
+
+
+@pytest.mark.parametrize("sites", range(1, 7))
+def test_gaudin_matrix_is_the_transposed_bethe_jacobian_on_shell(sites):
+    # on shell, G_ij = c J_ji / g(u_j, ubar_j) with J the Newton Jacobian of
+    # bethe_system.  Off shell the two differ, so gaudin_matrix keeps its own
+    # formula, which test_scalar_coefficients_where_a_pair_is_one_coupling_apart
+    # checks there entry by entry.  On the grid chain's unflagged T-Q sets
+    # the worst gap grows from 1e-16 at one site to 2e-11 at six, as the
+    # unpolished roots lose digits
+    theta = tuple(0.15 * (k - (sites - 1) / 2) for k in range(sites))
+    ctx = SpectralContext.create(
+        ChainParams(sites, 1.0, theta), TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6)
+    )
+    sets = [s.roots for s in solve_tq_fit(ctx) if s.flag is None]
+    assert len(sets) == 2 ** sites
+    for roots in sets:
+        u = roots.values
+        jac = bethe_system(ctx, u[None, :], jacobian=True)[1][0]
+        g = [np.prod(kernel_g(u[j], np.delete(u, j), ctx.c)) for j in range(sites)]
+        want = ctx.c * jac.T / np.array(g)
+        got = gaudin_matrix(ctx, roots)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(got)), (sites, u)
 
 
 def test_gaudin_limit_catches_a_wrong_entry(grid6, monkeypatch):

@@ -189,7 +189,7 @@ def test_tq_fit_two_sites():
 
 def test_tq_fit_sensitivity_to_eigenvalue_perturbation():
     ctx = N2_CTX
-    transfer = build_transfer(ctx.chain, ctx.twist)
+    transfer = build_transfer(ctx.chain, ctx.twist, ctx.family)
     base = _tq_base(ctx)
     u0 = probe_points(ctx, 1)[0]
     _, vec = eigenpairs(transfer(u0))[0]

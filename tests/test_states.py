@@ -1,6 +1,7 @@
 import math
 import time
 from collections import Counter
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from twistchain import ChainParams, SpectralContext, TwistParams, solve_newton, states
 from twistchain.bethe import CoincidenceError, VariableSet, diag_eigenvalue, eps_dist
 from twistchain.chain import MonodromyFamily, build_monodromy
+from twistchain.linalg import MatrixPolynomial
 from twistchain.states import (
     build_bethe_vector,
     build_dual_vector,
@@ -113,20 +115,31 @@ def test_offshell_action_residual_catches_a_wrong_coefficient(monkeypatch):
         assert clean < 1e-10 < broken, (sites, clean, broken)
 
 
-class _CountingPolynomial:
-    """A matrix polynomial that records every point it is evaluated at."""
+class _CountingFamily(MonodromyFamily):
+    """A monodromy family that records, block by block, every point it is
+    evaluated at: ``at(u)`` evaluates all four blocks, t_ij(u) one."""
 
-    def __init__(self, poly):
-        self.poly = poly
-        self.points = Counter()
+    @cached_property
+    def points(self):
+        return {ij: Counter() for ij in np.ndindex(2, 2)}
 
-    @property
-    def dim(self):
-        return self.poly.dim
+    def _counted(self, ij):
+        block = MatrixPolynomial(self.coeffs[ij])
+
+        def evaluate(u):
+            self.points[ij][complex(u)] += 1
+            return block(u)
+
+        return evaluate
+
+    t11, t12, t21, t22 = (
+        cached_property(lambda self, ij=ij: self._counted(ij)) for ij in np.ndindex(2, 2)
+    )
 
     def __call__(self, u):
-        self.points[complex(u)] += 1
-        return self.poly(u)
+        for counter in self.points.values():
+            counter[complex(u)] += 1
+        return super().__call__(u)
 
 
 def test_action_checks_evaluate_each_operator_once_per_point():
@@ -136,13 +149,13 @@ def test_action_checks_evaluate_each_operator_once_per_point():
         nu = _family(ctx)
 
         def evaluations(check, u, rs):
-            counting = MonodromyFamily(*map(_CountingPolynomial, nu.entries()))
+            counting = _CountingFamily(nu.coeffs)
             check(counting, ctx, u, rs)
             points = {complex(x) for x in (u, *rs.values)}
-            for block in counting.entries():
-                assert set(block.points) <= points
-                assert all(count == 1 for count in block.points.values())
-            return counting.t12.points
+            for seen in counting.points.values():
+                assert set(seen) <= points
+                assert all(count == 1 for count in seen.values())
+            return counting.points[0, 1]
 
         for m in range(1, sites + 1):
             pts = draw_points(rng, m + 1)
