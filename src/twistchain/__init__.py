@@ -16,7 +16,7 @@ from .bethe import (
     transfer_eigenvalue,
 )
 from .chain import ChainParams, build_hamiltonian, build_monodromy, build_transfer, structure_checks
-from .linalg import ConvergenceError, MatrixPolynomial, eigenpairs
+from .linalg import ConvergenceError, MatrixPolynomial, eigenpairs, eigenvalues
 from .overlaps import (
     OffShellError,
     OverlapReport,
@@ -59,6 +59,7 @@ __all__ = [
     "classical_slavnov",
     "classify_solutions",
     "eigenpairs",
+    "eigenvalues",
     "eigenvalue_gradient",
     "factorize_twist",
     "gaudin_matrix",

@@ -180,15 +180,16 @@ def monodromy_matrix(params: ChainParams, u: complex) -> np.ndarray:
 
 
 def _block(i: int, j: int) -> cached_property:
-    return cached_property(lambda self: MatrixPolynomial(self.coeffs[i, j]))
+    return cached_property(lambda self: MatrixPolynomial(self.coeffs[i, j], self.unit))
 
 
 class MonodromyFamily(MatrixPolynomial):
     """T_a(u) as one matrix polynomial over its auxiliary blocks.
 
-    coeffs has shape (2, 2, N + 1, d, d) with t_ij at [i, j], so ``at(u)``
-    evaluates all four blocks in one Horner pass, and t11..t22 are the
-    blocks as polynomials whose coefficients are read-only views of the
+    coeffs has shape (2, 2, N + 1, d, d) with t_ij at [i, j], in the
+    variable z = u / unit with unit = c, so ``at(u)`` evaluates all four
+    blocks in one contraction, and t11..t22 are the blocks as polynomials
+    in the same variable whose coefficients are read-only views of the
     stack.
     """
 
@@ -207,25 +208,28 @@ class MonodromyFamily(MatrixPolynomial):
 
 
 def build_monodromy(params: ChainParams) -> MonodromyFamily:
-    """Exact coefficients of T_a(u), one block polynomial per t_ij.
+    """Exact coefficients of T_a(u) in z = u/c, one block polynomial per t_ij.
 
     Site by site, T^(n) = T^(n-1) R_an(u - theta_n) with
-    R_an = ((u - theta_n)/c) I + P_an, and P_an = sum_jk E_kj (x) E_jk on
+    R_an = (z - theta_n/c) I + P_an, and P_an = sum_jk E_kj (x) E_jk on
     aux (x) site n, so the blocks follow the recursion
 
-        t_ij^(n) = ((u - theta_n)/c) t_ij^(n-1) (x) I + sum_k t_ik^(n-1) (x) E_jk
+        t_ij^(n) = (z - theta_n/c) t_ij^(n-1) (x) I + sum_k t_ik^(n-1) (x) E_jk
 
-    with the new site as the fastest tensor slot.  Each step writes the
-    doubled block-major stack (2, 2, n+1, 2^n, 2^n) from the previous one
-    with a few strided assignments, so the work doubles per site and the
-    last site dominates.  A step only copies, scales and adds coefficients,
-    so with c = 1 and integer inhomogeneities every coefficient is an exact
-    integer.  The family keeps the final stack, read-only, as its
-    coefficients.
+    with the new site as the fastest tensor slot.  In z the coefficients
+    stay O(1) for every c (in u they would carry c**-k), so
+    ``coefficient(k)`` is the matrix multiplying (u/c)**k.  Each step
+    writes the doubled block-major stack (2, 2, n+1, 2^n, 2^n) from the
+    previous one with a few strided assignments, so the work doubles per
+    site and the last site dominates.  A step only copies, scales and adds
+    coefficients, so with c = 1 and integer inhomogeneities every
+    coefficient is an exact integer.  The family keeps the final stack,
+    read-only, as its coefficients, with unit c.
     """
     c = params.c
     coef = np.eye(2, dtype=complex).reshape(2, 2, 1, 1, 1)
     for theta in params.theta:
+        shift = theta / c
         _, _, m, d, _ = coef.shape
         out = np.zeros((2, 2, m + 1, 2 * d, 2 * d), dtype=complex)
         # axes (i, j, degree, row of sites < n, row of site n, column of
@@ -233,13 +237,13 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
         grid = out.reshape(2, 2, m + 1, d, 2, d, 2)
         for j, k in itertools.product((0, 1), repeat=2):
             grid[:, j, :m, :, j, :, k] = coef[:, k]  # t_ik (x) E_jk
-        for s in (0, 1):  # ((u - theta)/c) t_ij (x) I
+        for s in (0, 1):  # (z - theta/c) t_ij (x) I
             diag = grid[:, :, :, :, s, :, s]
-            diag[:, :, :m] -= (theta / c) * coef
-            diag[:, :, 1:] += coef / c
+            diag[:, :, :m] -= shift * coef
+            diag[:, :, 1:] += coef
         coef = out
     coef.setflags(write=False)
-    return MonodromyFamily(coef)
+    return MonodromyFamily(coef, c)
 
 
 def _contract(blocks, weights) -> np.ndarray:
@@ -265,8 +269,9 @@ def _contract(blocks, weights) -> np.ndarray:
 
 
 def build_transfer(params: ChainParams, twist, family: MonodromyFamily) -> MatrixPolynomial:
-    """Twisted transfer matrix t(u) = tr_a( K_a T_a(u) ) as a matrix polynomial."""
-    return MatrixPolynomial(_contract(family.coeffs, twist.matrix().T))
+    """Twisted transfer matrix t(u) = tr_a( K_a T_a(u) ) as a matrix
+    polynomial in the family's variable."""
+    return MatrixPolynomial(_contract(family.coeffs, twist.matrix().T), family.unit)
 
 
 def _boundary_substitutions(twist) -> list[np.ndarray]:
@@ -285,7 +290,8 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
 
     route="direct" writes sum_k sigma_k . sigma_{k+1} with the boundary
     substitution at the seam; route="transfer" uses the logarithmic
-    derivative 2c t'(0) t(0)^{-1} - N at vanishing inhomogeneities.
+    derivative 2c t'(0) t(0)^{-1} - N at vanishing inhomogeneities, which
+    in z = u/c is 2 t_z'(0) t(0)^{-1} - N, free of c.
     """
     n = params.sites
     if route == "direct":
@@ -308,8 +314,8 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
         t0 = t_poly(0.0)
         if np.linalg.cond(t0) > 1e12:
             raise ValueError("transfer matrix is singular at u = 0")
-        dt0 = t_poly.coefficient(1)
-        return 2 * params.c * (dt0 @ np.linalg.inv(t0)) - n * np.eye(params.dim)
+        dt0 = t_poly.coefficient(1)  # d t / dz at z = 0
+        return 2 * (dt0 @ np.linalg.inv(t0)) - n * np.eye(params.dim)
     raise ValueError(f"unknown route {route!r}; use 'direct' or 'transfer'")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bethe import SpectralContext, VariableSet, eps_dist
 from .chain import ChainParams, _scaled_gap, build_hamiltonian, structure_checks
-from .linalg import ConvergenceError, eigenpairs
+from .linalg import ConvergenceError, eigenvalues
 from .overlaps import norm_report, overlap_report
 from .solver import classify_solutions, probe_points, solve_newton, solve_tq_fit, spectrum_match
 from .states import offshell_action_residuals, raising_identity_residual
@@ -75,12 +75,21 @@ class RunConfig:
         }
 
 
+def _is_number(value) -> bool:
+    # json reads true/false as bool, a subclass of int; no field takes one
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _as_complex(value, field: str) -> complex:
     if isinstance(value, (list, tuple)):
-        if len(value) != 2 or not all(isinstance(x, (int, float)) for x in value):
+        if len(value) != 2 or not all(_is_number(x) for x in value):
             raise ConfigError(f"{field}: expected [re, im], got {value!r}")
         z = complex(value[0], value[1])
-    elif isinstance(value, (int, float)):
+    elif _is_number(value):
         z = complex(value)
     else:
         raise ConfigError(f"{field}: expected a number or [re, im], got {value!r}")
@@ -91,7 +100,7 @@ def _as_complex(value, field: str) -> complex:
 
 
 def _positive(value, field: str) -> float:
-    if not isinstance(value, (int, float)) or not 0 < value < float("inf"):
+    if not _is_number(value) or not 0 < value < float("inf"):
         raise ConfigError(f"{field}: expected a finite positive number, got {value!r}")
     return float(value)
 
@@ -118,7 +127,7 @@ def build_config(data: dict) -> RunConfig:
     if "sites" not in chain:
         raise ConfigError("chain.sites: required")
     sites = chain["sites"]
-    if not isinstance(sites, int) or sites < 1:
+    if not _is_count(sites):
         raise ConfigError(f"chain.sites: expected a positive integer, got {sites!r}")
     c = _as_complex(chain.get("c", 1.0), "chain.c")
     if c == 0:
@@ -152,7 +161,7 @@ def build_config(data: dict) -> RunConfig:
     starts = solver.get("starts", 200)
     seed = solver.get("seed", 1)
     for name, value in (("max_iter", max_iter), ("starts", starts), ("seed", seed)):
-        if not isinstance(value, int) or value < 1:
+        if not _is_count(value):
             raise ConfigError(f"solver.{name}: expected a positive integer, got {value!r}")
     tol = _positive(solver.get("tol", 1e-8), "solver.tol")
 
@@ -240,6 +249,20 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
     }
 
 
+def _check_over_sets(name: str, residual: float, tolerance: float, sets: int) -> dict:
+    """A check over `sets` on-shell root sets; over none it has checked
+    nothing, so it fails whatever its residual."""
+    check = _check(name, residual, tolerance)
+    check["passed"] = check["passed"] and sets > 0
+    check["sets_checked"] = sets
+    return check
+
+
+def _worse(a: float, b: float) -> float:
+    """The larger residual; a nan from either side is kept, never dropped."""
+    return float(np.maximum(a, b))
+
+
 def _draw_points(rng, center: complex, scale: float, count: int) -> np.ndarray:
     pts = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     return center + scale * pts
@@ -270,14 +293,14 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     for _ in range(3):
         u, v = _draw_points(rng, center, scale, 2)
         for name, value in structure_checks(params, twist, u, v, ctx.family).items():
-            worst[name] = max(worst.get(name, 0.0), value)
+            worst[name] = _worse(worst.get(name, 0.0), value)
         for name, value in vacuum_action_residuals(modified, ctx.fact, params, u).items():
-            worst[name] = max(worst.get(name, 0.0), value)
+            worst[name] = _worse(worst.get(name, 0.0), value)
     for m in range(1, params.sites + 1):
         pts = _draw_points(rng, center, scale, m + 1)
         rs = VariableSet(pts[1:], eps_dist(ctx.c))
         for name, value in offshell_action_residuals(modified, ctx, pts[0], rs).items():
-            worst[name] = max(worst.get(name, 0.0), value)
+            worst[name] = _worse(worst.get(name, 0.0), value)
     pts = _draw_points(rng, center, scale, params.sites + 1)
     worst["raising_closure"] = raising_identity_residual(
         modified, ctx, pts[0], VariableSet(pts[1:], eps_dist(ctx.c))
@@ -300,8 +323,7 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
     mats = [ctx.transfer(p) for p in probes]
     table = []
     for p, t in zip(probes, mats):
-        values = [val for val, _ in eigenpairs(t)]
-        table.append({"point": complex(p), "eigenvalues": values})
+        table.append({"point": complex(p), "eigenvalues": list(eigenvalues(t))})
     t0, t1 = mats[0], mats[1]
     comm = _scaled_gap(t0 @ t1, t1 @ t0)
     checks = [_check("transfer_commutation", comm, cfg.structural_tol)]
@@ -363,7 +385,7 @@ def _cmd_overlap(cfg: RunConfig) -> dict:
                 us = sol.roots if orientation == "u-onshell" else tuple(free)
                 vs = tuple(free) if orientation == "u-onshell" else sol.roots
                 rep = overlap_report(ctx, us, vs, orientation)
-                worst = max(worst, rep.relative_error)
+                worst = _worse(worst, rep.relative_error)
                 rows.append({
                     "onshell_index": i,
                     "offshell_index": j,
@@ -373,17 +395,20 @@ def _cmd_overlap(cfg: RunConfig) -> dict:
                     "relative_error": rep.relative_error,
                     "passed": bool(rep.relative_error <= cfg.onshell_tol),
                 })
-    checks = [_check("slavnov_max_relative_error", worst, cfg.onshell_tol)]
+    checks = [
+        _check_over_sets("slavnov_max_relative_error", worst, cfg.onshell_tol, len(onshell))
+    ]
     return {"checks": checks, "overlaps": rows}
 
 
 def _cmd_norm(cfg: RunConfig) -> dict:
     ctx = cfg.context()
+    onshell = _onshell_sets(cfg, ctx)
     rows = []
     worst = 0.0
-    for i, sol in enumerate(_onshell_sets(cfg, ctx)):
+    for i, sol in enumerate(onshell):
         rep = norm_report(ctx, sol.roots)
-        worst = max(worst, rep.relative_error)
+        worst = _worse(worst, rep.relative_error)
         rows.append({
             "onshell_index": i,
             "roots": [complex(z) for z in sol.roots],
@@ -392,7 +417,11 @@ def _cmd_norm(cfg: RunConfig) -> dict:
             "relative_error": rep.relative_error,
             "passed": bool(rep.relative_error <= cfg.onshell_tol),
         })
-    checks = [_check("gaudin_korepin_max_relative_error", worst, cfg.onshell_tol)]
+    checks = [
+        _check_over_sets(
+            "gaudin_korepin_max_relative_error", worst, cfg.onshell_tol, len(onshell)
+        )
+    ]
     return {"checks": checks, "norms": rows}
 
 

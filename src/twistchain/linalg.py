@@ -19,6 +19,7 @@ __all__ = [
     "MAX_EIG_DIM",
     "determinant",
     "eigenpairs",
+    "eigenvalues",
     "kron_chain",
 ]
 
@@ -65,6 +66,25 @@ def determinant(m) -> complex:
     return complex(np.linalg.det(_square(m)))
 
 
+def _dense_eig(solve, m):
+    """``solve`` (a LAPACK eigen-driver) on a validated square matrix within
+    the dense cap; a LAPACK failure becomes a ConvergenceError."""
+    a = _square(m)
+    if a.shape[0] > MAX_EIG_DIM:
+        raise ValueError(
+            f"dimension {a.shape[0]} exceeds the dense-eigensolver cap {MAX_EIG_DIM}"
+        )
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+
+
+def _spectral_order(vals: np.ndarray) -> np.ndarray:
+    """Indices sorting eigenvalues by (Re, Im)."""
+    return np.lexsort((vals.imag, vals.real))
+
+
 def eigenpairs(m) -> list[tuple[complex, np.ndarray]]:
     """Right eigenpairs of a dense complex matrix.
 
@@ -72,17 +92,15 @@ def eigenpairs(m) -> list[tuple[complex, np.ndarray]]:
     vector is normalized to unit Euclidean norm.  Delegates to LAPACK, whose
     internal iteration cap plays the role of a convergence budget.
     """
-    a = _square(m)
-    if a.shape[0] > MAX_EIG_DIM:
-        raise ValueError(
-            f"dimension {a.shape[0]} exceeds the dense-eigensolver cap {MAX_EIG_DIM}"
-        )
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    return [(complex(vals[k]), np.array(vecs[:, k])) for k in order]
+    vals, vecs = _dense_eig(np.linalg.eig, m)
+    return [(complex(vals[k]), np.array(vecs[:, k])) for k in _spectral_order(vals)]
+
+
+def eigenvalues(m) -> np.ndarray:
+    """The values of ``eigenpairs(m)``, in the same (Re, Im) order, without
+    computing the eigenvectors."""
+    vals = _dense_eig(np.linalg.eigvals, m)
+    return vals[_spectral_order(vals)]
 
 
 def _read_only(a: np.ndarray) -> bool:
@@ -96,18 +114,23 @@ def _read_only(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class MatrixPolynomial:
-    """Matrix-valued polynomial sum_k coeffs[..., k, :, :] * u**k.
+    """Matrix-valued polynomial sum_k coeffs[..., k, :, :] * (u / unit)**k.
 
     coeffs has shape (*blocks, degree + 1, d, d): any leading axes index a
     stack of blocks that share the degree and are evaluated together, so a
-    value carries those axes in front of its d x d matrix.  Evaluation uses
-    Horner's scheme; coefficients are stored exactly as given (no
-    trimming), so the derivative at zero can be read off as
-    coefficient(1).  A read-only complex array is kept as it is, so several
-    polynomials can be views of one stack; any other input is copied.
+    value carries those axes in front of its d x d matrix.  ``unit`` scales
+    the variable: a polynomial whose natural variable is z = u / c keeps
+    O(1) coefficients in z for every c, where its coefficients in u would
+    carry c**-k and leave the float range for large or small |c|.
+    Evaluation is one contraction of the power vector (1, z, ..., z**n)
+    against the stack; coefficients are stored exactly as given (no
+    trimming), so the derivative at zero is coefficient(1) / unit.  A
+    read-only complex array is kept as it is, so several polynomials can be
+    views of one stack; any other input is copied.
     """
 
     coeffs: np.ndarray
+    unit: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         c = self.coeffs
@@ -119,7 +142,11 @@ class MatrixPolynomial:
             raise ValueError(f"coeffs must have shape (..., k, d, d), got {c.shape}")
         if c.shape[-3] == 0:
             raise ValueError("need at least the constant coefficient")
+        unit = complex(self.unit)
+        if unit == 0 or not np.isfinite(unit):
+            raise ValueError(f"unit of the variable must be finite and nonzero, got {unit}")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "unit", unit)
 
     @property
     def degree(self) -> int:
@@ -130,16 +157,16 @@ class MatrixPolynomial:
         return self.coeffs.shape[-1]
 
     def coefficient(self, k: int) -> np.ndarray:
-        """k-th coefficient, one d x d matrix per block."""
+        """Coefficient of (u / unit)**k, one d x d matrix per block."""
         if not 0 <= k <= self.degree:
             raise ValueError(f"coefficient index must lie in 0..{self.degree}, got {k}")
         return np.array(self.coeffs[..., k, :, :])
 
     def __call__(self, u: complex) -> np.ndarray:
-        # Horner in place on one fresh accumulator: no temporary per degree,
-        # and the result never shares memory with the coefficients
-        acc = np.array(self.coeffs[..., -1, :, :])
-        for k in range(self.degree - 1, -1, -1):
-            acc *= u
-            acc += self.coeffs[..., k, :, :]
-        return acc
+        # one matrix-vector product per block over the stack seen as
+        # (..., k, d*d); the result is a fresh array, never a view of the
+        # coefficients
+        *blocks, k, d, _ = self.coeffs.shape
+        powers = (complex(u) / self.unit) ** np.arange(k)
+        value = np.matmul(powers, self.coeffs.reshape(*blocks, k, d * d))
+        return value.reshape(*blocks, d, d)

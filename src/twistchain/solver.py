@@ -28,7 +28,7 @@ from .bethe import (
     onshell_tolerance,
     transfer_eigenvalue,
 )
-from .linalg import eigenpairs
+from .linalg import eigenpairs, eigenvalues
 from .states import build_bethe_vector
 
 # thresholds on root_distance: one set below DEDUP_TOL of an earlier one is
@@ -309,16 +309,19 @@ def solve_tq_fit(ctx: SpectralContext, tol: float = 1e-8) -> list[BetheSolution]
     The eigenvector is computed once at a probe point; because the transfer
     family commutes with itself, the same vector diagonalizes every
     coefficient matrix of the transfer polynomial, so one Rayleigh quotient
-    per coefficient gives the eigenvalue polynomial exactly.  Degenerate
-    spectra break that premise and surface as large fit residuals, which are
-    flagged rather than repaired.
+    per coefficient gives the eigenvalue polynomial exactly.  The quotients
+    are coefficients in z = u/c; the T-Q fit works in u, so they are
+    rescaled by c**-k once.  Degenerate spectra break that premise and
+    surface as large fit residuals, which are flagged rather than repaired.
     """
     base = _tq_base(ctx)
     transfer = ctx.transfer
+    # c**k is finite up to k = N once _tq_base has accepted c
+    to_u = transfer.unit ** np.arange(transfer.degree + 1)
     u0 = probe_points(ctx, 1)[0]
     rows, flags = [], []
     for _, vec in eigenpairs(transfer(u0)):
-        lam_poly = transfer.coeffs @ vec @ vec.conj()
+        lam_poly = (transfer.coeffs @ vec @ vec.conj()) / to_u
         monic, fit_res = _tq_linear_fit(lam_poly, base)
         # a residual that overflowed to nan is no passing fit
         flags.append(None if fit_res <= FIT_TOL else "tq-residual")
@@ -376,7 +379,7 @@ def spectrum_match(ctx: SpectralContext, solutions: list[BetheSolution]) -> dict
     expected = 2 ** ctx.sites
     max_rel = 0.0 if solutions else float("inf")
     for p in pts:
-        spectrum = [val for val, _ in eigenpairs(ctx.transfer(p))]
+        spectrum = eigenvalues(ctx.transfer(p))
         free = set(range(len(spectrum)))
         for sol in solutions:
             lam = transfer_eigenvalue(ctx, p, sol.roots)

@@ -17,6 +17,7 @@ so both rho branches are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +97,36 @@ class TwistFactorization:
     branch: str
 
 
+def _overflow_checked(factorize):
+    """Wraps a factorization so that a twist entry too large for the float
+    range, which turns its numbers into inf or nan, raises a
+    TwistDegeneracyError naming the twist instead of warning."""
+
+    @functools.wraps(factorize)
+    def checked(twist: TwistParams, *args, **kwargs) -> TwistFactorization:
+        with np.errstate(all="ignore"):
+            fact = factorize(twist, *args, **kwargs)
+        numbers = (fact.rho, fact.mu, fact.alpha, fact.l_factor, fact.d_factor)
+        if not all(np.all(np.isfinite(x)) for x in numbers):
+            raise TwistDegeneracyError(
+                f"twist K = {twist.matrix().tolist()} overflows its factorization; "
+                "scale the twist down, which leaves the Bethe roots unchanged"
+            )
+        return fact
+
+    return checked
+
+
 def twist_alpha(twist: TwistParams) -> complex:
     """Twist eigenvalue entering the plain-ansatz eigenvalue branch."""
     kt, k = twist.kappa_tilde, twist.kappa
-    disc = (k - kt) ** 2 + 4 * twist.kappa_plus * twist.kappa_minus
+    # a product, not ** 2: a complex power raises OverflowError where a
+    # product overflows to inf, which ``_overflow_checked`` reports
+    disc = (k - kt) * (k - kt) + 4 * twist.kappa_plus * twist.kappa_minus
     return (k + kt + np.sqrt(complex(disc))) / 2
 
 
+@_overflow_checked
 def factorize_twist(twist: TwistParams, branch: str = "minus") -> TwistFactorization:
     """Factorize a twist with nonzero off-diagonal product.
 
@@ -119,7 +143,7 @@ def factorize_twist(twist: TwistParams, branch: str = "minus") -> TwistFactoriza
             "use diagonal_factorization for the U(1) limit"
         )
     s = twist.trace
-    disc = s ** 2 - 4 * kp * km
+    disc = s * s - 4 * kp * km
     root = np.sqrt(complex(disc))
     rho = (s - root) / 2 if branch == "minus" else (s + root) / 2
     denom = s - 2 * rho
@@ -148,6 +172,7 @@ def factorize_twist(twist: TwistParams, branch: str = "minus") -> TwistFactoriza
     )
 
 
+@_overflow_checked
 def diagonal_factorization(twist: TwistParams) -> TwistFactorization:
     """Trivial factorization of a diagonal twist (kappa_plus = kappa_minus = 0).
 
@@ -183,7 +208,7 @@ def build_modified_operators(
     """
     l0 = np.array([[1.0, fact.ratio_minus], [fact.ratio_plus, 1.0]], dtype=complex)
     weights = fact.mu * np.einsum("ai,jb->abij", l0, l0)
-    return MonodromyFamily(_contract(family.coeffs, weights))
+    return MonodromyFamily(_contract(family.coeffs, weights), family.unit)
 
 
 def modified_diagonal_residual(

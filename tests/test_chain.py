@@ -90,6 +90,22 @@ def test_monodromy_polynomial_matches_product():
         assert family.t11.degree == params.sites
 
 
+@pytest.mark.parametrize("c", [0.7 + 0.4j, 1e-3, 1e5, 1e300])
+def test_monodromy_matches_product_at_any_coupling(c):
+    # the coefficients are stored in z = u/c, where they stay O(1) for every
+    # c; in u they carry c**-k, which underflows at c = 1e300.  Points and
+    # inhomogeneities scale with c, so every chain is the same up to units
+    rng = np.random.default_rng(24)
+    for sites in range(1, 8):
+        params = ChainParams(sites, c, tuple(c * np.array(random_theta(rng, sites))))
+        family = build_monodromy(params)
+        assert family.unit == params.c
+        for u in c * draw_points(rng, 2):
+            direct = monodromy_matrix(params, u)
+            gap = np.linalg.norm(np.block(list(map(list, family.at(u)))) - direct)
+            assert gap <= 1e-13 * np.linalg.norm(direct), (sites, u)
+
+
 def test_monodromy_coefficients_exact_on_integer_chain():
     # with c = 1 and integer inhomogeneities every coefficient is an
     # integer, so the polynomial reproduces the dense product bit for bit

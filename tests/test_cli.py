@@ -196,7 +196,7 @@ N2_CONFIG = N3_CONFIG.with_name("n2_generic.json")
 @pytest.mark.parametrize(
     "command, config, overrides, field",
     [
-        # an infinite tolerance passed a chain that fails 12 of 16 checks
+        # an infinite tolerance passes any residual, however large
         ("verify", N2_CONFIG, ["chain.c=1e300", "tolerances.structural=Infinity"],
          "tolerances.structural"),
         # a NaN tolerance gated out every Newton set without a word
@@ -327,3 +327,68 @@ def test_each_operator_is_built_once_per_command(monkeypatch, command, sites, bu
         for name in ("build_monodromy", "build_modified_operators", "build_transfer")
     )
     assert got == builds
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_verify_and_spectrum_pass_at_huge_coupling(capsys, command):
+    # the monodromy is stored in z = u/c with O(1) coefficients; stored in u
+    # they underflowed at this c and verify failed 12 checks
+    assert main([command, "--config", str(N2_CONFIG), "--set", "chain.c=1e300"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] and all(check["passed"] for check in report["checks"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["norm", "overlap"])
+def test_a_check_over_no_root_set_fails(capsys, command):
+    # at c = 1e-300 Newton finds no on-shell set; a maximum over nothing
+    # is no evidence, so the check fails and says how many sets it saw
+    assert main([command, "--config", str(N2_CONFIG), "--set", "chain.c=1e-300"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["sets_checked"] == 0
+    assert not check["passed"]
+
+
+def test_norm_and_overlap_count_the_sets_they_check():
+    cfg = build_config(MINIMAL)
+    for command in ("norm", "overlap"):
+        (check,) = execute(command, cfg)["checks"]
+        assert check["sets_checked"] == 2
+        assert check["passed"]
+
+
+@pytest.mark.parametrize(
+    "config, entry",
+    [(N2_CONFIG, "kappa_tilde"), (N2_CONFIG, "kappa_plus"),
+     (N2_CONFIG.with_name("u1_diagonal.json"), "kappa")],
+)
+def test_an_overflowing_twist_exits_2_naming_it(capsys, config, entry):
+    # the squares in the factorization leave the float range; this raised
+    # an OverflowError traceback from (trace K) ** 2
+    args = ["--set", f"twist.{entry}=1e308"]
+    assert main(["verify", "--config", str(config), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: twist K = [[")
+    assert "1e+308" in captured.err and "overflows its factorization" in captured.err
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        # read as one site
+        ("chain.sites=true", "chain.sites"),
+        # died with a TypeError traceback in the Newton solver
+        ("solver.starts=true", "solver.starts"),
+        ("solver.seed=false", "solver.seed"),
+        ("chain.c=true", "chain.c"),
+        ("chain.inhomogeneities=[[true,0],[0,0]]", "chain.inhomogeneities[0]"),
+        ("solver.tol=true", "solver.tol"),
+    ],
+)
+def test_json_booleans_are_not_numbers(capsys, override, field):
+    assert main(["solve", "--config", str(N2_CONFIG), "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: expected")

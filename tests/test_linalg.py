@@ -7,8 +7,12 @@ from twistchain.linalg import (
     MatrixPolynomial,
     determinant,
     eigenpairs,
+    eigenvalues,
     kron_chain,
 )
+from twistchain.solver import probe_points
+
+from conftest import draw_points, random_context
 
 RNG = np.random.default_rng(7)
 
@@ -50,6 +54,23 @@ def test_eigenpairs_residual_and_order():
 def test_eigenpairs_dimension_guard():
     with pytest.raises(ValueError):
         eigenpairs(np.zeros((MAX_EIG_DIM + 1, MAX_EIG_DIM + 1)))
+    with pytest.raises(ValueError):
+        eigenvalues(np.zeros((MAX_EIG_DIM + 1, MAX_EIG_DIM + 1)))
+
+
+def test_eigenvalues_are_the_values_of_eigenpairs_in_order():
+    # without the eigenvectors LAPACK takes another path to the same values;
+    # on a transfer matrix they agree to roundoff and sort the same way
+    rng = np.random.default_rng(29)
+    for sites in range(1, 7):
+        ctx = random_context(rng, sites)
+        t = ctx.transfer(probe_points(ctx, 1)[0])
+        want = np.array([value for value, _ in eigenpairs(t)])
+        got = eigenvalues(t)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, sites
+    with pytest.raises(ValueError):
+        eigenvalues(np.ones((2, 3)))
 
 
 def test_matrix_polynomial_evaluates_by_horner():
@@ -60,6 +81,19 @@ def test_matrix_polynomial_evaluates_by_horner():
     for u in (0.3, -1.2 + 0.4j, 2.0j):
         direct = sum(c * u**k for k, c in enumerate(coeffs))
         assert np.allclose(p(u), direct, atol=1e-12)
+
+
+def test_matrix_polynomial_unit_scales_the_variable():
+    # coeffs[k] multiplies (u / unit)**k; a unit of 1 is the plain power basis
+    coeffs = [_rand(2) for _ in range(5)]
+    for unit in (1.0, 0.3 - 2.0j, 1e300):
+        p = MatrixPolynomial(coeffs, unit)
+        assert p.unit == complex(unit)
+        for u in unit * draw_points(np.random.default_rng(30), 3):
+            direct = sum(c * (u / unit) ** k for k, c in enumerate(coeffs))
+            assert np.linalg.norm(p(u) - direct) <= 1e-14 * np.linalg.norm(direct)
+    with pytest.raises(ValueError):
+        MatrixPolynomial(coeffs, 0.0)
 
 
 def test_matrix_polynomial_never_aliases_writable_input():
