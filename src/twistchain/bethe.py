@@ -34,18 +34,21 @@ import numpy as np
 from .chain import (
     ChainParams,
     MonodromyFamily,
+    _contract,
     build_monodromy,
     build_transfer,
+    magnetization_sectors,
     vacuum_weight_derivatives,
     vacuum_weights,
 )
-from .linalg import MatrixPolynomial
+from .linalg import MatrixPolynomial, _spectral_order, eigenvalues
 from .twist import (
     TwistFactorization,
     TwistParams,
     build_modified_operators,
     diagonal_factorization,
     factorize_twist,
+    twist_alpha,
 )
 
 __all__ = [
@@ -152,10 +155,10 @@ class SpectralContext:
     """Chain data plus one factorization branch of the twist, and the
     operators they determine.
 
-    The monodromy blocks T(u), the modified blocks nu(u) = L T(u) L and the
-    transfer matrix t(u) = tr_a(K T(u)) are built on first use and kept:
-    every layer reads them from here.  The inputs are frozen, so a cached
-    operator never goes stale.
+    The monodromy blocks T(u), the modified blocks nu(u) = L T(u) L, the
+    transfer matrix t(u) = tr_a(K T(u)) and its sector blocks are built on
+    first use and kept: every layer reads them from here.  The inputs are
+    frozen, so a cached operator never goes stale.
     """
 
     chain: ChainParams
@@ -200,6 +203,34 @@ class SpectralContext:
     @cached_property
     def transfer(self) -> MatrixPolynomial:
         return build_transfer(self.chain, self.twist, self.family)
+
+    @cached_property
+    def sectors(self) -> tuple[MatrixPolynomial, ...]:
+        """alpha t11 + beta t22 on each down-spin sector M = 0..N, with
+        alpha and beta = tr K - alpha the eigenvalues of the twist.
+
+        R(u) commutes with Q (x) Q for every 2x2 Q, so a Schur form
+        K = Q S Q^-1 (S upper triangular, diagonal (alpha, beta)) gives
+        t(u) = Q^(x)N tr_a(S T(u)) Q^(x)-N with
+        tr_a(S T) = alpha t11 + beta t22 + S_12 t21.  t21 lowers M and the
+        diagonal blocks keep it, so the spectrum of t(u) is that of the
+        sector blocks, for every K, defective or singular included, and Q
+        is never formed.  Each block is one ``_contract`` over the sector's
+        rows and columns of the family's stack, in the same variable.
+        """
+        alpha = twist_alpha(self.twist)
+        weights = np.diag([alpha, self.twist.trace - alpha])
+        coeffs = self.family.coeffs
+        return tuple(
+            MatrixPolynomial(_contract(coeffs[..., idx[:, None], idx], weights), self.family.unit)
+            for idx in magnetization_sectors(self.sites)
+        )
+
+    def spectrum(self, u: complex) -> np.ndarray:
+        """Eigenvalues of t(u) in (Re, Im) order, sector by sector; the
+        largest eigen-solve is C(N, N/2), not 2^N."""
+        vals = np.concatenate([eigenvalues(sector(u)) for sector in self.sectors])
+        return vals[_spectral_order(vals)]
 
 
 def _kernel_row(x, values: np.ndarray, c, leave=()) -> np.ndarray:

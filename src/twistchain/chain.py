@@ -40,6 +40,7 @@ __all__ = [
     "build_r_matrix",
     "build_transfer",
     "local_operator",
+    "magnetization_sectors",
     "monodromy_matrix",
     "structure_checks",
     "total_sz",
@@ -115,6 +116,19 @@ def local_operator(op: np.ndarray, site: int, sites: int) -> np.ndarray:
 
 def total_sz(sites: int) -> np.ndarray:
     return sum(local_operator(SIGMA_Z, k, sites) for k in range(sites))
+
+
+def magnetization_sectors(sites: int) -> list[np.ndarray]:
+    """Chain basis indices by down-spin count, M = 0..N in list order.
+
+    In the lexicographic basis with spin-up first, the bits of an index
+    mark its down spins, so M is the number of set bits.  The monodromy
+    conserves sigma^z_a + S^z: t11 and t22 keep M, t12 raises it by one and
+    t21 lowers it by one.
+    """
+    index = np.arange(2 ** sites)
+    down = sum((index >> k) & 1 for k in range(sites))
+    return [np.flatnonzero(down == m) for m in range(sites + 1)]
 
 
 def vacuum_weights(params: ChainParams, u: complex) -> tuple[complex, complex]:

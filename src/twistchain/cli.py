@@ -2,10 +2,11 @@
 
 Five subcommands cover the verification program at desk scale: ``verify``
 replays the algebraic identity suite, ``spectrum`` diagonalizes the
-transfer matrix at probe points, ``solve`` runs both root finders and
-cross-classifies, ``overlap`` and ``norm`` compare the determinant
-formulas against direct state contractions.  Reports are deterministic
-given the config and seed, except for the wall-time field.
+transfer matrix at probe points one magnetization sector at a time,
+``solve`` runs both root finders and cross-classifies, ``overlap`` and
+``norm`` compare the determinant formulas against direct state
+contractions.  Reports are deterministic given the config and seed,
+except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .bethe import SpectralContext, VariableSet, eps_dist
 from .chain import ChainParams, _scaled_gap, build_hamiltonian, structure_checks
-from .linalg import ConvergenceError, eigenvalues
+from .linalg import ConvergenceError
 from .overlaps import norm_report, overlap_report
 from .solver import classify_solutions, probe_points, solve_newton, solve_tq_fit, spectrum_match
 from .states import offshell_action_residuals, raising_identity_residual
@@ -317,16 +318,33 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     return {"checks": checks}
 
 
+def _power_sum_gap(t: np.ndarray, values: np.ndarray) -> float:
+    """max over k = 1, 2 of |tr t^k - sum lam^k| / max(1, sum |lam|^k):
+    eigenvalues from the sector blocks against the dense matrix they
+    stand for.  The k = 1 sum is blind to how the twist's trace splits
+    into its eigenvalues, the k = 2 sum is not; tr t^2 = sum t * t^T
+    needs no matrix product.  A nan is kept, so it fails."""
+    traces = (np.trace(t), np.sum(t * t.T))
+    return float(np.max([
+        abs(tr - np.sum(values ** k)) / max(1.0, float(np.sum(np.abs(values) ** k)))
+        for k, tr in enumerate(traces, 1)
+    ]))
+
+
 def _cmd_spectrum(cfg: RunConfig) -> dict:
     ctx = cfg.context()
     probes = probe_points(ctx, 3)
+    spectra = [ctx.spectrum(p) for p in probes]
+    # the dense matrices are built only for the two operator checks
     mats = [ctx.transfer(p) for p in probes]
-    table = []
-    for p, t in zip(probes, mats):
-        table.append({"point": complex(p), "eigenvalues": list(eigenvalues(t))})
+    table = [{"point": complex(p), "eigenvalues": list(vals)} for p, vals in zip(probes, spectra)]
     t0, t1 = mats[0], mats[1]
     comm = _scaled_gap(t0 @ t1, t1 @ t0)
-    checks = [_check("transfer_commutation", comm, cfg.structural_tol)]
+    sums = float(np.max([_power_sum_gap(t, vals) for t, vals in zip(mats, spectra)]))
+    checks = [
+        _check("transfer_commutation", comm, cfg.structural_tol),
+        _check("transfer_power_sums", sums, cfg.structural_tol),
+    ]
     return {"checks": checks, "probes": table}
 
 

@@ -3,10 +3,11 @@
 Two independent routes are provided.  Damped Newton iteration from random
 starts works directly on the residual map with its analytic Jacobian.  The
 polynomial-fit route extracts each eigenvalue of the transfer matrix from
-exact diagonalization, then solves a linear system for the monic root
-polynomial that the functional relation forces.  Agreement of the two lists,
-each root set compared as the unordered roots of Q by root_distance, is the
-desk-scale completeness check.
+exact diagonalization, one magnetization sector at a time, then solves a
+linear system for the monic root polynomial that the functional relation
+forces.  Agreement of the two lists, each root set compared as the
+unordered roots of Q by root_distance, is the desk-scale completeness
+check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .bethe import (
     onshell_tolerance,
     transfer_eigenvalue,
 )
-from .linalg import eigenpairs, eigenvalues
+from .linalg import _spectral_order, eigenpairs
 from .states import build_bethe_vector
 
 # thresholds on root_distance: one set below DEDUP_TOL of an earlier one is
@@ -304,25 +305,31 @@ def _tq_linear_fit(lam_poly: np.ndarray, base) -> tuple[np.ndarray, float]:
 
 
 def solve_tq_fit(ctx: SpectralContext, tol: float = 1e-8) -> list[BetheSolution]:
-    """One solution candidate per transfer-matrix eigenvector.
+    """One solution candidate per eigenvector of a sector block.
 
-    The eigenvector is computed once at a probe point; because the transfer
-    family commutes with itself, the same vector diagonalizes every
-    coefficient matrix of the transfer polynomial, so one Rayleigh quotient
-    per coefficient gives the eigenvalue polynomial exactly.  The quotients
-    are coefficients in z = u/c; the T-Q fit works in u, so they are
-    rescaled by c**-k once.  Degenerate spectra break that premise and
-    surface as large fit residuals, which are flagged rather than repaired.
+    Each sector block (``SpectralContext.sectors``) is diagonalized once at
+    a probe point; the blocks are diagonal blocks of a block-triangular
+    conjugate of the commuting transfer family, so they commute too, and
+    the same vector diagonalizes every coefficient matrix of its block:
+    one Rayleigh quotient per coefficient gives the eigenvalue polynomial
+    exactly.  The candidates are fitted in the (Re, Im) order of their
+    eigenvalues at the probe.  The quotients are coefficients in z = u/c;
+    the T-Q fit works in u, so they are rescaled by c**-k once.  Degenerate
+    spectra break that premise and surface as large fit residuals, which
+    are flagged rather than repaired.
     """
     base = _tq_base(ctx)
-    transfer = ctx.transfer
-    # c**k is finite up to k = N once _tq_base has accepted c
-    to_u = transfer.unit ** np.arange(transfer.degree + 1)
     u0 = probe_points(ctx, 1)[0]
+    values, polys = [], []
+    for sector in ctx.sectors:
+        for value, vec in eigenpairs(sector(u0)):
+            values.append(value)
+            polys.append(sector.coeffs @ vec @ vec.conj())
+    # c**k is finite up to k = N once _tq_base has accepted c
+    to_u = ctx.c ** np.arange(ctx.sites + 1)
     rows, flags = [], []
-    for _, vec in eigenpairs(transfer(u0)):
-        lam_poly = (transfer.coeffs @ vec @ vec.conj()) / to_u
-        monic, fit_res = _tq_linear_fit(lam_poly, base)
+    for k in _spectral_order(np.array(values)):
+        monic, fit_res = _tq_linear_fit(polys[k] / to_u, base)
         # a residual that overflowed to nan is no passing fit
         flags.append(None if fit_res <= FIT_TOL else "tq-residual")
         rows.append(np.roots(monic[::-1]))
@@ -374,20 +381,22 @@ def classify_solutions(a: list[BetheSolution], b: list[BetheSolution]) -> MatchR
 
 def spectrum_match(ctx: SpectralContext, solutions: list[BetheSolution]) -> dict:
     """Compare eigenvalue samples over the solution list against the full
-    dense spectrum at each probe point; greedy nearest assignment."""
+    spectrum at each probe point; greedy nearest assignment, in solution
+    order, with the lowest free index taking a tie."""
     pts = probe_points(ctx, PROBES)
     expected = 2 ** ctx.sites
     max_rel = 0.0 if solutions else float("inf")
     for p in pts:
-        spectrum = eigenvalues(ctx.transfer(p))
-        free = set(range(len(spectrum)))
+        spectrum = ctx.spectrum(p)
+        free = np.ones(len(spectrum), dtype=bool)
         for sol in solutions:
             lam = transfer_eigenvalue(ctx, p, sol.roots)
-            j = min(free, key=lambda k: abs(spectrum[k] - lam), default=None)
-            if j is None:
+            left = np.flatnonzero(free)
+            if not left.size:
                 max_rel = float("inf")
                 break
-            free.discard(j)
+            j = left[np.argmin(np.abs(spectrum[left] - lam))]
+            free[j] = False
             gap = abs(spectrum[j] - lam) / max(1.0, abs(spectrum[j]))
             max_rel = max(max_rel, float(gap))
     return {

@@ -285,6 +285,16 @@ def test_vacuum_actions_are_scale_relative_on_a_wide_chain():
     assert checks["raising_closure"]["residual"] < 1e-14
 
 
+def _rebind(monkeypatch, original, replacement) -> None:
+    """Point every reference a twistchain module holds to `original` at
+    `replacement`."""
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "twistchain":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def _count_builds(monkeypatch) -> Counter:
     """Count the operator builds, wherever a module holds the builder."""
     import twistchain
@@ -297,16 +307,15 @@ def _count_builds(monkeypatch) -> Counter:
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for key, module in list(sys.modules.items()):
-            if key.split(".")[0] == "twistchain" and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+        _rebind(monkeypatch, original, counted)
     return counts
 
 
 @pytest.mark.parametrize(
     "command, sites, builds",
     [
-        ("solve", 3, (1, 1, 1)),
+        # solve reads its spectrum off the sector blocks, never the dense t(u)
+        ("solve", 3, (1, 1, 0)),
         ("spectrum", 3, (1, 0, 1)),
         ("norm", 3, (1, 1, 0)),
         ("overlap", 3, (1, 1, 0)),
@@ -392,3 +401,59 @@ def test_json_booleans_are_not_numbers(capsys, override, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: expected")
+
+
+def _grid_config(sites: int, *overrides: str):
+    theta = json.dumps([0.15 * (k - (sites - 1) / 2) for k in range(sites)])
+    return parse_config(
+        str(N3_CONFIG),
+        [f"chain.sites={sites}", f"chain.inhomogeneities={theta}", *overrides],
+    )
+
+
+def test_spectrum_reports_power_sums_of_the_dense_matrix():
+    for config in (N2_CONFIG, N3_CONFIG, N3_CONFIG.with_name("u1_diagonal.json")):
+        checks = {c["name"]: c for c in execute("spectrum", parse_config(str(config)))["checks"]}
+        assert set(checks) == {"transfer_commutation", "transfer_power_sums"}
+        assert checks["transfer_power_sums"]["passed"]
+        assert checks["transfer_power_sums"]["residual"] < 1e-14
+
+
+def test_power_sums_fail_when_the_twist_frame_is_wrong(monkeypatch, capsys):
+    # sectors built with alpha = beta = tr K / 2 keep tr t(u) (tr t11 =
+    # tr t22 by spin flip) but not tr t(u)^2
+    import twistchain.twist as twist
+
+    _rebind(monkeypatch, twist.twist_alpha, lambda tw: tw.trace / 2)
+    assert main(["spectrum", "--config", str(N3_CONFIG)]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["transfer_commutation"]["passed"]
+    assert not checks["transfer_power_sums"]["passed"]
+    assert checks["transfer_power_sums"]["residual"] > 1e-3
+
+
+@pytest.mark.parametrize("command", ["spectrum", "solve"])
+def test_no_eigen_solve_is_larger_than_a_sector(monkeypatch, command):
+    # at N = 6 the largest sector holds C(6, 3) = 20 states of the 64
+    import twistchain.linalg as linalg
+
+    sizes = []
+    for original in (linalg.eigenvalues, linalg.eigenpairs):
+
+        def sized(m, _original=original):
+            sizes.append(len(m))
+            return _original(m)
+
+        _rebind(monkeypatch, original, sized)
+    execute(command, _grid_config(6, "solver.starts=20"))
+    assert sizes and max(sizes) == 20
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_spectrum_at_vanishing_coupling_exits_2(capsys):
+    # theta/c overflows the coefficients at this c: the sector blocks must
+    # stop at the finiteness check, never give a traceback or a nan spectrum
+    assert main(["spectrum", "--config", str(N2_CONFIG), "--set", "chain.c=1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix entries must be finite\n"

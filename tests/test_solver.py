@@ -10,6 +10,7 @@ from twistchain.bethe import (
     bethe_jacobian,
     bethe_residuals,
     onshell_tolerance,
+    transfer_eigenvalue,
 )
 from twistchain.chain import build_transfer
 from twistchain.cli import parse_config
@@ -85,6 +86,32 @@ def test_two_site_example_finds_four_solutions():
         assert len(again) == 4
         for x, y in zip(sols, again):
             assert root_distance(x.roots, y.roots) < 1e-8
+
+
+def _spectrum_match_loop(ctx, solutions) -> float:
+    """The greedy pairing of ``spectrum_match`` written as a plain loop:
+    nearest free eigenvalue by ``min`` over the free indices in order."""
+    max_rel = 0.0 if solutions else float("inf")
+    for p in probe_points(ctx, 3):
+        spectrum = ctx.spectrum(p)
+        free = list(range(len(spectrum)))
+        for sol in solutions:
+            lam = transfer_eigenvalue(ctx, p, sol.roots)
+            if not free:
+                max_rel = float("inf")
+                break
+            j = min(free, key=lambda k: abs(spectrum[k] - lam))
+            free.remove(j)
+            max_rel = max(max_rel, abs(spectrum[j] - lam) / max(1.0, abs(spectrum[j])))
+    return max_rel
+
+
+def test_spectrum_match_is_the_greedy_loop():
+    sols = solve_tq_fit(N2_CTX)
+    # a repeated set takes the next nearest free eigenvalue; five sets
+    # against four eigenvalues run out
+    for case in (sols, sols[::-1], [sols[2], sols[2], sols[0]], sols + sols[:1], []):
+        assert spectrum_match(N2_CTX, case)["max_rel_gap"] == _spectrum_match_loop(N2_CTX, case)
 
 
 def test_diagonal_twist_conjugate_pair_is_one_set():
