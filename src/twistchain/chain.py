@@ -17,6 +17,7 @@ and is annihilated by t21.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -126,9 +127,14 @@ def magnetization_sectors(sites: int) -> list[np.ndarray]:
     conserves sigma^z_a + S^z: t11 and t22 keep M, t12 raises it by one and
     t21 lowers it by one.
     """
-    index = np.arange(2 ** sites)
-    down = sum((index >> k) & 1 for k in range(sites))
+    down = _down_counts(sites)
     return [np.flatnonzero(down == m) for m in range(sites + 1)]
+
+
+def _down_counts(sites: int) -> np.ndarray:
+    """Down-spin count M of each chain basis index: its number of set bits."""
+    index = np.arange(2 ** sites)
+    return sum((index >> k) & 1 for k in range(sites))
 
 
 def vacuum_weights(params: ChainParams, u: complex) -> tuple[complex, complex]:
@@ -238,24 +244,36 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
     site and the last site dominates.  A step only copies, scales and adds
     coefficients, so with c = 1 and integer inhomogeneities every
     coefficient is an exact integer.  The family keeps the final stack,
-    read-only, as its coefficients, with unit c.
+    read-only, as its coefficients, with unit c.  Raises ValueError naming
+    the coupling when a coefficient leaves the float range, as
+    (theta/c)**k does for tiny |c|.
     """
     c = params.c
     coef = np.eye(2, dtype=complex).reshape(2, 2, 1, 1, 1)
-    for theta in params.theta:
-        shift = theta / c
-        _, _, m, d, _ = coef.shape
-        out = np.zeros((2, 2, m + 1, 2 * d, 2 * d), dtype=complex)
-        # axes (i, j, degree, row of sites < n, row of site n, column of
-        # sites < n, column of site n)
-        grid = out.reshape(2, 2, m + 1, d, 2, d, 2)
-        for j, k in itertools.product((0, 1), repeat=2):
-            grid[:, j, :m, :, j, :, k] = coef[:, k]  # t_ik (x) E_jk
-        for s in (0, 1):  # (z - theta/c) t_ij (x) I
-            diag = grid[:, :, :, :, s, :, s]
-            diag[:, :, :m] -= shift * coef
-            diag[:, :, 1:] += coef
-        coef = out
+    try:
+        # the stack starts finite, so it holds an inf or a nan only after a
+        # shift or one of the array steps below overflowed
+        with np.errstate(over="raise", invalid="raise"):
+            for theta in params.theta:
+                shift = theta / c
+                if not cmath.isfinite(shift):
+                    raise FloatingPointError("theta/c overflows")
+                _, _, m, d, _ = coef.shape
+                out = np.zeros((2, 2, m + 1, 2 * d, 2 * d), dtype=complex)
+                # axes (i, j, degree, row of sites < n, row of site n,
+                # column of sites < n, column of site n)
+                grid = out.reshape(2, 2, m + 1, d, 2, d, 2)
+                for j, k in itertools.product((0, 1), repeat=2):
+                    grid[:, j, :m, :, j, :, k] = coef[:, k]  # t_ik (x) E_jk
+                for s in (0, 1):  # (z - theta/c) t_ij (x) I
+                    diag = grid[:, :, :, :, s, :, s]
+                    diag[:, :, :m] -= shift * coef
+                    diag[:, :, 1:] += coef
+                coef = out
+    except FloatingPointError:
+        raise ValueError(
+            f"chain.c: the monodromy coefficients (theta/c)**k overflow at c = {c}"
+        ) from None
     coef.setflags(write=False)
     return MonodromyFamily(coef, c)
 
@@ -341,57 +359,129 @@ def structure_checks(
     family: MonodromyFamily,
 ) -> dict[str, float]:
     """Frobenius residuals of the defining exchange structure, each a
-    ``_scaled_gap`` between its two sides.
+    scaled gap between its two sides.
 
     Every two-point check reads the block products t_ij(u) t_kl(v) and
-    t_kl(v) t_ij(u) off the two tables of ``_block_products``: the RTT
-    relation through its 16 block components (``_rtt_gap``), the three
-    exchange relations used by the algebraic Bethe ansatz, which are three
-    of those components, and commutativity of the transfer matrix, the
-    twist-weighted contraction of each table.  GL(2) invariance of the
+    t_kl(v) t_ij(u) off the two tables of ``_graded_products``, which are
+    taken one magnetization block at a time: the RTT relation through its
+    16 block components (``_rtt_gap``), the three exchange relations used
+    by the algebraic Bethe ansatz, which are three of those components, and
+    commutativity of the transfer matrix, the twist-weighted sum of each
+    table split by charge.  Blocks in different (row, column) sectors are
+    disjoint, so their squared norms add and every gap is exact.
+    ``magnetization_conservation`` is the share of the blocks at u and v
+    that lies outside the magnetization grading.  GL(2) invariance of the
     R-matrix against the twist is a 4x4 check.
     """
     if abs(u - v) <= 1e-9 * max(1.0, abs(params.c)):
         raise ValueError("structure checks need two distinct spectral points")
     c = params.c
-    uv, vu = _block_products(family, u, v)
+    uv, vu, charge, off_grade = _graded_products(family, u, v)
 
-    # t(x) t(y) = sum_{ij,kl} K_ji K_lk t_ij(x) t_kl(y): contract the
-    # first block pair of a table, then the second
+    # t(x) t(y) = sum_{ij,kl} K_ji K_lk t_ij(x) t_kl(y); terms of one total
+    # charge share a layout and add, terms of different charges are disjoint
     kmat = twist.matrix()
-    tuv, tvu = (_contract(np.moveaxis(_contract(t, kmat.T), 0, 2), kmat.T) for t in (uv, vu))
+    tuv, tvu = {}, {}
+    for i, j, k, l in _QUADS:
+        q = charge[i, j] + charge[k, l]
+        w = kmat[j, i] * kmat[l, k]
+        tuv[q] = tuv.get(q, 0.0) + w * uv[i, j, k, l]
+        tvu[q] = tvu.get(q, 0.0) + w * vu[i, j, k, l]
 
     r4 = build_r_matrix(u - v, c)
     kk = np.kron(kmat, kmat)
     out = {
         "rtt": _rtt_gap(uv, vu, (u - v) / c),
-        "transfer_commutator": _scaled_gap(tuv, tvu),
+        "transfer_commutator": _summed_gap((tuv[q], tvu[q]) for q in tuv),
         "gl2_invariance": _scaled_gap(r4 @ kk, kk @ r4),
     }
     out.update(_exchange_gaps(uv, vu, c / (u - v)))
+    out["magnetization_conservation"] = off_grade
     return out
 
 
-def _block_products(family: MonodromyFamily, u: complex, v: complex):
-    """Tables uv[i, j, :, k, l, :] = t_ij(u) t_kl(v) and
-    vu[k, l, :, i, j, :] = t_kl(v) t_ij(u) of every block product.
+# t_ij moves the down-spin count M to M + q_ij with q_ij = j - i: t11 and
+# t22 keep it, t12 raises it and t21 lowers it
+_CHARGE = np.array([[0, 1], [-1, 0]])
+_PAIRS = tuple(itertools.product((0, 1), repeat=2))
+_QUADS = tuple(itertools.product((0, 1), repeat=4))
 
-    The blocks are evaluated once at each point; each table is one product
-    of the blocks at one point stacked as rows, (4d x d), with the blocks at
-    the other point side by side, (d x 4d).
+
+def _graded_products(family: MonodromyFamily, u: complex, v: complex):
+    """Tables uv[i, j, k, l] = t_ij(u) t_kl(v) and vu[i, j, k, l] =
+    t_ij(v) t_kl(u) of every block product, one block of a grading at a time.
+
+    A grading is a list of sectors of the chain basis and a charge q_ij per
+    block, such that t_ij maps sector M into sector M + q_ij and vanishes
+    elsewhere.  The blocks are evaluated once at each point; when every
+    entry outside the magnetization grading (``magnetization_sectors``,
+    q = ``_CHARGE``) is exactly 0 at both points, that grading is used,
+    otherwise one sector holding the whole basis with q = 0, which is the
+    dense product.  A product t_ij(x) t_kl(y) maps M to M + Q with
+    Q = q_ij + q_kl and is formed on each column sector M as
+    t_ij[M + Q, M + q_kl] @ t_kl[M + q_kl, M]; it is stored as one vector
+    of those blocks, M ascending, each flattened, so products of one Q share
+    a layout and combine entrywise.  Returns (uv, vu, charge, off_grade),
+    with off_grade the norm of the entries outside the magnetization
+    grading over max(1, norm of the blocks).
     """
-    at_u, at_v = family.at(u), family.at(v)
-    d = family.dim
+    sites = family.dim.bit_length() - 1
+    at = (family.at(u), family.at(v))
+    down = _down_counts(sites)
+    outside = down[:, None] - down[None, :] != _CHARGE[..., None, None]
+    graded = True
+    off_sq = total_sq = 0.0
+    for blocks in at:
+        off = blocks[outside]
+        off_sq += np.vdot(off, off).real
+        total_sq += np.vdot(blocks, blocks).real
+        graded = graded and not off.any()
+    off_grade = float(np.sqrt(off_sq) / max(1.0, np.sqrt(total_sq)))
+    if graded:
+        sectors, charge = magnetization_sectors(sites), _CHARGE
+    else:
+        sectors, charge = [np.arange(family.dim)], np.zeros_like(_CHARGE)
+
+    n = len(sectors)
+    pieces = [
+        {
+            (i, j, m): blocks[i, j][sectors[m + charge[i, j]][:, None], sectors[m]]
+            for i, j in _PAIRS
+            for m in range(n)
+            if 0 <= m + charge[i, j] < n
+        }
+        for blocks in at
+    ]
+    del at
+    layouts = {}
+    for q in range(-2, 3):
+        spans, start = [], 0
+        for m in range(max(0, -q), min(n, n - q)):
+            shape = (len(sectors[m + q]), len(sectors[m]))
+            spans.append((m, slice(start, start + shape[0] * shape[1]), shape))
+            start += shape[0] * shape[1]
+        layouts[q] = spans, start
 
     def table(first, second):
-        rows = first.reshape(4 * d, d)
-        side_by_side = second.transpose(2, 0, 1, 3).reshape(d, 4 * d)
-        return (rows @ side_by_side).reshape(2, 2, d, 2, 2, d)
+        out = {}
+        for i, j, k, l in _QUADS:
+            spans, length = layouts[charge[i, j] + charge[k, l]]
+            vec = np.zeros(length, dtype=complex)
+            for m, span, shape in spans:
+                # a middle sector outside 0..N leaves the block zero
+                if (k, l, m) in second:
+                    np.matmul(
+                        first[i, j, m + charge[k, l]],
+                        second[k, l, m],
+                        out=vec[span].reshape(shape),
+                    )
+            out[i, j, k, l] = vec
+        return out
 
-    return table(at_u, at_v), table(at_v, at_u)
+    return table(*pieces), table(*pieces[::-1]), charge, off_grade
 
 
-def _rtt_gap(uv: np.ndarray, vu: np.ndarray, a: complex) -> float:
+def _rtt_gap(uv: dict, vu: dict, a: complex) -> float:
     """Scaled gap between R_ab(u - v) T_a(u) T_b(v) and
     T_b(v) T_a(u) R_ab(u - v) on slots (a, b, chain), a = (u - v)/c.
 
@@ -400,10 +490,17 @@ def _rtt_gap(uv: np.ndarray, vu: np.ndarray, a: complex) -> float:
     a t_ij(u) t_kl(v) + t_kj(u) t_il(v) and a t_kl(v) t_ij(u) + t_kj(v) t_il(u).
     The squared norms add up block by block, so neither side is formed.
     """
+    return _summed_gap(
+        (a * uv[i, j, k, l] + uv[k, j, i, l], a * vu[k, l, i, j] + vu[k, j, i, l])
+        for i, j, k, l in _QUADS
+    )
+
+
+def _summed_gap(pairs) -> float:
+    """``_scaled_gap`` of two operators given as (lhs, rhs) pairs of
+    disjoint blocks, their squared norms summed block by block."""
     sq = np.zeros(3)
-    for i, j, k, l in itertools.product((0, 1), repeat=4):
-        lhs = a * uv[i, j, :, k, l] + uv[k, j, :, i, l]
-        rhs = a * vu[k, l, :, i, j] + vu[k, j, :, i, l]
+    for lhs, rhs in pairs:
         sq += [np.vdot(x, x).real for x in (lhs, rhs, lhs - rhs)]
     norm_l, norm_r, norm_d = np.sqrt(sq)
     return float(norm_d / max(1.0, norm_l, norm_r))
@@ -424,22 +521,23 @@ def exchange_residuals(
     """Scale-relative residuals of the three two-point exchange relations
     for any family of monodromy blocks; the twisted operators obey the same
     relations as the plain ones, so this is shared by both."""
-    return _exchange_gaps(*_block_products(family, u, v), c / (u - v))
+    uv, vu, _, _ = _graded_products(family, u, v)
+    return _exchange_gaps(uv, vu, c / (u - v))
 
 
-def _exchange_gaps(uv: np.ndarray, vu: np.ndarray, g: complex) -> dict[str, float]:
-    """The exchange relations read off the ``_block_products`` tables, with
-    g = g(u, v) = c/(u - v); index 0 is 1, so uv[0, 0, :, 0, 1] = t11(u) t12(v)."""
+def _exchange_gaps(uv: dict, vu: dict, g: complex) -> dict[str, float]:
+    """The exchange relations read off the ``_graded_products`` tables, with
+    g = g(u, v) = c/(u - v); index 0 is 1, so uv[0, 0, 0, 1] = t11(u) t12(v)."""
     f_uv = 1.0 + g            # f(u, v)
     f_vu = 1.0 - g            # f(v, u), since g(v, u) = -g(u, v)
-    ex_11 = _scaled_gap(uv[0, 0, :, 0, 1], f_vu * vu[0, 1, :, 0, 0] + g * uv[0, 1, :, 0, 0])
-    ex_22 = _scaled_gap(uv[1, 1, :, 0, 1], f_uv * vu[0, 1, :, 1, 1] - g * uv[0, 1, :, 1, 1])
+    ex_11 = _scaled_gap(uv[0, 0, 0, 1], f_vu * vu[0, 1, 0, 0] + g * uv[0, 1, 0, 0])
+    ex_22 = _scaled_gap(uv[1, 1, 0, 1], f_uv * vu[0, 1, 1, 1] - g * uv[0, 1, 1, 1])
     # The creation/annihilation exchange closes on the diagonal blocks.  The
     # ordering t12(v) t21(u) on the right is the one compatible with the
     # global commutator structure; swapping the arguments only works at N=1
     # where t12 and t21 are constant in the spectral parameter.
     ex_21 = _scaled_gap(
-        uv[1, 0, :, 0, 1], vu[0, 1, :, 1, 0] + g * (vu[0, 0, :, 1, 1] - uv[0, 0, :, 1, 1])
+        uv[1, 0, 0, 1], vu[0, 1, 1, 0] + g * (vu[0, 0, 1, 1] - uv[0, 0, 1, 1])
     )
     return {
         "exchange_t11_t12": ex_11,

@@ -46,7 +46,12 @@ class RunConfig:
     onshell_tol: float = 1e-8
 
     def context(self) -> SpectralContext:
-        return SpectralContext.create(self.chain, self.twist, branch=self.rho_branch)
+        """The run's context with its monodromy built: every command needs
+        it, and a coupling its coefficients cannot hold stops the run here,
+        before any other numerics with that coupling."""
+        ctx = SpectralContext.create(self.chain, self.twist, branch=self.rho_branch)
+        ctx.family
+        return ctx
 
     def echo(self) -> dict:
         """Normalized round-trip of the parsed values, for the report."""

@@ -101,17 +101,26 @@ class _StringBuilder:
     ``mats`` maps each parameter to its matrix; calling the builder with a
     set drawn from those parameters applies one matrix per entry,
     rightmost first, to the reference state, exactly as
-    ``build_bethe_vector`` does.
+    ``build_bethe_vector`` does.  Every partial string (the string of a
+    suffix of a set) is kept, read-only, so a string starts from its
+    longest suffix built before, one matrix-vector product per new entry,
+    and its amplitudes are those of the full build bit for bit.
     """
 
     def __init__(self, op, points: VariableSet, sites: int):
         self.mats = {complex(x): op(x) for x in points.values}
-        self.sites = sites
+        vacuum = vacuum_state(sites)
+        vacuum.setflags(write=False)
+        self.strings = {(): vacuum}
 
     def __call__(self, vs: VariableSet) -> np.ndarray:
-        amp = vacuum_state(self.sites)
-        for x in reversed(vs.values):
-            amp = self.mats[complex(x)] @ amp
+        keys = tuple(complex(x) for x in vs.values)
+        start = next(k for k in range(len(keys) + 1) if keys[k:] in self.strings)
+        amp = self.strings[keys[start:]]
+        for k in reversed(range(start)):
+            amp = self.mats[keys[k]] @ amp
+            amp.setflags(write=False)
+            self.strings[keys[k:]] = amp
         return amp
 
 

@@ -151,29 +151,59 @@ def _dense_checks(family, twist, c, u, v):
     }
 
 
+def _perturbed_t12(params, rng, keep_grading):
+    # t12 with 1e-3 noise on its coefficients: on every entry, or only on
+    # those that raise the down-spin count by one, as t12 itself does
+    coeffs = build_monodromy(params).coeffs.copy()
+    shape = coeffs[0, 1].shape
+    noise = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    down = np.array([bin(i).count("1") for i in range(params.dim)])
+    raising = down[:, None] - down[None, :] == 1
+    coeffs[0, 1] += np.where(raising, noise, 0) if keep_grading else noise
+    return MonodromyFamily(coeffs)
+
+
 def test_structure_checks_match_dense_doubled_space():
     # a family that breaks the algebra gives every check a gap far above
     # roundoff, so a mis-indexed block-product table would show.  Scaling
     # t12 alone would not do: each exchange relation holds t12 once per term.
+    # Noise on every entry breaks the magnetization grading too, so the
+    # products are the dense ones.
     rng = np.random.default_rng(6)
     for sites in range(1, 5):
         params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
         tw = random_twist(rng)
         u, v = draw_points(rng, 2)
-        coeffs = build_monodromy(params).coeffs.copy()
-        shape = coeffs[0, 1].shape
-        coeffs[0, 1] += 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        broken = MonodromyFamily(coeffs)
+        broken = _perturbed_t12(params, rng, keep_grading=False)
         got = structure_checks(params, tw, u, v, broken)
         want = _dense_checks(broken, tw, params.c, u, v)
         for name, value in want.items():
             assert value > 1e-6, (sites, name)
             assert abs(got[name] - value) <= 1e-10 * value, (sites, name)
+        assert got["magnetization_conservation"] > 1e-6, sites
     for sites in range(1, 7):
         params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
         u, v = draw_points(rng, 2)
         family = build_monodromy(params)
         assert structure_checks(params, random_twist(rng), u, v, family)["rtt"] <= 1e-13, sites
+
+
+def test_structure_checks_by_magnetization_block_match_dense():
+    # noise only where t12 may raise the down-spin count keeps the grading
+    # and breaks the algebra, so every check is taken block by block and
+    # must still equal the dense one
+    rng = np.random.default_rng(16)
+    for sites in range(1, 7):
+        params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
+        tw = random_twist(rng)
+        u, v = draw_points(rng, 2)
+        broken = _perturbed_t12(params, rng, keep_grading=True)
+        got = structure_checks(params, tw, u, v, broken)
+        want = _dense_checks(broken, tw, params.c, u, v)
+        for name, value in want.items():
+            assert value >= 1e-5, (sites, name)
+            assert abs(got[name] - value) <= 1e-10 * value, (sites, name)
+        assert got["magnetization_conservation"] == 0.0, sites
 
 
 def test_highest_weight_structure():
@@ -349,9 +379,10 @@ def test_structure_checks_at_eight_sites():
 
 
 def test_structure_checks_memory_at_eight_sites():
-    # the two 4*2^N x 4*2^N block-product tables take 32 MB at N=8; an
-    # operator on the doubled auxiliary space, 2^(N+2) square, takes 16 MB
-    # more each time one is formed
+    # the four blocks at one point take 4.2 MB at N=8; the products by
+    # magnetization block take 6.6 MB for both orders.  Dense block-product
+    # tables would take 34 MB, and an operator on the doubled auxiliary
+    # space, 2^(N+2) square, 16 MB more each time one is formed
     params, tw = _eight_site_grid()
     family = build_monodromy(params)
     tracemalloc.start()
@@ -360,7 +391,7 @@ def test_structure_checks_memory_at_eight_sites():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 56e6, peak
+    assert peak < 24e6, peak
 
 
 def test_operator_build_memory_at_eight_sites():

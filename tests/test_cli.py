@@ -348,12 +348,12 @@ def test_verify_and_spectrum_pass_at_huge_coupling(capsys, command):
     assert report["checks"] and all(check["passed"] for check in report["checks"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["norm", "overlap"])
 def test_a_check_over_no_root_set_fails(capsys, command):
-    # at c = 1e-300 Newton finds no on-shell set; a maximum over nothing
-    # is no evidence, so the check fails and says how many sets it saw
-    assert main([command, "--config", str(N2_CONFIG), "--set", "chain.c=1e-300"]) == 1
+    # one Newton step reaches no on-shell set; a maximum over nothing is no
+    # evidence, so the check fails and says how many sets it saw
+    assert main([command, "--config", str(N2_CONFIG), "--set", "solver.max_iter=1"]) == 1
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert check["sets_checked"] == 0
     assert not check["passed"]
@@ -449,11 +449,27 @@ def test_no_eigen_solve_is_larger_than_a_sector(monkeypatch, command):
     assert sizes and max(sizes) == 20
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+_TINY_C_ERROR = (
+    "error: chain.c: the monodromy coefficients (theta/c)**k overflow at c = (1e-300+0j)\n"
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_at_vanishing_coupling_exits_2(capsys):
-    # theta/c overflows the coefficients at this c: the sector blocks must
-    # stop at the finiteness check, never give a traceback or a nan spectrum
+    # theta/c overflows the coefficients at this c: the monodromy build must
+    # stop and name the coupling, never give a traceback or a nan spectrum
     assert main(["spectrum", "--config", str(N2_CONFIG), "--set", "chain.c=1e-300"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: matrix entries must be finite\n"
+    assert captured.err == _TINY_C_ERROR
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["verify", "solve", "norm", "overlap"])
+def test_every_command_at_vanishing_coupling_exits_2_naming_it(capsys, command):
+    # the monodromy is built before any other numerics with c, so Newton and
+    # the vacuum weights never run on an overflowing coupling
+    assert main([command, "--config", str(N2_CONFIG), "--set", "chain.c=1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _TINY_C_ERROR

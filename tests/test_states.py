@@ -168,6 +168,23 @@ def test_action_checks_evaluate_each_operator_once_per_point():
         assert len(seen) == sites + 1, sites
 
 
+def test_string_builder_matches_the_full_build_bit_for_bit():
+    # a string starts from the longest suffix built before, which applies
+    # the same matrices to the same vectors in the same order as the full
+    # build, so the amplitudes must be identical, not merely close
+    rng = np.random.default_rng(19)
+    for sites in range(1, 6):
+        ctx = random_context(rng, sites)
+        nu = _family(ctx)
+        pts = VariableSet(draw_points(rng, sites + 1), eps_dist(ctx.c))
+        string = states._StringBuilder(nu.t12, pts, sites)
+        orders = [rng.permutation(sites + 1)[: rng.integers(0, sites + 2)] for _ in range(12)]
+        orders += [np.arange(sites + 1), np.arange(1, sites + 1), np.array([0, *range(2, sites + 1)])]
+        for order in orders:
+            vs = VariableSet(pts.values[order], pts.eps)
+            assert np.array_equal(string(vs), build_bethe_vector(nu, vs).amplitudes), order
+
+
 def test_offshell_actions_reject_too_many_parameters():
     rng = np.random.default_rng(13)
     ctx = random_context(rng, 2)
