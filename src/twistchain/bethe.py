@@ -52,9 +52,11 @@ from .twist import (
 )
 
 __all__ = [
+    "ActionCoefficients",
     "CoincidenceError",
     "SpectralContext",
     "VariableSet",
+    "action_coefficients",
     "bethe_jacobian",
     "bethe_residuals",
     "bethe_system",
@@ -460,6 +462,85 @@ def term_G(ctx: SpectralContext, u, i: int, j: int, roots) -> complex:
         * (1.0 - gij)
         * np.prod(1 + gj)
         * np.prod(1 - gi)
+    )
+
+
+@dataclass(frozen=True)
+class ActionCoefficients:
+    """Every scalar coefficient of the off-shell actions of nu_ij(u) on the
+    creation string of ubar, as arrays over the indices of ubar.
+
+    ``diag`` is (lam1(u) f(ubar, u), lam2(u) f(u, ubar)), ``residual`` the
+    (2, m) array of lam1(u_i) f(ubar_i, u_i) and lam2(u_i) f(u_i, ubar_i)
+    and ``kernel`` the column g(u_i, u).  The action of x nu11 + y nu22 on
+    the string of ubar is ``diag_eigenvalue(x, y)`` times that string plus
+    ``swapped(x, y)[i]`` times the string of {u} and ubar_i; the weights of
+    nu11 and nu22 alone are ``swapped(1, 0)`` and ``swapped(0, 1)``.  ``F``
+    holds term_F for each i and ``G`` term_G for each pair, symmetric, with
+    a zero diagonal.
+    """
+
+    diag: np.ndarray
+    residual: np.ndarray
+    kernel: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+
+    def diag_eigenvalue(self, x, y) -> complex:
+        return x * self.diag[0] + y * self.diag[1]
+
+    def diag_residual(self, x, y) -> np.ndarray:
+        return -x * self.residual[0] + y * self.residual[1]
+
+    def swapped(self, x, y) -> np.ndarray:
+        return self.kernel * self.diag_residual(x, y)
+
+
+def action_coefficients(ctx: SpectralContext, u, roots) -> ActionCoefficients:
+    """The ``ActionCoefficients`` of probe u and root set ubar from one
+    pair-difference matrix of {u} and ubar.
+
+    Row 0 holds the kernels g(u, u_k), rows i > 0 the kernels g(u_i, u_k)
+    against the roots, 0 on the diagonal.  Products over ubar are row
+    products, those over ubar_i and ubar_ij leave-one-out products of a row
+    (``_leave_one_out``), never divided out, so a vanishing f stays exact.
+    With P_i = lam1(u_i) f(ubar_i, u_i) and Q_i = lam2(u_i) f(u_i, ubar_i),
+
+        term_F(i)    = g(u, u_i) P_i lam2(u) f(u, ubar_i)
+                       + g(u_i, u) Q_i lam1(u) f(ubar_i, u),
+        term_G(i, j) = X_ij + X_ji,
+        X_ij         = g(u, u_i) g(u_j, u) Q_i lam1(u_j) f(ubar_ij, u_j),
+
+    since Q_i carries the factor f(u_i, u_j) of term_G.  Raises
+    CoincidenceError when two of the points meet.  The per-index functions
+    ``diag_eigenvalue``, ``diag_residual``, ``term_F`` and ``term_G`` are
+    the reference.
+    """
+    c = ctx.c
+    w = np.concatenate(([complex(u)], _as_set(roots, c).values))
+    gap = w[:, None] - w[None, :]
+    same = np.eye(w.size, dtype=bool)
+    if np.any(np.abs(gap[~same]) <= eps_dist(c)):
+        raise CoincidenceError("kernel g evaluated at coincident parameters")
+    gap[same] = 1.0
+    g = c / gap
+    g[same] = 0.0
+    l1, l2 = ctx.lam(w)
+    gu, gr, kernel = g[0, 1:], g[1:, 1:], g[1:, 0]  # g(u, u_i), g(u_i, u_k), g(u_i, u)
+    minus = 1.0 - gr  # f(u_k, u_i), 1 on the diagonal
+    p = l1[1:] * np.prod(minus, axis=1)
+    q = l2[1:] * np.prod(1.0 + gr, axis=1)
+    # lam1(u) f(ubar_i, u) and lam2(u) f(u, ubar_i)
+    left, right = l1[0] * _leave_one_out(1.0 - gu), l2[0] * _leave_one_out(1.0 + gu)
+    # x[i, j] = X_ij; row j of the leave-one-out of minus, entry i, is f(ubar_ij, u_j)
+    x = (gu * q)[:, None] * (kernel * l1[1:])[None, :] * _leave_one_out(minus).T
+    np.fill_diagonal(x, 0.0)
+    return ActionCoefficients(
+        diag=np.array([l1[0] * np.prod(1.0 - gu), l2[0] * np.prod(1.0 + gu)]),
+        residual=np.array([p, q]),
+        kernel=kernel,
+        F=gu * p * right + kernel * q * left,
+        G=x + x.T,
     )
 
 

@@ -230,23 +230,36 @@ class MonodromyFamily(MatrixPolynomial):
 def build_monodromy(params: ChainParams) -> MonodromyFamily:
     """Exact coefficients of T_a(u) in z = u/c, one block polynomial per t_ij.
 
+    The family keeps the full degree-N stack of ``_monodromy_stack``,
+    read-only, as its coefficients, with unit c.  In z the coefficients
+    stay O(1) for every c (in u they would carry c**-k), so
+    ``coefficient(k)`` is the matrix multiplying (u/c)**k.  With c = 1 and
+    integer inhomogeneities every coefficient is an exact integer.  Raises
+    ValueError naming the coupling when a coefficient leaves the float
+    range, as (theta/c)**k does for tiny |c|.
+    """
+    coef = _monodromy_stack(params, params.sites)
+    coef.setflags(write=False)
+    return MonodromyFamily(coef, params.c)
+
+
+def _monodromy_stack(params: ChainParams, degree: int) -> np.ndarray:
+    """Coefficients 0..degree of the blocks of T_a(z c), shape
+    (2, 2, min(degree, N) + 1, 2^N, 2^N) with t_ij at [i, j].
+
     Site by site, T^(n) = T^(n-1) R_an(u - theta_n) with
     R_an = (z - theta_n/c) I + P_an, and P_an = sum_jk E_kj (x) E_jk on
     aux (x) site n, so the blocks follow the recursion
 
         t_ij^(n) = (z - theta_n/c) t_ij^(n-1) (x) I + sum_k t_ik^(n-1) (x) E_jk
 
-    with the new site as the fastest tensor slot.  In z the coefficients
-    stay O(1) for every c (in u they would carry c**-k), so
-    ``coefficient(k)`` is the matrix multiplying (u/c)**k.  Each step
-    writes the doubled block-major stack (2, 2, n+1, 2^n, 2^n) from the
-    previous one with a few strided assignments, so the work doubles per
-    site and the last site dominates.  A step only copies, scales and adds
-    coefficients, so with c = 1 and integer inhomogeneities every
-    coefficient is an exact integer.  The family keeps the final stack,
-    read-only, as its coefficients, with unit c.  Raises ValueError naming
-    the coupling when a coefficient leaves the float range, as
-    (theta/c)**k does for tiny |c|.
+    with the new site as the fastest tensor slot.  Each step writes the
+    doubled block-major stack from the previous one with a few strided
+    assignments, so the work doubles per site and the last site dominates.
+    A coefficient of degree k reads only coefficients of degree <= k, so
+    the stack is cut at ``degree`` and each kept coefficient is the one of
+    the full stack bit for bit.  A step only copies, scales and adds
+    coefficients.  Raises ValueError naming the coupling on overflow.
     """
     c = params.c
     coef = np.eye(2, dtype=complex).reshape(2, 2, 1, 1, 1)
@@ -259,23 +272,23 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
                 if not cmath.isfinite(shift):
                     raise FloatingPointError("theta/c overflows")
                 _, _, m, d, _ = coef.shape
-                out = np.zeros((2, 2, m + 1, 2 * d, 2 * d), dtype=complex)
+                kept = min(m + 1, degree + 1)
+                out = np.zeros((2, 2, kept, 2 * d, 2 * d), dtype=complex)
                 # axes (i, j, degree, row of sites < n, row of site n,
                 # column of sites < n, column of site n)
-                grid = out.reshape(2, 2, m + 1, d, 2, d, 2)
+                grid = out.reshape(2, 2, kept, d, 2, d, 2)
                 for j, k in itertools.product((0, 1), repeat=2):
                     grid[:, j, :m, :, j, :, k] = coef[:, k]  # t_ik (x) E_jk
                 for s in (0, 1):  # (z - theta/c) t_ij (x) I
                     diag = grid[:, :, :, :, s, :, s]
                     diag[:, :, :m] -= shift * coef
-                    diag[:, :, 1:] += coef
+                    diag[:, :, 1:] += coef[:, :, : kept - 1]
                 coef = out
     except FloatingPointError:
         raise ValueError(
             f"chain.c: the monodromy coefficients (theta/c)**k overflow at c = {c}"
         ) from None
-    coef.setflags(write=False)
-    return MonodromyFamily(coef, c)
+    return coef
 
 
 def _contract(blocks, weights) -> np.ndarray:
@@ -323,31 +336,36 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
     route="direct" writes sum_k sigma_k . sigma_{k+1} with the boundary
     substitution at the seam; route="transfer" uses the logarithmic
     derivative 2c t'(0) t(0)^{-1} - N at vanishing inhomogeneities, which
-    in z = u/c is 2 t_z'(0) t(0)^{-1} - N, free of c.
+    in z = u/c is 2 t_z'(0) t(0)^{-1} - N, free of c.  It reads only the
+    coefficients 0 and 1 of the monodromy.  There t(0) = K_1 U with U the
+    cyclic shift of the sites, so t(0) is as well conditioned as K.
     """
     n = params.sites
     if route == "direct":
-        # one Kronecker product of single-site factors per term (ops on one
-        # site multiply); the seam couples site N to the twisted site 1
-        def term(*site_ops) -> np.ndarray:
-            factors = [ID2] * n
-            for k, op in site_ops:
-                factors[k] = factors[k] @ op
-            return kron_chain(factors)
-
+        # one Kronecker product per term, identities around the 4x4 bond;
+        # the seam couples site N to the twisted site 1, which at one site
+        # is the 2x2 product itself
         paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
-        bonds = [((k, s), (k + 1, s)) for k in range(n - 1) for s in paulis]
-        seam = [((n - 1, s), (0, s_tw)) for s, s_tw in zip(paulis, _boundary_substitutions(twist))]
-        return sum(term(*ops) for ops in bonds + seam)
+        eye = [np.eye(2 ** k) for k in range(n)]
+        bonds = (
+            np.kron(np.kron(eye[k], np.kron(s, s)), eye[n - k - 2])
+            for k in range(n - 1)
+            for s in paulis
+        )
+        seam = (
+            np.kron(np.kron(s_tw, eye[n - 2]), s) if n > 1 else s @ s_tw
+            for s, s_tw in zip(paulis, _boundary_substitutions(twist))
+        )
+        return sum(itertools.chain(bonds, seam))
     if route == "transfer":
         if any(abs(t) > 1e-12 for t in params.theta):
             raise ValueError("transfer route requires vanishing inhomogeneities")
-        t_poly = build_transfer(params, twist, build_monodromy(params))
-        t0 = t_poly(0.0)
-        if np.linalg.cond(t0) > 1e12:
+        kmat = twist.matrix()
+        if np.linalg.cond(kmat) > 1e12:
             raise ValueError("transfer matrix is singular at u = 0")
-        dt0 = t_poly.coefficient(1)  # d t / dz at z = 0
-        return 2 * (dt0 @ np.linalg.inv(t0)) - n * np.eye(params.dim)
+        t0, dt0 = _contract(_monodromy_stack(params, 1), kmat.T)  # t(0), d t / dz at 0
+        # dt0 t0^-1 as the transpose of the solve t0^T x = dt0^T
+        return 2 * np.linalg.solve(t0.T, dt0.T).T - n * np.eye(params.dim)
     raise ValueError(f"unknown route {route!r}; use 'direct' or 'transfer'")
 
 

@@ -290,6 +290,21 @@ def _solution_row(sol) -> dict:
 
 def _cmd_verify(cfg: RunConfig) -> dict:
     ctx = cfg.context()
+    ctx.modified  # a twist the modified operators cannot take fails here, as itself
+    try:
+        # every check is finite arithmetic on operator values at points of
+        # scale max(1, |c|), where u/c grows as 1/|c|; an overflow or a nan
+        # there says the coupling is beyond what double precision can check
+        with np.errstate(over="raise", invalid="raise"):
+            return {"checks": _verify_checks(cfg, ctx)}
+    except FloatingPointError:
+        raise ValueError(
+            f"chain.c: the operators and their products at the verify points "
+            f"overflow at c = {cfg.chain.c}"
+        ) from None
+
+
+def _verify_checks(cfg: RunConfig, ctx: SpectralContext) -> list[dict]:
     params, twist, modified = cfg.chain, cfg.twist, ctx.modified
     rng = np.random.default_rng(cfg.seed)
     center = complex(np.mean(np.asarray(params.theta, dtype=complex)))
@@ -320,7 +335,7 @@ def _cmd_verify(cfg: RunConfig) -> dict:
         via_t = build_hamiltonian(flat, twist, route="transfer")
         resid = _scaled_gap(direct, via_t)
         checks.append(_check("hamiltonian_routes_homogeneous", resid, cfg.onshell_tol))
-    return {"checks": checks}
+    return checks
 
 
 def _power_sum_gap(t: np.ndarray, values: np.ndarray) -> float:

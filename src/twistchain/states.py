@@ -18,14 +18,10 @@ from .bethe import (
     SpectralContext,
     VariableSet,
     _as_set,
-    _three_term,
-    diag_eigenvalue,
-    diag_residual,
+    action_coefficients,
     eps_dist,
     kernel_g,
     raising_eigenpart,
-    term_F,
-    term_G,
     transfer_eigenvalue,
 )
 from .chain import MonodromyFamily, _contract, _scaled_gap, vacuum_state
@@ -42,10 +38,6 @@ def _sites_of(family: MonodromyFamily) -> int:
 def _prepend(u: complex, vs: VariableSet) -> VariableSet:
     # coincidence of u with an existing entry is rejected by the constructor
     return VariableSet(np.concatenate(([u], vs.values)), vs.eps)
-
-
-def _append(u: complex, vs: VariableSet) -> VariableSet:
-    return VariableSet(np.concatenate((vs.values, [u])), vs.eps)
 
 
 @dataclass(frozen=True)
@@ -95,26 +87,25 @@ def build_dual_vector(nu: MonodromyFamily, roots) -> BetheVector:
 
 
 class _StringBuilder:
-    """Creation strings over subsets of one parameter set, with the
-    operator evaluated once per parameter.
+    """Creation strings over subsets of one list of points, each operator
+    matrix given once.
 
-    ``mats`` maps each parameter to its matrix; calling the builder with a
-    set drawn from those parameters applies one matrix per entry,
-    rightmost first, to the reference state, exactly as
-    ``build_bethe_vector`` does.  Every partial string (the string of a
-    suffix of a set) is kept, read-only, so a string starts from its
-    longest suffix built before, one matrix-vector product per new entry,
-    and its amplitudes are those of the full build bit for bit.
+    ``mats[k]`` is the creation operator at point k; calling the builder
+    with a tuple of point indices applies one matrix per index, rightmost
+    first, to the reference state, exactly as ``build_bethe_vector`` does
+    for those points.  Every partial string (the string of a suffix of the
+    tuple) is kept, read-only, so a string starts from its longest suffix
+    built before, one matrix-vector product per new index, and its
+    amplitudes are those of the full build bit for bit.
     """
 
-    def __init__(self, op, points: VariableSet, sites: int):
-        self.mats = {complex(x): op(x) for x in points.values}
+    def __init__(self, mats, sites: int):
+        self.mats = list(mats)
         vacuum = vacuum_state(sites)
         vacuum.setflags(write=False)
         self.strings = {(): vacuum}
 
-    def __call__(self, vs: VariableSet) -> np.ndarray:
-        keys = tuple(complex(x) for x in vs.values)
+    def __call__(self, keys: tuple) -> np.ndarray:
         start = next(k for k in range(len(keys) + 1) if keys[k:] in self.strings)
         amp = self.strings[keys[start:]]
         for k in reversed(range(start)):
@@ -132,7 +123,8 @@ def offshell_action_residuals(
 
     Keys: nu12_action (pure raising, probed through a permuted build order),
     nu11_action, nu22_action, nu21_action (with both lowering sums), and
-    transfer_action.
+    transfer_action.  Every scalar coefficient is read off one
+    ``action_coefficients`` call.
     """
     rs = _as_set(roots, ctx.c)
     m = len(rs)
@@ -140,62 +132,59 @@ def offshell_action_residuals(
     if m > n:
         raise ValueError(f"need at most {n} parameters, got {m}")
     u = complex(u)
-    c = ctx.c
     f = ctx.fact
     rp = f.ratio_plus
+    coef = action_coefficients(ctx, u, rs)
 
     # each operator is evaluated once per point: all four at u, the
     # creation operator alone at each root; every string below is a
-    # product of these matrices
-    plus_set = _prepend(u, rs)
+    # product of these matrices, keyed by point index with the probe at 0
+    # and root i at i + 1
     at_u = nu.at(u)
     (t11u, t12u), (t21u, t22u) = at_u
-    string = _StringBuilder(nu.t12, rs, n)
-    string.mats[u] = t12u
+    string = _StringBuilder([t12u, *(nu.t12(x) for x in rs.values)], n)
+    roots_at = tuple(range(1, m + 1))
 
-    base = string(rs)
-    plus = string(plus_set)
-    # B(u, ubar_i): the i-th argument traded for the probe point
-    swapped = [string(_prepend(u, rs.drop(i))) for i in range(m)]
+    def without(*skip) -> tuple:
+        return tuple(k for k in roots_at if k - 1 not in skip)
+
+    base = string(roots_at)
+    plus = string((0, *roots_at))
 
     # creation: apply last vs apply first, equal only because the family
     # commutes with itself
-    permuted = string(_append(u, rs))
+    permuted = string((*roots_at, 0))
     r12 = _scaled_gap(t12u @ base, permuted)
 
-    acc11 = rp * plus + diag_eigenvalue(ctx, u, rs, 1.0, 0.0) * base
-    acc22 = rp * plus + diag_eigenvalue(ctx, u, rs, 0.0, 1.0) * base
-    for i in range(m):
-        ui = rs[i]
-        nu11 = kernel_g(u, ui, c) * _three_term(ctx, ui, rs, 1.0, 0.0, 0.0, i)
-        nu22 = kernel_g(ui, u, c) * _three_term(ctx, ui, rs, 0.0, 1.0, 0.0, i)
-        acc11 = acc11 + nu11 * swapped[i]
-        acc22 = acc22 + nu22 * swapped[i]
-    r11 = _scaled_gap(t11u @ base, acc11)
-    r22 = _scaled_gap(t22u @ base, acc22)
+    def strings(keys) -> np.ndarray:
+        out = np.empty((len(keys), base.size), dtype=complex)
+        for row, key in zip(out, keys):
+            row[:] = string(key)
+        return out
 
-    acc21 = rp ** 2 * plus + rp * diag_eigenvalue(ctx, u, rs, 1.0, 1.0) * base
-    for i in range(m):
-        acc21 = acc21 + rp * kernel_g(rs[i], u, c) * diag_residual(
-            ctx, i, rs, 1.0, 1.0
-        ) * swapped[i]
-        lowered = string(rs.drop(i))
-        acc21 = acc21 + term_F(ctx, u, i, rs) * lowered
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair = string(_prepend(u, rs.drop2(i, j)))
-            acc21 = acc21 + term_G(ctx, u, i, j, rs) * pair
+    # B(u, ubar_i): the i-th argument traded for the probe point
+    swapped = strings([(0, *without(i)) for i in range(m)])
+
+    def diagonal_side(x, y, raising) -> np.ndarray:
+        """Right side of the action of x nu11 + y nu22 on the string, the
+        order-(m+1) string weighted by ``raising``."""
+        return raising * plus + coef.diag_eigenvalue(x, y) * base + coef.swapped(x, y) @ swapped
+
+    r11 = _scaled_gap(t11u @ base, diagonal_side(1.0, 0.0, rp))
+    r22 = _scaled_gap(t22u @ base, diagonal_side(0.0, 1.0, rp))
+
+    # nu21 adds the lowering sums: B(ubar_i) and B(u, ubar_ij)
+    first, second = np.triu_indices(m, 1)
+    acc21 = (
+        rp * diagonal_side(1.0, 1.0, rp)
+        + coef.F @ strings([without(i) for i in range(m)])
+        + coef.G[first, second] @ strings([(0, *without(i, j)) for i, j in zip(first, second)])
+    )
     r21 = _scaled_gap(t21u @ base, acc21)
 
-    x, y = np.diag(f.d_factor)
-    acct = (ctx.twist.kappa_minus / f.mu) * plus + diag_eigenvalue(
-        ctx, u, rs, x, y
-    ) * base
-    for i in range(m):
-        acct = acct + kernel_g(rs[i], u, c) * diag_residual(
-            ctx, i, rs, x, y
-        ) * swapped[i]
     # the transfer matrix tr_a(D nu(u)), from the blocks above
+    x, y = np.diag(f.d_factor)
+    acct = diagonal_side(x, y, ctx.twist.kappa_minus / f.mu)
     rt = _scaled_gap(_contract(at_u, f.d_factor.T) @ base, acct)
 
     return {
@@ -221,14 +210,15 @@ def raising_identity_residual(
     c = ctx.c
     f = ctx.fact
 
-    plus_set = _prepend(u, rs)
-    string = _StringBuilder(nu.t12, plus_set, n)
-    lhs = (ctx.twist.kappa_minus / f.mu) * string(plus_set)
-    terms = [raising_eigenpart(ctx, u, rs) * string(rs)]
+    # the probe is point 0, root i is point i + 1
+    string = _StringBuilder([nu.t12(x) for x in _prepend(u, rs).values], n)
+    roots_at = tuple(range(1, n + 1))
+    lhs = (ctx.twist.kappa_minus / f.mu) * string((0, *roots_at))
+    terms = [raising_eigenpart(ctx, u, rs) * string(roots_at)]
     for i in range(n):
         rest = rs.drop(i)
         coeff = kernel_g(rs[i], u, c) * raising_eigenpart(ctx, rs[i], rest)
-        terms.append(coeff * string(_prepend(u, rest)))
+        terms.append(coeff * string((0, *roots_at[:i], *roots_at[i + 1 :])))
     # the terms can be many orders larger than their sum and cancel, so the
     # gap is taken relative to the sum of all the norms, with a unit floor
     scale = max(1.0, sum(float(np.linalg.norm(v)) for v in (lhs, *terms)))

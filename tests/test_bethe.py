@@ -10,11 +10,13 @@ from twistchain.bethe import (
     _tq_base,
     _tq_system,
     VariableSet,
+    action_coefficients,
     bethe_jacobian,
     bethe_residuals,
     bethe_system,
     cauchy_determinant_closed,
     diag_eigenvalue,
+    diag_residual,
     eigenvalue_gradient,
     eps_dist,
     kernel_g,
@@ -22,6 +24,8 @@ from twistchain.bethe import (
     onshell_tolerance,
     raising_eigenpart,
     shift_polynomial,
+    term_F,
+    term_G,
     tq_polynomial_residual,
     transfer_eigenvalue,
 )
@@ -203,6 +207,59 @@ def test_jacobian_where_a_pair_is_one_coupling_apart():
         roots[1] = roots[0] - ctx.c
         assert 1.0 + kernel_g(roots[1], roots[0], ctx.c) == 0
         assert _jacobian_gap(ctx, roots) < 1e-7
+
+
+def _action_coefficient_cases():
+    """(ctx, u, roots) at m = 1..7 roots, two random sets per m and one
+    where u_1 - u_0 = -c, on dyadic points so that difference is exact."""
+    rng = np.random.default_rng(74)
+    for m in range(1, 8):
+        for kind in ("random", "random", "one coupling apart"):
+            if kind != "random" and m < 2:
+                continue
+            ctx = random_context(rng, m)
+            pts = _distinct_points(300 + 10 * m + len(kind), m + 1)
+            if kind != "random":
+                pts = np.round(pts * 1024) / 1024
+                pts[2] = pts[1] - ctx.c
+            yield ctx, pts[0], VariableSet(pts[1:], eps_dist(ctx.c))
+
+
+def test_action_coefficients_match_the_per_index_functions():
+    def close(got, want):
+        return np.all(np.abs(np.asarray(got) - want) <= 1e-14 * np.abs(want))
+
+    exact_zeros = 0
+    for ctx, u, rs in _action_coefficient_cases():
+        m, c = len(rs), ctx.c
+        coef = action_coefficients(ctx, u, rs)
+        x, y = 0.7 - 0.2j, -1.3 + 0.5j
+        for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (x, y)):
+            assert close(coef.diag_eigenvalue(a, b), diag_eigenvalue(ctx, u, rs, a, b))
+            want = [diag_residual(ctx, i, rs, a, b) for i in range(m)]
+            assert close(coef.diag_residual(a, b), want), (m, a, b)
+            exact_zeros += int(np.sum(coef.diag_residual(a, b)[np.equal(want, 0)] == 0))
+        nu11 = [kernel_g(u, rs[i], c) * diag_residual(ctx, i, rs, -1.0, 0.0) for i in range(m)]
+        nu22 = [kernel_g(rs[i], u, c) * diag_residual(ctx, i, rs, 0.0, 1.0) for i in range(m)]
+        assert close(coef.swapped(1.0, 0.0), nu11), m
+        assert close(coef.swapped(0.0, 1.0), nu22), m
+        assert close(coef.F, [term_F(ctx, u, i, rs) for i in range(m)]), m
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    assert close(coef.G[i, j], term_G(ctx, u, i, j, rs)), (m, i, j)
+    # the sets one coupling apart hold an exact zero f, kept exact
+    assert exact_zeros > 0
+
+
+def test_action_coefficients_reject_a_probe_on_a_root():
+    rng = np.random.default_rng(75)
+    ctx = random_context(rng, 3)
+    rs = VariableSet(_distinct_points(76, 3), eps_dist(ctx.c))
+    with pytest.raises(CoincidenceError):
+        action_coefficients(ctx, rs[1], rs)
+    with pytest.raises(CoincidenceError):
+        action_coefficients(ctx, rs[1] + 1e-12, rs)
 
 
 def test_batch_rows_match_single_sets():

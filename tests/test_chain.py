@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from twistchain.chain import (
     SIGMA_Z,
     _boundary_substitutions,
     _contract,
+    _monodromy_stack,
+    _scaled_gap,
     build_hamiltonian,
     build_monodromy,
     build_r_matrix,
@@ -26,11 +29,14 @@ from twistchain.chain import (
     vacuum_weight_derivatives,
     vacuum_weights,
 )
+from twistchain.cli import parse_config
 from twistchain.linalg import kron_chain
 from twistchain.states import offshell_action_residuals
 from twistchain.twist import build_modified_operators, factorize_twist
 
 from conftest import draw_points, random_context, random_theta, random_twist
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_r_matrix_shapes_and_special_points():
@@ -438,12 +444,43 @@ def test_plain_string_actions_match_direct_application():
 
 def test_hamiltonian_routes_agree_homogeneous():
     rng = np.random.default_rng(17)
-    for sites in (2, 3):
+    shipped = [
+        parse_config(str(CONFIGS / name)).twist for name in ("n3_generic.json", "n2_generic.json")
+    ]
+    for tw in [random_twist(rng), *shipped]:
+        for sites in range(2, 9):
+            params = ChainParams(sites, 1.0, (0.0,) * sites)
+            direct = build_hamiltonian(params, tw, route="direct")
+            viat = build_hamiltonian(params, tw, route="transfer")
+            assert np.linalg.norm(direct - viat) < 1e-8
+            assert _scaled_gap(direct, viat) <= 1e-14, (sites, tw)
+
+
+def test_degree_one_stack_is_the_low_monodromy_coefficients():
+    # a coefficient of degree k reads only degrees <= k in the recursion,
+    # so the cut stack must equal the full one bit for bit
+    rng = np.random.default_rng(23)
+    for sites in range(1, 9):
+        params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
+        low = _monodromy_stack(params, 1)
+        assert np.array_equal(low, build_monodromy(params).coeffs[:, :, :2]), sites
+
+
+def test_transfer_at_zero_is_as_well_conditioned_as_the_twist():
+    # at vanishing inhomogeneities t(0) = K_1 U with U the cyclic shift, so
+    # the route's guard reads cond K instead of factorizing t(0)
+    rng = np.random.default_rng(29)
+    for sites in range(1, 7):
         params = ChainParams(sites, 1.0, (0.0,) * sites)
         tw = random_twist(rng)
-        direct = build_hamiltonian(params, tw, route="direct")
-        viat = build_hamiltonian(params, tw, route="transfer")
-        assert np.linalg.norm(direct - viat) < 1e-8
+        t0 = build_transfer(params, tw, build_monodromy(params))(0.0)
+        cond_k = np.linalg.cond(tw.matrix())
+        assert abs(np.linalg.cond(t0) - cond_k) <= 1e-12 * cond_k, sites
+    params = ChainParams(3, 1.0, (0.0,) * 3)
+    nearly_singular = TwistParams(1.0, 1.0 + 1e-14, 1.0, 1.0)
+    assert np.linalg.cond(nearly_singular.matrix()) > 1e12
+    with pytest.raises(ValueError, match="transfer matrix is singular at u = 0"):
+        build_hamiltonian(params, nearly_singular, route="transfer")
 
 
 def test_direct_hamiltonian_matches_embedded_products():

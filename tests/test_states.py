@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from collections import Counter
@@ -97,11 +98,13 @@ def test_offshell_action_residual_catches_a_wrong_coefficient(monkeypatch):
     # the residuals are relative to the vector scale; a coefficient off by
     # 1e-6 relative must still fail the 1e-10 structural tolerance
     rng = np.random.default_rng(11)
-    exact = states.term_G
+    exact = states.action_coefficients
 
-    def skewed(ctx, u, i, j, roots):
-        bump = 1.0 + 1e-6 if (i, j) == (0, 1) else 1.0
-        return bump * exact(ctx, u, i, j, roots)
+    def skewed(ctx, u, roots):
+        coef = exact(ctx, u, roots)
+        pair = coef.G.copy()
+        pair[0, 1] *= 1.0 + 1e-6
+        return dataclasses.replace(coef, G=pair)
 
     for sites in range(2, 7):
         ctx = random_context(rng, sites)
@@ -110,7 +113,7 @@ def test_offshell_action_residual_catches_a_wrong_coefficient(monkeypatch):
         rs = VariableSet(pts[1:], eps_dist(ctx.c))
         clean = offshell_action_residuals(nu, ctx, pts[0], rs)["nu21_action"]
         with monkeypatch.context() as patch:
-            patch.setattr(states, "term_G", skewed)
+            patch.setattr(states, "action_coefficients", skewed)
             broken = offshell_action_residuals(nu, ctx, pts[0], rs)["nu21_action"]
         assert clean < 1e-10 < broken, (sites, clean, broken)
 
@@ -177,12 +180,13 @@ def test_string_builder_matches_the_full_build_bit_for_bit():
         ctx = random_context(rng, sites)
         nu = _family(ctx)
         pts = VariableSet(draw_points(rng, sites + 1), eps_dist(ctx.c))
-        string = states._StringBuilder(nu.t12, pts, sites)
+        string = states._StringBuilder([nu.t12(x) for x in pts.values], sites)
         orders = [rng.permutation(sites + 1)[: rng.integers(0, sites + 2)] for _ in range(12)]
         orders += [np.arange(sites + 1), np.arange(1, sites + 1), np.array([0, *range(2, sites + 1)])]
         for order in orders:
             vs = VariableSet(pts.values[order], pts.eps)
-            assert np.array_equal(string(vs), build_bethe_vector(nu, vs).amplitudes), order
+            got = string(tuple(int(k) for k in order))
+            assert np.array_equal(got, build_bethe_vector(nu, vs).amplitudes), order
 
 
 def test_offshell_actions_reject_too_many_parameters():
