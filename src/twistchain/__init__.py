@@ -35,7 +35,13 @@ from .solver import (
     spectrum_match,
 )
 from .states import build_bethe_vector, build_dual_vector, w0
-from .twist import TwistDegeneracyError, TwistParams, factorize_twist, build_modified_operators
+from .twist import (
+    TwistDegeneracyError,
+    TwistFactorization,
+    TwistParams,
+    build_modified_operators,
+    factorize_twist,
+)
 
 __all__ = [
     "BetheSolution",
@@ -47,6 +53,7 @@ __all__ = [
     "OverlapReport",
     "SpectralContext",
     "TwistDegeneracyError",
+    "TwistFactorization",
     "TwistParams",
     "VariableSet",
     "bethe_residuals",

@@ -19,8 +19,8 @@ eigenvalue of the twisted transfer matrix,
 
 its off-shell residual E(u_i, ubar_i) (the Bethe equations read E = 0), the
 analytic Jacobians of both, and the equivalent T-Q relation, written once as
-a matrix on the coefficients of Q that the spectrum-first solver fits and
-tq_polynomial_residual checks.
+a matrix on the coefficients of Q in v = u/s, s = max(1, |c|), that the
+spectrum-first solver fits and tq_polynomial_residual checks.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .twist import (
     TwistFactorization,
     TwistParams,
     build_modified_operators,
-    diagonal_factorization,
     factorize_twist,
     twist_alpha,
 )
@@ -171,11 +170,7 @@ class SpectralContext:
     def create(
         cls, chain: ChainParams, twist: TwistParams, branch: str = "minus"
     ) -> "SpectralContext":
-        if twist.kappa_plus == 0 and twist.kappa_minus == 0:
-            fact = diagonal_factorization(twist)
-        else:
-            fact = factorize_twist(twist, branch)
-        return cls(chain=chain, twist=twist, fact=fact)
+        return cls(chain=chain, twist=twist, fact=factorize_twist(twist, branch))
 
     @property
     def c(self) -> complex:
@@ -560,12 +555,10 @@ def cauchy_determinant_closed(vs, us, c) -> complex:
 
 def _shift_matrix(n: int, s: complex) -> np.ndarray:
     """Binomial matrix [m, k] = C(k, m) s^(k - m): it takes the low-to-high
-    coefficients of a polynomial p of degree at most n to those of p(u + s).
-    Powers of s beyond the float range come out inf or nan, not raised."""
+    coefficients of a polynomial p of degree at most n to those of p(u + s)."""
     k = np.arange(n + 1)
     gap = np.maximum(k - k[:, None], 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.vectorize(math.comb)(k, k[:, None]) * complex(s) ** gap
+    return np.vectorize(math.comb)(k, k[:, None]) * complex(s) ** gap
 
 
 def shift_polynomial(coeffs, s: complex) -> np.ndarray:
@@ -583,47 +576,46 @@ def _product_matrix(p: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _lam_coeffs(ctx: SpectralContext) -> tuple[np.ndarray, np.ndarray]:
-    """Low-to-high coefficients of lam1 and lam2, built one factor
-    (u - theta + c)/c or (u - theta)/c at a time, so no c**N overflows."""
+def _lam_coeffs(ctx: SpectralContext, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Low-to-high coefficients of lam1 and lam2 in v = u/s, built one factor
+    (s v - theta + c)/c or (s v - theta)/c at a time, so no c**N overflows."""
     c = ctx.c
     l1 = l2 = np.ones(1, dtype=complex)
     for t in ctx.chain.theta:
-        l1 = np.convolve(l1, [(c - t) / c, 1 / c])
-        l2 = np.convolve(l2, [-t / c, 1 / c])
+        l1 = np.convolve(l1, [(c - t) / c, s / c])
+        l2 = np.convolve(l2, [-t / c, s / c])
     return l1, l2
 
 
 def _tq_base(ctx: SpectralContext) -> tuple[np.ndarray, np.ndarray]:
-    """The Lam-free part of the T-Q relation on the N + 1 coefficients of Q.
+    """The Lam-free part of the T-Q relation in v = u/s, s = max(1, |c|),
+    on the N + 1 coefficients of the monic Q(v) = Q(u)/s^N.
 
     Returns (B, b), each with 2N + 1 rows: B q holds the coefficients of
-    (kt - rho) lam1 Q(u - c) + (k - rho) lam2 Q(u + c), and b those of
-    2 rho c^N lam1 lam2, with c^N lam2 = prod (u - theta).
+    (kt - rho) lam1 Q(v - c/s) + (k - rho) lam2 Q(v + c/s), and b those of
+    2 rho lam1 prod (v - theta/s) = 2 rho c^N lam1 lam2 / s^N.  The shifts
+    c/s have modulus at most 1, so the shift matrices stay within the
+    binomials C(N, k) for every c.
     """
     n, c = ctx.sites, ctx.c
-    down, up = _shift_matrix(n, -c), _shift_matrix(n, c)
-    if not np.all(np.isfinite((down, up))):
-        raise ValueError(
-            f"coupling c = {c} overflows the shifted polynomials "
-            "Q(u -+ c) of the T-Q fit"
-        )
+    s = max(1.0, abs(c))
     t, f = ctx.twist, ctx.fact
-    l1, l2 = _lam_coeffs(ctx)
-    mat = (t.kappa_tilde - f.rho) * _product_matrix(l1, n) @ down
-    mat += (t.kappa - f.rho) * _product_matrix(l2, n) @ up
-    inhom = 2 * f.rho * np.convolve(l1, np.poly(ctx.chain.theta)[::-1])
+    l1, l2 = _lam_coeffs(ctx, s)
+    mat = (t.kappa_tilde - f.rho) * _product_matrix(l1, n) @ _shift_matrix(n, -c / s)
+    mat += (t.kappa - f.rho) * _product_matrix(l2, n) @ _shift_matrix(n, c / s)
+    theta = np.asarray(ctx.chain.theta, dtype=complex) / s
+    inhom = 2 * f.rho * np.convolve(l1, np.poly(theta)[::-1])
     return mat, inhom
 
 
 def _tq_system(lam_coeffs, base) -> tuple[np.ndarray, np.ndarray]:
     """(A, b) such that A q - b holds the coefficients of the T-Q relation
 
-        Lam Q - (kt - rho) lam1 Q(u - c) - (k - rho) lam2 Q(u + c)
-              - 2 rho c^N lam1 lam2
+        Lam Q - (kt - rho) lam1 Q(v - c/s) - (k - rho) lam2 Q(v + c/s)
+              - 2 rho lam1 prod (v - theta/s)
 
-    for Lam of degree at most N (low to high); base is _tq_base(ctx), the
-    part every Lam of one chain shares.
+    in v = u/s, s = max(1, |c|), for Lam of degree at most N (low to high
+    in v); base is _tq_base(ctx), the part every Lam of one chain shares.
     """
     mat, inhom = base
     n = mat.shape[1] - 1
@@ -634,10 +626,10 @@ def _tq_system(lam_coeffs, base) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tq_polynomial_residual(ctx: SpectralContext, lam_coeffs, q_coeffs) -> float:
-    """Max coefficient modulus of Lam Q - (kt-rho) lam1 Q(.-c) - (k-rho) lam2 Q(.+c) - 2 rho c^N lam1 lam2.
+    """Max coefficient modulus of the T-Q relation of ``_tq_system``.
 
-    lam_coeffs and q_coeffs are low-to-high coefficient arrays; Q must be
-    monic of degree N.
+    lam_coeffs and q_coeffs are low-to-high coefficient arrays in
+    v = u/s, s = max(1, |c|); Q must be monic of degree N.
     """
     q = np.atleast_1d(np.asarray(q_coeffs, dtype=complex))
     n = ctx.sites

@@ -314,7 +314,8 @@ def solve_tq_fit(ctx: SpectralContext, tol: float = 1e-8) -> list[BetheSolution]
     one Rayleigh quotient per coefficient gives the eigenvalue polynomial
     exactly.  The candidates are fitted in the (Re, Im) order of their
     eigenvalues at the probe.  The quotients are coefficients in z = u/c;
-    the T-Q fit works in u, so they are rescaled by c**-k once.  Degenerate
+    the T-Q fit works in v = u/s, s = max(1, |c|) (``bethe._tq_base``), so
+    they are rescaled by (s/c)**k once and the fitted roots by s.  Degenerate
     spectra break that premise and surface as large fit residuals, which
     are flagged rather than repaired.
     """
@@ -325,14 +326,14 @@ def solve_tq_fit(ctx: SpectralContext, tol: float = 1e-8) -> list[BetheSolution]
         for value, vec in eigenpairs(sector(u0)):
             values.append(value)
             polys.append(sector.coeffs @ vec @ vec.conj())
-    # c**k is finite up to k = N once _tq_base has accepted c
-    to_u = ctx.c ** np.arange(ctx.sites + 1)
+    s = max(1.0, abs(ctx.c))
+    to_v = (ctx.c / s) ** np.arange(ctx.sites + 1)
     rows, flags = [], []
     for k in _spectral_order(np.array(values)):
-        monic, fit_res = _tq_linear_fit(polys[k] / to_u, base)
+        monic, fit_res = _tq_linear_fit(polys[k] / to_v, base)
         # a residual that overflowed to nan is no passing fit
         flags.append(None if fit_res <= FIT_TOL else "tq-residual")
-        rows.append(np.roots(monic[::-1]))
+        rows.append(s * np.roots(monic[::-1]))
     return _pool(ctx, np.array(rows), "tq", tol, flags)
 
 
@@ -380,17 +381,18 @@ def classify_solutions(a: list[BetheSolution], b: list[BetheSolution]) -> MatchR
 
 
 def spectrum_match(ctx: SpectralContext, solutions: list[BetheSolution]) -> dict:
-    """Compare eigenvalue samples over the solution list against the full
-    spectrum at each probe point; greedy nearest assignment, in solution
-    order, with the lowest free index taking a tie."""
-    pts = probe_points(ctx, PROBES)
+    """Compare the eigenvalue samples each solution carries
+    (``matched_eigenvalue``, one per probe point) against the full spectrum
+    at each probe point; greedy nearest assignment, in solution order, with
+    the lowest free index taking a tie.  A sample lost to a probe collision
+    is nan and keeps the gap nan."""
     expected = 2 ** ctx.sites
     max_rel = 0.0 if solutions else float("inf")
-    for p in pts:
+    for k, p in enumerate(probe_points(ctx, PROBES)):
         spectrum = ctx.spectrum(p)
         free = np.ones(len(spectrum), dtype=bool)
         for sol in solutions:
-            lam = transfer_eigenvalue(ctx, p, sol.roots)
+            lam = sol.matched_eigenvalue[k]
             left = np.flatnonzero(free)
             if not left.size:
                 max_rel = float("inf")
@@ -398,7 +400,7 @@ def spectrum_match(ctx: SpectralContext, solutions: list[BetheSolution]) -> dict
             j = left[np.argmin(np.abs(spectrum[left] - lam))]
             free[j] = False
             gap = abs(spectrum[j] - lam) / max(1.0, abs(spectrum[j]))
-            max_rel = max(max_rel, float(gap))
+            max_rel = float(np.maximum(max_rel, gap))
     return {
         "expected": expected,
         "found": len(solutions),

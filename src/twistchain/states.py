@@ -24,7 +24,7 @@ from .bethe import (
     raising_eigenpart,
     transfer_eigenvalue,
 )
-from .chain import MonodromyFamily, _contract, _scaled_gap, vacuum_state
+from .chain import MonodromyFamily, _contract, _scaled_gap, magnetization_sectors, vacuum_state
 
 
 def _sites_of(family: MonodromyFamily) -> int:
@@ -243,14 +243,6 @@ def eigenstate_residual(
     return float(np.linalg.norm(resid) / scale)
 
 
-def sector_mask(sites: int, n_down: int) -> np.ndarray:
-    """Boolean mask over the product basis selecting a fixed number of
-    flipped spins (basis index bit = flipped site)."""
-    return np.array(
-        [bin(i).count("1") == n_down for i in range(2 ** sites)], dtype=bool
-    )
-
-
 def raising_coefficient(
     nu: MonodromyFamily, ctx: SpectralContext, u, roots, which: str
 ) -> complex:
@@ -271,9 +263,9 @@ def raising_coefficient(
         op = getattr(nu, "t" + which[2:])(u)
     else:
         raise ValueError(f"unknown operator label {which!r}")
-    mask = sector_mask(n, m + 1)
-    acted = (op @ build_bethe_vector(nu, rs).amplitudes)[mask]
-    target = build_bethe_vector(nu, _prepend(u, rs)).amplitudes[mask]
+    sector = magnetization_sectors(n)[m + 1]
+    acted = (op @ build_bethe_vector(nu, rs).amplitudes)[sector]
+    target = build_bethe_vector(nu, _prepend(u, rs)).amplitudes[sector]
     den = np.vdot(target, target)
     if den == 0:
         raise ValueError("target string has no amplitude in the sector")

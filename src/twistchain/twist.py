@@ -7,7 +7,8 @@ with nonzero off-diagonal product factorizes as K = L D L where
     D = diag(kappa_tilde - rho, kappa - rho),
 
 rho is a root of rho^2 - (kappa_tilde + kappa) rho + kappa_plus kappa_minus
-and mu = (kappa_tilde + kappa - rho) / (kappa_tilde + kappa - 2 rho).  The
+and mu = (kappa_tilde + kappa - rho) / (kappa_tilde + kappa - 2 rho).  A
+diagonal twist is the limit rho = 0, mu = 1, L = I of the same record.  The
 dressing nu = L T_a L of the monodromy gives the "modified" operators the
 modified algebraic Bethe ansatz is built from, and the transfer matrix is
 tr_a(K T) = tr_a(D nu).  Both are contractions of the four blocks with 2x2
@@ -17,7 +18,6 @@ so both rho branches are bit-reproducible.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "TwistFactorization",
     "TwistParams",
     "build_modified_operators",
-    "diagonal_factorization",
     "factorize_twist",
     "modified_diagonal_residual",
     "twist_alpha",
@@ -80,7 +79,7 @@ class TwistParams:
 
 @dataclass(frozen=True)
 class TwistFactorization:
-    """One branch of the K = L D L factorization.
+    """One branch of the K = L D L factorization, L = sqrt(mu) L0.
 
     ratio_plus = rho/kappa_plus and ratio_minus = rho/kappa_minus are stored
     explicitly so the diagonal (U(1)) limit, where rho and the off-diagonal
@@ -89,109 +88,71 @@ class TwistFactorization:
 
     rho: complex
     mu: complex
-    alpha: complex
     ratio_plus: complex
     ratio_minus: complex
-    l_factor: np.ndarray
     d_factor: np.ndarray
     branch: str
 
-
-def _overflow_checked(factorize):
-    """Wraps a factorization so that a twist entry too large for the float
-    range, which turns its numbers into inf or nan, raises a
-    TwistDegeneracyError naming the twist instead of warning."""
-
-    @functools.wraps(factorize)
-    def checked(twist: TwistParams, *args, **kwargs) -> TwistFactorization:
-        with np.errstate(all="ignore"):
-            fact = factorize(twist, *args, **kwargs)
-        numbers = (fact.rho, fact.mu, fact.alpha, fact.l_factor, fact.d_factor)
-        if not all(np.all(np.isfinite(x)) for x in numbers):
-            raise TwistDegeneracyError(
-                f"twist K = {twist.matrix().tolist()} overflows its factorization; "
-                "scale the twist down, which leaves the Bethe roots unchanged"
-            )
-        return fact
-
-    return checked
+    @property
+    def l0(self) -> np.ndarray:
+        """L0 = [[1, rho/kappa_minus], [rho/kappa_plus, 1]]; the identity in
+        the diagonal limit."""
+        return np.array([[1.0, self.ratio_minus], [self.ratio_plus, 1.0]], dtype=complex)
 
 
 def twist_alpha(twist: TwistParams) -> complex:
     """Twist eigenvalue entering the plain-ansatz eigenvalue branch."""
     kt, k = twist.kappa_tilde, twist.kappa
     # a product, not ** 2: a complex power raises OverflowError where a
-    # product overflows to inf, which ``_overflow_checked`` reports
+    # product overflows to inf, which ``factorize_twist`` reports
     disc = (k - kt) * (k - kt) + 4 * twist.kappa_plus * twist.kappa_minus
     return (k + kt + np.sqrt(complex(disc))) / 2
 
 
-@_overflow_checked
 def factorize_twist(twist: TwistParams, branch: str = "minus") -> TwistFactorization:
-    """Factorize a twist with nonzero off-diagonal product.
+    """Factorize a twist as K = L D L.
 
     branch selects the root of the rho quadratic: "minus" takes
     (trace - sqrt(disc))/2 under the principal square root, "plus" the
-    other one.
+    other one.  A diagonal twist (kappa_plus = kappa_minus = 0) has the one
+    factorization rho = 0, mu = 1, L = I, returned as branch "diagonal":
+    the modified operators reduce to the bare monodromy blocks and the
+    machinery to the plain ansatz.  A twist entry too large for the float
+    range, which turns the numbers into inf or nan, raises a
+    TwistDegeneracyError naming the twist.
     """
     if branch not in ("minus", "plus"):
         raise ValueError(f"branch must be 'minus' or 'plus', got {branch!r}")
     kp, km = twist.kappa_plus, twist.kappa_minus
-    if kp * km == 0:
+    with np.errstate(all="ignore"):
+        if kp == 0 and km == 0:
+            rho, mu, ratio_plus, ratio_minus, branch = 0j, 1 + 0j, 0j, 0j, "diagonal"
+        elif kp * km == 0:
+            raise TwistDegeneracyError(
+                "kappa_plus * kappa_minus = 0: the L D L factorization degenerates; "
+                "only the U(1) limit kappa_plus = kappa_minus = 0 is covered"
+            )
+        else:
+            s = twist.trace
+            root = np.sqrt(complex(s * s - 4 * kp * km))
+            rho = (s - root) / 2 if branch == "minus" else (s + root) / 2
+            denom = s - 2 * rho
+            if abs(denom) <= 1e-12 * max(1.0, abs(s)):
+                other = "plus" if branch == "minus" else "minus"
+                raise TwistDegeneracyError(
+                    f"kappa_tilde + kappa - 2 rho vanishes on branch {branch!r} "
+                    f"(mu singular); try branch {other!r}"
+                )
+            mu, ratio_plus, ratio_minus = (s - rho) / denom, rho / kp, rho / km
+        d_factor = np.diag([twist.kappa_tilde - rho, twist.kappa - rho])
+        numbers = (rho, mu, ratio_plus, ratio_minus, d_factor, twist_alpha(twist))
+    if not all(np.all(np.isfinite(x)) for x in numbers):
         raise TwistDegeneracyError(
-            "kappa_plus * kappa_minus = 0: the L D L factorization degenerates; "
-            "use diagonal_factorization for the U(1) limit"
-        )
-    s = twist.trace
-    disc = s * s - 4 * kp * km
-    root = np.sqrt(complex(disc))
-    rho = (s - root) / 2 if branch == "minus" else (s + root) / 2
-    denom = s - 2 * rho
-    scale = max(1.0, abs(s))
-    if abs(denom) <= 1e-12 * scale:
-        other = "plus" if branch == "minus" else "minus"
-        raise TwistDegeneracyError(
-            f"kappa_tilde + kappa - 2 rho vanishes on branch {branch!r} "
-            f"(mu singular); try branch {other!r}"
-        )
-    mu = (s - rho) / denom
-    ratio_plus = rho / kp
-    ratio_minus = rho / km
-    sq = np.sqrt(complex(mu))
-    l_factor = sq * np.array([[1.0, ratio_minus], [ratio_plus, 1.0]], dtype=complex)
-    d_factor = np.diag([twist.kappa_tilde - rho, twist.kappa - rho]).astype(complex)
-    return TwistFactorization(
-        rho=complex(rho),
-        mu=complex(mu),
-        alpha=twist_alpha(twist),
-        ratio_plus=complex(ratio_plus),
-        ratio_minus=complex(ratio_minus),
-        l_factor=l_factor,
-        d_factor=d_factor,
-        branch=branch,
-    )
-
-
-@_overflow_checked
-def diagonal_factorization(twist: TwistParams) -> TwistFactorization:
-    """Trivial factorization of a diagonal twist (kappa_plus = kappa_minus = 0).
-
-    rho = 0, mu = 1 and L = I, so the modified operators reduce to the bare
-    monodromy blocks and the machinery degrades to the plain ansatz.
-    """
-    if twist.kappa_plus != 0 or twist.kappa_minus != 0:
-        raise TwistDegeneracyError(
-            "diagonal_factorization needs kappa_plus = kappa_minus = 0"
+            f"twist K = {twist.matrix().tolist()} overflows its factorization; "
+            "scale the twist down, which leaves the Bethe roots unchanged"
         )
     return TwistFactorization(
-        rho=0.0 + 0.0j,
-        mu=1.0 + 0.0j,
-        alpha=twist_alpha(twist),
-        ratio_plus=0.0 + 0.0j,
-        ratio_minus=0.0 + 0.0j,
-        l_factor=np.eye(2, dtype=complex),
-        d_factor=np.diag([twist.kappa_tilde, twist.kappa]).astype(complex),
-        branch="diagonal",
+        complex(rho), complex(mu), complex(ratio_plus), complex(ratio_minus), d_factor, branch
     )
 
 
@@ -200,14 +161,13 @@ def build_modified_operators(
 ) -> MonodromyFamily:
     """L T_a(u) L = mu L0 T_a(u) L0 as a family of the input's shape.
 
-    L0 = [[1, rho/kappa_minus], [rho/kappa_plus, 1]] is built from the
-    stored ratios, so the diagonal limit (both ratios zero, mu = 1) returns
-    the input family unchanged, and mu is applied once rather than as
+    L0 (``TwistFactorization.l0``) is built from the stored ratios, so the
+    diagonal limit (both ratios zero, mu = 1) returns the input family
+    unchanged, and mu is applied once rather than as
     sqrt(mu) on each side.  The dressing is one ``chain._contract``
     product over the input's coefficient stack.
     """
-    l0 = np.array([[1.0, fact.ratio_minus], [fact.ratio_plus, 1.0]], dtype=complex)
-    weights = fact.mu * np.einsum("ai,jb->abij", l0, l0)
+    weights = fact.mu * np.einsum("ai,jb->abij", fact.l0, fact.l0)
     return MonodromyFamily(_contract(family.coeffs, weights), family.unit)
 
 

@@ -353,30 +353,32 @@ def test_tq_relation_pointwise(config_a):
 
 
 def _tq_matrix_matches_pointwise(ctx, rng):
-    # the coefficient matrix of the T-Q relation, applied to a random monic
-    # Q and a random Lam of degree N, against the relation of
-    # test_tq_relation_pointwise at random points
+    # the coefficient matrix of the T-Q relation in v = u/s, s = max(1, |c|),
+    # applied to a random monic Q(v) and a random Lam(v) of degree N, against
+    # the relation of test_tq_relation_pointwise at u = s v, divided by s^N
     x = ctx.twist.kappa_tilde - ctx.fact.rho
     y = ctx.twist.kappa - ctx.fact.rho
     rho, c, n = ctx.fact.rho, ctx.c, ctx.sites
+    s = max(1.0, abs(c))
     lam = draw_points(rng, n + 1)
-    roots = draw_points(rng, n)
+    roots = draw_points(rng, n)  # of Q(v); those of Q(u) are s times these
     a, b = _tq_system(lam, _tq_base(ctx))
     relation = a @ np.poly(roots)[::-1] - b
 
     def q(u):
-        return np.prod(u - roots)
+        return np.prod(u - s * roots)
 
-    for u in draw_points(rng, 10, scale=1.5):
+    for v in draw_points(rng, 10, scale=1.5):
+        u = s * v
         l1, l2 = ctx.lam(u)
         want = (
-            np.polyval(lam[::-1], u) * q(u)
+            np.polyval(lam[::-1], v) * q(u)
             - x * l1 * q(u - c)
             - y * l2 * q(u + c)
             - 2 * rho * c**n * l1 * l2
-        )
-        got = np.polyval(relation[::-1], u)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), n
+        ) / s**n
+        got = np.polyval(relation[::-1], v)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (n, c)
 
 
 def test_tq_polynomial_residual_flags_offshell(config_a):
@@ -399,9 +401,14 @@ def test_tq_polynomial_residual_flags_offshell(config_a):
     # beyond one site: every unflagged T-Q fit set closes the relation to
     # rounding, relative to the size of Lam Q, and a nudged root does not
     rng = np.random.default_rng(67)
+    other = np.random.default_rng(68)
     for sites in range(2, 6):
         ctx = random_context(rng, sites)
         _tq_matrix_matches_pointwise(ctx, rng)
+        # at c = 1 the fit's variable v = u/max(1, |c|) is u; these pin it
+        for c in (0.7 + 0.4j, 1e5):
+            chain = ChainParams(sites, c, ctx.chain.theta)
+            _tq_matrix_matches_pointwise(SpectralContext.create(chain, ctx.twist), other)
         center = complex(np.mean(ctx.chain.theta))
         nodes = center + 2 * np.exp(2j * np.pi * np.arange(sites + 1) / (sites + 1))
         vander = np.vander(nodes, sites + 1, increasing=True)

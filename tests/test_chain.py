@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from twistchain.chain import (
     build_r_matrix,
     build_transfer,
     local_operator,
+    magnetization_sectors,
     monodromy_matrix,
     structure_checks,
     total_sz,
@@ -52,6 +54,16 @@ def test_r_matrix_shapes_and_special_points():
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     assert np.linalg.norm(lhs - rhs) < 1e-12
+
+
+def test_magnetization_sectors_partition_by_popcount():
+    for sites in range(1, 9):
+        sectors = magnetization_sectors(sites)
+        assert [len(idx) for idx in sectors] == [math.comb(sites, m) for m in range(sites + 1)]
+        # disjoint and covering every basis index
+        np.testing.assert_array_equal(np.sort(np.concatenate(sectors)), np.arange(2 ** sites))
+        for m, idx in enumerate(sectors):
+            assert all(bin(i).count("1") == m for i in idx), (sites, m)
 
 
 def test_vacuum_weights_and_derivatives():

@@ -248,15 +248,18 @@ def test_spectrum_with_huge_coupling(tmp_path, capsys):
     assert all(check["passed"] for check in report["checks"])
 
 
-def test_solve_with_huge_coupling(tmp_path, capsys):
-    # Newton runs at this c, since the vacuum weights and their derivatives
-    # divide by c one factor at a time; Q(u -+ c) in the T-Q fit has
-    # coefficients of order c^2 and cannot be represented, which is reported
-    path = _write(tmp_path, MINIMAL)
-    args = ["--set", "chain.sites=2", "--set", "chain.c=1e300"]
-    assert main(["solve", "--config", path, *args]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: coupling c = (1e+300+0j) overflows")
+def test_solve_with_huge_coupling(capsys):
+    # Newton runs at these c, since the vacuum weights and their derivatives
+    # divide by c one factor at a time; the T-Q fit works in v = u/|c|, where
+    # the shifts Q(v -+ c/|c|) stay within the binomials.  In u they reached
+    # c^2: the fit missed the Newton sets at c = 1e5 on three sites and at
+    # c = 1e20 on two, and overflowed at c = 1e300.  A RuntimeWarning fails
+    # the run, as everywhere in this suite.
+    cases = [(N2_CONFIG, c) for c in ("1e3", "1e20", "1e100", "1e300")] + [(N3_CONFIG, "1e5")]
+    for config, c in cases:
+        assert main(["solve", "--config", str(config), "--set", f"chain.c={c}"]) == 0, c
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"] and all(check["passed"] for check in report["checks"]), c
 
 
 def test_main_writes_output_file(tmp_path, capsys):

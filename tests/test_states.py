@@ -22,7 +22,6 @@ from twistchain.states import (
     raising_coefficient,
     raising_identity_residual,
     reassemble_projection,
-    sector_mask,
     w0,
 )
 from twistchain.twist import build_modified_operators
@@ -72,12 +71,6 @@ def test_oversized_flag():
     vec = build_bethe_vector(nu, draw_points(rng, 3))
     assert vec.oversized
     assert vec.order == 3
-
-
-def test_sector_mask_counts():
-    mask = sector_mask(3, 2)
-    assert mask.sum() == 3
-    assert sector_mask(3, 0).sum() == 1
 
 
 def test_offshell_actions_all_orders():

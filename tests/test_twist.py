@@ -6,7 +6,6 @@ from twistchain.chain import _contract, build_monodromy, build_transfer, exchang
 from twistchain.twist import (
     TwistDegeneracyError,
     build_modified_operators,
-    diagonal_factorization,
     factorize_twist,
     modified_diagonal_residual,
     twist_alpha,
@@ -22,7 +21,8 @@ def test_factorization_reconstructs_twist():
         tw = random_twist(rng)
         for branch in ("minus", "plus"):
             fact = factorize_twist(tw, branch)
-            built = fact.l_factor @ fact.d_factor @ fact.l_factor
+            l_factor = np.sqrt(fact.mu) * fact.l0
+            built = l_factor @ fact.d_factor @ l_factor
             assert np.max(np.abs(built - tw.matrix())) < 1e-12
 
 
@@ -61,11 +61,10 @@ def test_degenerate_twists_raise():
     # trace^2 = 4 kappa_plus kappa_minus makes mu singular on both branches
     with pytest.raises(TwistDegeneracyError):
         factorize_twist(TwistParams(1.0, 1.0, 2.0, 0.5))
-    # a single vanishing off-diagonal entry needs the diagonal path instead
-    with pytest.raises(TwistDegeneracyError):
-        factorize_twist(TwistParams(2.0, 1.0, 1.0, 0.0))
-    with pytest.raises(TwistDegeneracyError):
-        diagonal_factorization(TwistParams(2.0, 1.0, 1.0, 0.0))
+    # a single vanishing off-diagonal entry is neither generic nor diagonal
+    for kp, km in ((1.0, 0.0), (0.0, 1.0)):
+        with pytest.raises(TwistDegeneracyError, match="kappa_plus \\* kappa_minus = 0"):
+            factorize_twist(TwistParams(2.0, 1.0, kp, km))
 
 
 def test_config_a_factorization_values(config_a):
@@ -73,15 +72,17 @@ def test_config_a_factorization_values(config_a):
     fact = config_a.fact
     assert abs(fact.rho - (3.0 - root5) / 2.0) < 1e-14
     assert abs(fact.mu - (0.5 + 1.5 / root5)) < 1e-14
-    assert abs(fact.alpha - (3.0 + root5) / 2.0) < 1e-14
+    assert abs(twist_alpha(config_a.twist) - (3.0 + root5) / 2.0) < 1e-14
 
 
 def test_diagonal_factorization_is_identity_dressing():
     tw = TwistParams(1.9, 1.1, 0.0, 0.0)
-    fact = diagonal_factorization(tw)
-    assert fact.rho == 0
-    assert fact.mu == 1
-    assert fact.ratio_plus == 0
+    for branch in ("minus", "plus"):
+        fact = factorize_twist(tw, branch)
+        assert fact.branch == "diagonal"
+        assert (fact.rho, fact.mu, fact.ratio_plus, fact.ratio_minus) == (0, 1, 0, 0)
+        np.testing.assert_array_equal(fact.l0, np.eye(2))
+        np.testing.assert_array_equal(fact.d_factor, np.diag([1.9, 1.1]))
     chain = ChainParams(2, 1.0, (0.1, -0.1))
     family = build_monodromy(chain)
     nu = build_modified_operators(family, fact)
@@ -161,11 +162,9 @@ def test_dressing_and_trace_match_hand_expanded_blocks():
             ctx = random_context(rng, sites, diagonal=diagonal)
             tw = ctx.twist
             family = build_monodromy(ctx.chain)
-            if diagonal:
-                facts = [diagonal_factorization(tw)]
-            else:
-                facts = [factorize_twist(tw, branch) for branch in ("minus", "plus")]
-            for fact in facts:
+            # a diagonal twist has one factorization, whichever branch is asked
+            for branch in ("minus",) if diagonal else ("minus", "plus"):
+                fact = factorize_twist(tw, branch)
                 nu = build_modified_operators(family, fact)
                 for ij, want in zip(np.ndindex(2, 2), _hand_expanded_nu(family, fact)):
                     assert _rel(nu.coeffs[ij], want) <= 1e-14, (sites, fact.branch)
