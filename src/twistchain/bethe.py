@@ -34,10 +34,8 @@ import numpy as np
 from .chain import (
     ChainParams,
     MonodromyFamily,
-    _contract,
     build_monodromy,
     build_transfer,
-    magnetization_sectors,
     vacuum_weight_derivatives,
     vacuum_weights,
 )
@@ -212,16 +210,20 @@ class SpectralContext:
         tr_a(S T) = alpha t11 + beta t22 + S_12 t21.  t21 lowers M and the
         diagonal blocks keep it, so the spectrum of t(u) is that of the
         sector blocks, for every K, defective or singular included, and Q
-        is never formed.  Each block is one ``_contract`` over the sector's
-        rows and columns of the family's stack, in the same variable.
+        is never formed.  Each block is one product of (alpha, beta) with
+        the stored blocks t11[M, M] and t22[M, M] of the family, in the same
+        variable.
         """
         alpha = twist_alpha(self.twist)
-        weights = np.diag([alpha, self.twist.trace - alpha])
-        coeffs = self.family.coeffs
-        return tuple(
-            MatrixPolynomial(_contract(coeffs[..., idx[:, None], idx], weights), self.family.unit)
-            for idx in magnetization_sectors(self.sites)
-        )
+        weights = np.array([alpha, self.twist.trace - alpha])
+        family = self.family
+        blocks = family.grading.blocks(family.coeffs)
+        out = []
+        for m in range(self.sites + 1):
+            pair = np.stack((blocks[0, 0, m], blocks[1, 1, m]))
+            coeffs = (weights @ pair.reshape(2, -1)).reshape(pair.shape[1:])
+            out.append(MatrixPolynomial(coeffs, family.unit))
+        return tuple(out)
 
     def spectrum(self, u: complex) -> np.ndarray:
         """Eigenvalues of t(u) in (Re, Im) order, sector by sector; the

@@ -8,7 +8,9 @@ R-matrix is R(u) = (u/c) I + P with P the permutation on C^2 (x) C^2, and the
 monodromy T_a(u) = R_{a1}(u - theta_1) ... R_{aN}(u - theta_N) carries the
 auxiliary space a as the slowest tensor slot.  Its auxiliary blocks t_ij(u)
 are degree-N matrix polynomials; the twisted transfer matrix traces the
-2x2 twist against them.
+2x2 twist against them.  R commutes with Q (x) Q, so t11 and t22 keep the
+number of down spins and t12 and t21 shift it by one: only those blocks
+are stored (``Grading``), and the twist enters as a 2x2 (x) 2x2 dressing.
 
 The reference state |0> (all spins up) diagonalizes t11/t22 with weights
 lam1(u) = prod_i (u - theta_i + c)/c  and  lam2(u) = prod_i (u - theta_i)/c,
@@ -20,14 +22,15 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import MatrixPolynomial, kron_chain
+from .linalg import MatrixPolynomial, _read_only, kron_chain
 
 __all__ = [
     "ChainParams",
+    "Grading",
     "MonodromyFamily",
     "SIGMA_X",
     "SIGMA_Y",
@@ -41,8 +44,10 @@ __all__ = [
     "build_r_matrix",
     "build_transfer",
     "local_operator",
+    "magnetization_grading",
     "magnetization_sectors",
     "monodromy_matrix",
+    "monodromy_product_gap",
     "structure_checks",
     "total_sz",
     "vacuum_state",
@@ -175,77 +180,270 @@ def build_r_matrix(u: complex, c: complex) -> np.ndarray:
     return (u / c) * np.eye(4, dtype=complex) + PERM4
 
 
-def _embed_pair(op4: np.ndarray, p: int, q: int, nspaces: int) -> np.ndarray:
-    """Embed a two-site operator on tensor slots p < q of nspaces qubits."""
-    if not 0 <= p < q < nspaces:
-        raise ValueError(f"invalid slot pair ({p}, {q}) for {nspaces} spaces")
-    dim = 2 ** nspaces
-    m = np.kron(np.asarray(op4, dtype=complex), np.eye(2 ** (nspaces - 2)))
-    t = m.reshape((2,) * (2 * nspaces))
-    # current factor order: (p, q, remaining slots ascending)
-    order = [p, q] + [s for s in range(nspaces) if s not in (p, q)]
-    dest = order + [s + nspaces for s in order]
-    t = np.moveaxis(t, list(range(2 * nspaces)), dest)
-    return t.reshape(dim, dim)
-
-
 def monodromy_matrix(params: ChainParams, u: complex) -> np.ndarray:
-    """T_a(u) on aux (x) chain, dimension 2^(N+1)."""
-    n = params.sites + 1
-    out = np.eye(2 ** n, dtype=complex)
-    for k in range(params.sites):
-        r = build_r_matrix(u - params.theta[k], params.c)
-        out = out @ _embed_pair(r, 0, k + 1, n)
+    """T_a(u) on aux (x) chain, dimension 2^(N+1): the R-matrix product
+    applied to the identity one factor at a time.
+
+    Right multiplication by R_ak(u - theta_k) = ((u - theta_k)/c) I + P_ak
+    scales the matrix and adds it with the column slots of the auxiliary
+    space and of site k swapped, O(4^(N+1)) per factor.
+    """
+    dim = 2 * params.dim
+    slots = (2,) * (params.sites + 1)
+    out = np.eye(dim, dtype=complex)
+    for k, theta in enumerate(params.theta, 1):
+        swapped = np.swapaxes(out.reshape(dim, *slots), 1, k + 1).reshape(dim, dim)
+        out = (u - theta) / params.c * out + swapped
     return out
 
 
-def _block(i: int, j: int) -> cached_property:
-    return cached_property(lambda self: MatrixPolynomial(self.coeffs[i, j], self.unit))
+# t_ij moves the down-spin count M to M + q_ij with q_ij = j - i: t11 and
+# t22 keep it, t12 raises it and t21 lowers it
+_CHARGE = np.array([[0, 1], [-1, 0]])
+_CHARGE.setflags(write=False)
+_PAIRS = tuple(itertools.product((0, 1), repeat=2))
+_QUADS = tuple(itertools.product((0, 1), repeat=4))
+# the dressing of a bare family, nu_ab = t_ab
+_BARE = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
+_BARE.setflags(write=False)
 
 
-class MonodromyFamily(MatrixPolynomial):
-    """T_a(u) as one matrix polynomial over its auxiliary blocks.
+class Grading:
+    """Which entries of the four auxiliary blocks a family stores, and where
+    they sit.
 
-    coeffs has shape (2, 2, N + 1, d, d) with t_ij at [i, j], in the
-    variable z = u / unit with unit = c, so ``at(u)`` evaluates all four
-    blocks in one contraction, and t11..t22 are the blocks as polynomials
-    in the same variable whose coefficients are read-only views of the
-    stack.
+    ``sectors`` split the chain basis, and t_ij maps sector m into sector
+    m + charge[i, j] and vanishes elsewhere.  A family stores, for t11,
+    t12, t21 and t22 in turn, the blocks t_ij[m + q_ij, m] of every column
+    sector m whose image is a sector, m ascending, each flattened row by
+    row.  The monodromy is stored on ``magnetization_grading``; one sector
+    holding the whole basis with zero charges stores the four dense blocks.
     """
 
-    t11, t12, t21, t22 = (_block(i, j) for i, j in itertools.product((0, 1), repeat=2))
+    def __init__(self, sectors, charge: np.ndarray):
+        self.sectors, self.charge = tuple(sectors), charge
+        self.dim = sum(len(s) for s in self.sectors)
+        # (i, j, m) -> (slice of the stored entries, shape) of t_ij[m + q_ij, m]
+        self.spans, start, n = {}, 0, len(self.sectors)
+        for i, j in _PAIRS:
+            q = charge[i, j]
+            for m in range(max(0, -q), min(n, n - q)):
+                shape = (len(self.sectors[m + q]), len(self.sectors[m]))
+                self.spans[i, j, m] = slice(start, start + shape[0] * shape[1]), shape
+                start += shape[0] * shape[1]
+        self.size = start  # stored entries per coefficient
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.coeffs.ndim != 5 or self.coeffs.shape[:2] != (2, 2):
-            raise ValueError(
-                f"coeffs must have shape (2, 2, k, d, d), got {self.coeffs.shape}"
-            )
+    def blocks(self, entries: np.ndarray) -> dict:
+        """(i, j, m) -> the block t_ij[m + q_ij, m] of stored entries with
+        any leading axes, as a view."""
+        lead = entries.shape[:-1]
+        return {key: entries[..., span].reshape(*lead, *shape) for key, (span, shape) in self.spans.items()}
+
+    @cached_property
+    def charges(self) -> tuple:
+        """(positions, members) for each charge, in storage order.  Blocks
+        of one charge have the same shapes, so their stored entries land on
+        the same positions of the flattened d x d matrix, listed once;
+        members pairs each such block (i, j) with the slice of its stored
+        entries."""
+        d = self.dim
+        slices = {}
+        for (i, j, _), (span, _) in self.spans.items():
+            slices[i, j] = slice(slices.get((i, j), span).start, span.stop)
+        out = {}
+        for ij in _PAIRS:
+            q = self.charge[ij]
+            if q not in out:
+                positions = np.concatenate([
+                    (self.sectors[m + q][:, None] * d + self.sectors[m]).ravel()
+                    for *key, m in self.spans if tuple(key) == ij
+                ])
+                out[q] = positions, []
+            out[q][1].append((ij, slices[ij]))
+        return tuple(out.values())
+
+
+@lru_cache(maxsize=None)
+def magnetization_grading(sites: int) -> Grading:
+    """The monodromy's grading: the sectors of ``magnetization_sectors``,
+    with t_ij moving M by q_ij = j - i."""
+    sectors = magnetization_sectors(sites)
+    for s in sectors:
+        s.setflags(write=False)
+    return Grading(tuple(sectors), _CHARGE)
+
+
+def _evaluate(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """powers @ coeffs as a new complex array, for real or complex coeffs."""
+    if coeffs.dtype == complex:
+        return powers @ coeffs
+    # one real product against the real and imaginary parts of the
+    # powers, whose two columns are the real and imaginary parts of the sum
+    return (coeffs.T @ powers[:, None].view(float)).view(complex)[:, 0]
+
+
+def _block(a: int, b: int) -> cached_property:
+    return cached_property(lambda self: _Block(self, self.dressing[a, b]))
+
+
+class MonodromyFamily:
+    """The four auxiliary blocks of T_a(u), or of a dressing of them, as
+    polynomials in z = u / unit.
+
+    ``coeffs`` has shape (degree + 1, grading.size): coefficient k of every
+    entry the grading stores, read-only.  It is real when every coefficient
+    is, as for a real coupling and real inhomogeneities; that halves its
+    size and the cost of an evaluation.  ``dressing`` maps the stored
+    blocks t_ij to the family's blocks, nu_ab = sum_ij dressing[a, b, i, j]
+    t_ij; it is the identity for T.  A dense value is placed only at a
+    point: ``entries(u)`` evaluates the stored entries in one product of
+    the powers (1, z, ..., z**degree) against ``coeffs``, ``at(u)`` places
+    all four blocks as one (2, 2, d, d) array, and t11..t22 place one block
+    each.  A block's dense coefficient stack is placed only on request
+    (``t_ij.coeffs``).
+    """
+
+    t11, t12, t21, t22 = (_block(a, b) for a, b in _PAIRS)
+
+    def __init__(self, coeffs, unit: complex, grading: Grading, dressing=_BARE):
+        if not (isinstance(coeffs, np.ndarray) and coeffs.dtype in (float, complex) and _read_only(coeffs)):
+            # copy, so no caller keeps a writable handle on the coefficients
+            coeffs = np.array(coeffs, dtype=complex if np.iscomplexobj(coeffs) else float)
+            coeffs.setflags(write=False)
+        if coeffs.ndim != 2 or coeffs.shape[1] != grading.size:
+            raise ValueError(f"coeffs must have shape (k, {grading.size}), got {coeffs.shape}")
+        if dressing is not _BARE:
+            dressing = np.array(dressing, dtype=complex).reshape(2, 2, 2, 2)
+            dressing.setflags(write=False)
+        self.coeffs, self.unit, self.grading, self.dressing = coeffs, complex(unit), grading, dressing
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.shape[0] - 1
+
+    @property
+    def dim(self) -> int:
+        return self.grading.dim
+
+    @property
+    def graded(self) -> bool:
+        """True when the family's blocks are its stored blocks on the
+        magnetization grading, so each keeps or shifts M by construction."""
+        sites = self.dim.bit_length() - 1
+        return self.grading is magnetization_grading(sites) and np.array_equal(self.dressing, _BARE)
+
+    def entries(self, u: complex) -> np.ndarray:
+        """The stored entries at u, complex."""
+        return _evaluate(self.coeffs, (complex(u) / self.unit) ** np.arange(self.degree + 1))
 
     def at(self, u: complex) -> np.ndarray:
-        """The four blocks at u as one (2, 2, d, d) array, t_ij(u) at [i, j]."""
-        return self(u)
+        """The four blocks at u as one (2, 2, d, d) array, nu_ab(u) at [a, b]."""
+        entries = self.entries(u)
+        d = self.dim
+        out = np.zeros((4, d * d), dtype=complex)
+        for block, dest in zip((self.t11, self.t12, self.t21, self.t22), out):
+            block.place(entries.copy(), dest)
+        return out.reshape(2, 2, d, d)
+
+    def contract(self, weights) -> np.ndarray:
+        """sum_ab weights[a, b] nu_ab placed as one read-only d x d matrix
+        per coefficient.  A 2x2 matrix M acts on the auxiliary space as a
+        twisted trace, tr_a(M nu) = sum_ab M_ba nu_ab, with weights M^T."""
+        out = _Block(self, np.tensordot(weights, self.dressing, 2)).coeffs
+        out.setflags(write=False)
+        return out
+
+    def dressed(self, weights) -> "MonodromyFamily":
+        """The family sum_cd weights[a, b, c, d] nu_cd at [a, b], on the same
+        coefficient array."""
+        return type(self)(self.coeffs, self.unit, self.grading, np.tensordot(weights, self.dressing, 2))
+
+
+class _Block:
+    """sum_ij weights[i, j] t_ij over the stored blocks of a family: one of
+    its blocks, nu_ab with the weights dressing[a, b], or a contraction.
+
+    A dense value is placed from the stored entries at each point, and the
+    dense coefficient stack (degree + 1, d, d) only when ``coeffs`` is
+    read.  Blocks of one charge share their positions
+    (``Grading.charges``), so they are scaled, summed and written with one
+    indexed assignment; blocks alone in their charge whose entries follow
+    each other, as t12 and t21 do on the magnetization grading, are written
+    together.  It keeps what it reads of the family, not the family, which
+    caches its four blocks.
+    """
+
+    def __init__(self, family: MonodromyFamily, weights: np.ndarray):
+        self._coeffs, self._unit, self._dim = family.coeffs, family.unit, family.dim
+        self._exponents = np.arange(family.degree + 1)
+        grading = family.grading
+        used = {ij for ij in _PAIRS if weights[ij] != 0}
+        self._scale = None
+        if any(weights[ij] != 1 for ij in used):
+            self._scale = np.zeros(grading.size, dtype=complex)
+            for (i, j, _), (span, _) in grading.spans.items():
+                self._scale[span] = weights[i, j]
+        runs = []
+        for positions, members in grading.charges:
+            slices = [span for ij, span in members if ij in used]
+            if not slices:
+                continue
+            if len(slices) == 1 and runs and not runs[-1][2] and runs[-1][1].stop == slices[0].start:
+                last, first, _ = runs.pop()
+                positions, slices = np.concatenate((last, positions)), [slice(first.start, slices[0].stop)]
+            runs.append((positions, slices[0], slices[1:]))
+        self._runs = runs
+
+    def place(self, entries: np.ndarray, out: np.ndarray) -> None:
+        """Write the block from one complex vector of stored entries, which
+        it scales in place, into the zeroed flattened matrix ``out``."""
+        if self._scale is not None:
+            entries *= self._scale
+        for positions, first, rest in self._runs:
+            value = entries[first]
+            for span in rest:
+                value = value + entries[span]
+            out[positions] = value
+
+    def __call__(self, u: complex) -> np.ndarray:
+        out = np.zeros(self._dim * self._dim, dtype=complex)
+        self.place(_evaluate(self._coeffs, (complex(u) / self._unit) ** self._exponents), out)
+        return out.reshape(self._dim, self._dim)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        out = np.zeros((len(self._coeffs), self._dim, self._dim), dtype=complex)
+        for row, dest in zip(self._coeffs, out.reshape(len(out), -1)):
+            self.place(row.astype(complex), dest)
+        return out
 
 
 def build_monodromy(params: ChainParams) -> MonodromyFamily:
-    """Exact coefficients of T_a(u) in z = u/c, one block polynomial per t_ij.
+    """Exact coefficients of T_a(u) in z = u/c, on the magnetization grading.
 
-    The family keeps the full degree-N stack of ``_monodromy_stack``,
-    read-only, as its coefficients, with unit c.  In z the coefficients
-    stay O(1) for every c (in u they would carry c**-k), so
-    ``coefficient(k)`` is the matrix multiplying (u/c)**k.  With c = 1 and
-    integer inhomogeneities every coefficient is an exact integer.  Raises
-    ValueError naming the coupling when a coefficient leaves the float
-    range, as (theta/c)**k does for tiny |c|.
+    The family keeps the stored blocks of ``_monodromy_stack``, read-only,
+    with unit c and the identity dressing.  In z the coefficients stay O(1)
+    for every c (in u they would carry c**-k), so coefficient k is the
+    matrix multiplying (u/c)**k.  With c = 1 and integer inhomogeneities
+    every coefficient is an exact integer.  Raises ValueError naming the
+    coupling when a coefficient leaves the float range, as (theta/c)**k
+    does for tiny |c|.
     """
-    coef = _monodromy_stack(params, params.sites)
-    coef.setflags(write=False)
-    return MonodromyFamily(coef, params.c)
+    coeffs = _monodromy_stack(params, params.sites)
+    return MonodromyFamily(coeffs, params.c, magnetization_grading(params.sites))
+
+
+def _halves(size: list, m: int) -> tuple[slice, slice]:
+    """Slices of sector m of n sites that come from sector m of n - 1
+    sites (new spin up) and from sector m - 1 (new spin down); ``size``
+    holds the sizes of the sectors of n - 1 sites and then a 0."""
+    return slice(0, size[m]), slice(size[m], size[m] + size[m - 1])
 
 
 def _monodromy_stack(params: ChainParams, degree: int) -> np.ndarray:
-    """Coefficients 0..degree of the blocks of T_a(z c), shape
-    (2, 2, min(degree, N) + 1, 2^N, 2^N) with t_ij at [i, j].
+    """Coefficients 0..degree of the blocks of T_a(z c) that
+    ``magnetization_grading`` stores, shape (min(degree, N) + 1, size),
+    read-only.
 
     Site by site, T^(n) = T^(n-1) R_an(u - theta_n) with
     R_an = (z - theta_n/c) I + P_an, and P_an = sum_jk E_kj (x) E_jk on
@@ -253,56 +451,85 @@ def _monodromy_stack(params: ChainParams, degree: int) -> np.ndarray:
 
         t_ij^(n) = (z - theta_n/c) t_ij^(n-1) (x) I + sum_k t_ik^(n-1) (x) E_jk
 
-    with the new site as the fastest tensor slot.  Each step writes the
-    doubled block-major stack from the previous one with a few strided
-    assignments, so the work doubles per site and the last site dominates.
-    A coefficient of degree k reads only coefficients of degree <= k, so
-    the stack is cut at ``degree`` and each kept coefficient is the one of
-    the full stack bit for bit.  A step only copies, scales and adds
-    coefficients.  Raises ValueError naming the coupling on overflow.
+    with the new site as the fastest tensor slot.  Sector M of n sites is
+    sector M of n - 1 sites with the new spin up and sector M - 1 with it
+    down.  The recursion keeps each sector in that order, up half then
+    down half, so block t_ij^(n)[M + q, M] is written with slices: its
+    (up, up) and (down, down) quarters take the z term from t_ij^(n-1) on
+    column sectors M and M - 1, and its quarters with row spin j and
+    column spin k take t_ik^(n-1) on column sector M - k.  That order reads
+    the spins from the last site to the first; at the end every block is
+    sorted into ``magnetization_sectors`` order.  Each entry sees the same
+    copy, scaling and additions, in the same order, as in the recursion on
+    dense 2^N blocks, so every stored coefficient equals the dense one bit
+    for bit.  A coefficient of degree k reads only coefficients of degree
+    <= k, so the stack is cut at ``degree``.  Raises ValueError naming the
+    coupling on overflow.  The stack is real when every coefficient is.
     """
     c = params.c
-    coef = np.eye(2, dtype=complex).reshape(2, 2, 1, 1, 1)
+    one = np.ones((1, 1, 1), dtype=complex)
+    blocks = {(0, 0, 0): one, (1, 1, 0): one}  # T^(0), the auxiliary identity
+    order = [np.zeros(1, dtype=int)]  # basis indices of each sector, as kept
+    kept = 1
     try:
-        # the stack starts finite, so it holds an inf or a nan only after a
+        # the blocks start finite, so they hold an inf or a nan only after a
         # shift or one of the array steps below overflowed
         with np.errstate(over="raise", invalid="raise"):
-            for theta in params.theta:
+            for n, theta in enumerate(params.theta, 1):
                 shift = theta / c
                 if not cmath.isfinite(shift):
                     raise FloatingPointError("theta/c overflows")
-                _, _, m, d, _ = coef.shape
-                kept = min(m + 1, degree + 1)
-                out = np.zeros((2, 2, kept, 2 * d, 2 * d), dtype=complex)
-                # axes (i, j, degree, row of sites < n, row of site n,
-                # column of sites < n, column of site n)
-                grid = out.reshape(2, 2, kept, d, 2, d, 2)
-                for j, k in itertools.product((0, 1), repeat=2):
-                    grid[:, j, :m, :, j, :, k] = coef[:, k]  # t_ik (x) E_jk
-                for s in (0, 1):  # (z - theta/c) t_ij (x) I
-                    diag = grid[:, :, :, :, s, :, s]
-                    diag[:, :, :m] -= shift * coef
-                    diag[:, :, 1:] += coef[:, :, : kept - 1]
-                coef = out
+                m, kept = kept, min(kept + 1, degree + 1)
+                # an empty sector after the last stands for sectors n and -1
+                padded = order + [np.zeros(0, dtype=int)]
+                size = [len(s) for s in padded]
+                new = {}
+                for i, j in _PAIRS:
+                    q = _CHARGE[i, j]
+                    for big_m in range(max(0, -q), min(n, n - q) + 1):
+                        rows, cols = _halves(size, big_m + q), _halves(size, big_m)
+                        out = np.zeros((kept, rows[1].stop, cols[1].stop), dtype=complex)
+                        for k in (0, 1):  # t_ik (x) E_jk
+                            src = blocks.get((i, k, big_m - k))
+                            if src is not None:
+                                out[:m, rows[j], cols[k]] = src
+                        for s in (0, 1):  # (z - theta/c) t_ij (x) I
+                            src = blocks.get((i, j, big_m - s))
+                            if src is not None:
+                                diag = out[:, rows[s], cols[s]]
+                                diag[:m] -= shift * src
+                                diag[1:] += src[: kept - 1]
+                        new[i, j, big_m] = out
+                blocks = new
+                order = [
+                    np.concatenate((2 * padded[big_m], 2 * padded[big_m - 1] + 1))
+                    for big_m in range(n + 1)
+                ]
     except FloatingPointError:
         raise ValueError(
             f"chain.c: the monodromy coefficients (theta/c)**k overflow at c = {c}"
         ) from None
-    return coef
+    grading = magnetization_grading(params.sites)
+    sort = [np.argsort(o) for o in order]
+    real = not any(block.imag.any() for block in blocks.values())
+    coeffs = np.empty((kept, grading.size), dtype=float if real else complex)
+    for (i, j, m), (span, _) in grading.spans.items():
+        block = blocks[i, j, m].real if real else blocks[i, j, m]
+        rows, cols = sort[m + _CHARGE[i, j]], sort[m]
+        coeffs[:, span] = block[:, rows[:, None], cols].reshape(kept, -1)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _contract(blocks, weights) -> np.ndarray:
-    """sum_ij weights[..., i, j] t_ij over the four auxiliary blocks.
+    """sum_ij weights[..., i, j] t_ij over four dense auxiliary blocks.
 
-    ``blocks`` holds t_ij at [i, j] of its two leading axes: a
-    ``MonodromyFamily.coeffs`` stack, the (2, 2, d, d) value of
-    ``MonodromyFamily.at``, or any array with those leading axes.
-    ``weights`` is one 2x2 matrix or a stack of them, and the result
-    carries its leading axes.  A 2x2 matrix M acts on the auxiliary space
-    as a twisted trace, tr_a(M T) = sum_ij M_ji t_ij, with weights M^T, and
-    as a dressing, (A T B)_ab = sum_ij A_ai t_ij B_jb, with weights
-    A_ai B_jb.  The whole contraction is one (k x 4) @ (4 x rest) product
-    into one new read-only array.
+    ``blocks`` holds t_ij at [i, j] of its two leading axes, such as the
+    (2, 2, d, d) value of ``MonodromyFamily.at``.  ``weights`` is one 2x2
+    matrix or a stack of them, and the result carries its leading axes.  A
+    2x2 matrix M acts on the auxiliary space as a twisted trace,
+    tr_a(M T) = sum_ij M_ji t_ij, with weights M^T.  The whole contraction
+    is one (k x 4) @ (4 x rest) product into one new read-only array.
     """
     w = np.asarray(weights, dtype=complex)
     b = np.asarray(blocks, dtype=complex)
@@ -315,8 +542,8 @@ def _contract(blocks, weights) -> np.ndarray:
 
 def build_transfer(params: ChainParams, twist, family: MonodromyFamily) -> MatrixPolynomial:
     """Twisted transfer matrix t(u) = tr_a( K_a T_a(u) ) as a matrix
-    polynomial in the family's variable."""
-    return MatrixPolynomial(_contract(family.coeffs, twist.matrix().T), family.unit)
+    polynomial in the family's variable, placed from its stored blocks."""
+    return MatrixPolynomial(family.contract(twist.matrix().T), family.unit)
 
 
 def _boundary_substitutions(twist) -> list[np.ndarray]:
@@ -338,7 +565,9 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
     derivative 2c t'(0) t(0)^{-1} - N at vanishing inhomogeneities, which
     in z = u/c is 2 t_z'(0) t(0)^{-1} - N, free of c.  It reads only the
     coefficients 0 and 1 of the monodromy.  There t(0) = K_1 U with U the
-    cyclic shift of the sites, so t(0) is as well conditioned as K.
+    cyclic shift of the sites, so t(0) is as well conditioned as K.  The
+    two coefficients are placed from the stored blocks of a degree-1
+    recursion, without a family of the full degree.
     """
     n = params.sites
     if route == "direct":
@@ -363,7 +592,8 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
         kmat = twist.matrix()
         if np.linalg.cond(kmat) > 1e12:
             raise ValueError("transfer matrix is singular at u = 0")
-        t0, dt0 = _contract(_monodromy_stack(params, 1), kmat.T)  # t(0), d t / dz at 0
+        low = MonodromyFamily(_monodromy_stack(params, 1), params.c, magnetization_grading(n))
+        t0, dt0 = low.contract(kmat.T)  # t(0), d t / dz at 0
         # dt0 t0^-1 as the transpose of the solve t0^T x = dt0^T
         return 2 * np.linalg.solve(t0.T, dt0.T).T - n * np.eye(params.dim)
     raise ValueError(f"unknown route {route!r}; use 'direct' or 'transfer'")
@@ -388,7 +618,9 @@ def structure_checks(
     table split by charge.  Blocks in different (row, column) sectors are
     disjoint, so their squared norms add and every gap is exact.
     ``magnetization_conservation`` is the share of the blocks at u and v
-    that lies outside the magnetization grading.  GL(2) invariance of the
+    that lies outside the magnetization grading; a family stored on that
+    grading reads 0 by construction, so its blocks are checked against the
+    R-matrix product by ``monodromy_product_gap``.  GL(2) invariance of the
     R-matrix against the twist is a 4x4 check.
     """
     if abs(u - v) <= 1e-9 * max(1.0, abs(params.c)):
@@ -418,24 +650,18 @@ def structure_checks(
     return out
 
 
-# t_ij moves the down-spin count M to M + q_ij with q_ij = j - i: t11 and
-# t22 keep it, t12 raises it and t21 lowers it
-_CHARGE = np.array([[0, 1], [-1, 0]])
-_PAIRS = tuple(itertools.product((0, 1), repeat=2))
-_QUADS = tuple(itertools.product((0, 1), repeat=4))
-
-
 def _graded_products(family: MonodromyFamily, u: complex, v: complex):
     """Tables uv[i, j, k, l] = t_ij(u) t_kl(v) and vu[i, j, k, l] =
     t_ij(v) t_kl(u) of every block product, one block of a grading at a time.
 
     A grading is a list of sectors of the chain basis and a charge q_ij per
     block, such that t_ij maps sector M into sector M + q_ij and vanishes
-    elsewhere.  The blocks are evaluated once at each point; when every
-    entry outside the magnetization grading (``magnetization_sectors``,
-    q = ``_CHARGE``) is exactly 0 at both points, that grading is used,
-    otherwise one sector holding the whole basis with q = 0, which is the
-    dense product.  A product t_ij(x) t_kl(y) maps M to M + Q with
+    elsewhere.  A family whose blocks are stored on the magnetization
+    grading (``MonodromyFamily.graded``) gives its blocks as views of one
+    evaluation of its entries at each point, and nothing lies outside the
+    grading.  Any other family, a dressed one such as nu or one stored
+    dense, is evaluated densely, and its products are the dense ones
+    (``_dense_pieces``).  A product t_ij(x) t_kl(y) maps M to M + Q with
     Q = q_ij + q_kl and is formed on each column sector M as
     t_ij[M + Q, M + q_kl] @ t_kl[M + q_kl, M]; it is stored as one vector
     of those blocks, M ascending, each flattened, so products of one Q share
@@ -443,34 +669,14 @@ def _graded_products(family: MonodromyFamily, u: complex, v: complex):
     with off_grade the norm of the entries outside the magnetization
     grading over max(1, norm of the blocks).
     """
-    sites = family.dim.bit_length() - 1
-    at = (family.at(u), family.at(v))
-    down = _down_counts(sites)
-    outside = down[:, None] - down[None, :] != _CHARGE[..., None, None]
-    graded = True
-    off_sq = total_sq = 0.0
-    for blocks in at:
-        off = blocks[outside]
-        off_sq += np.vdot(off, off).real
-        total_sq += np.vdot(blocks, blocks).real
-        graded = graded and not off.any()
-    off_grade = float(np.sqrt(off_sq) / max(1.0, np.sqrt(total_sq)))
-    if graded:
-        sectors, charge = magnetization_sectors(sites), _CHARGE
+    if family.graded:
+        grading, off_grade = family.grading, 0.0
+        pieces = [grading.blocks(family.entries(x)) for x in (u, v)]
     else:
-        sectors, charge = [np.arange(family.dim)], np.zeros_like(_CHARGE)
+        grading, pieces, off_grade = _dense_pieces(family, u, v)
+    sectors, charge = grading.sectors, grading.charge
 
     n = len(sectors)
-    pieces = [
-        {
-            (i, j, m): blocks[i, j][sectors[m + charge[i, j]][:, None], sectors[m]]
-            for i, j in _PAIRS
-            for m in range(n)
-            if 0 <= m + charge[i, j] < n
-        }
-        for blocks in at
-    ]
-    del at
     layouts = {}
     for q in range(-2, 3):
         spans, start = [], 0
@@ -497,6 +703,36 @@ def _graded_products(family: MonodromyFamily, u: complex, v: complex):
         return out
 
     return table(*pieces), table(*pieces[::-1]), charge, off_grade
+
+
+def _dense_pieces(family: MonodromyFamily, u: complex, v: complex):
+    """The four blocks of any family at u and v from their dense values, as
+    the pieces of one sector holding the whole basis with q = 0, so the
+    tables hold the dense products.  Returns (grading, pieces, off_grade),
+    pieces keyed as ``Grading.blocks``."""
+    sites = family.dim.bit_length() - 1
+    at = (family.at(u), family.at(v))
+    down = _down_counts(sites)
+    outside = down[:, None] - down[None, :] != _CHARGE[..., None, None]
+    off_sq = total_sq = 0.0
+    for blocks in at:
+        off = blocks[outside]
+        off_sq += np.vdot(off, off).real
+        total_sq += np.vdot(blocks, blocks).real
+    off_grade = float(np.sqrt(off_sq) / max(1.0, np.sqrt(total_sq)))
+    grading = Grading((np.arange(family.dim),), np.zeros((2, 2), dtype=int))
+    return grading, [{(i, j, 0): blocks[i, j] for i, j in _PAIRS} for blocks in at], off_grade
+
+
+def monodromy_product_gap(params: ChainParams, family: MonodromyFamily, u: complex) -> float:
+    """Scaled gap between the family's four blocks at u, placed as one
+    operator on aux (x) chain, and the R-matrix product
+    ``monodromy_matrix``, which shares neither the recursion nor the
+    storage."""
+    product = monodromy_matrix(params, u)
+    d = family.dim
+    value = family.at(u).transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
+    return _scaled_gap(value, product)
 
 
 def _rtt_gap(uv: dict, vu: dict, a: complex) -> float:

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import SpectralContext, VariableSet, eps_dist
-from .chain import ChainParams, _scaled_gap, build_hamiltonian, structure_checks
+from .chain import (
+    ChainParams,
+    _scaled_gap,
+    build_hamiltonian,
+    monodromy_product_gap,
+    structure_checks,
+)
 from .linalg import ConvergenceError
 from .overlaps import norm_report, overlap_report
 from .solver import classify_solutions, probe_points, solve_newton, solve_tq_fit, spectrum_match
@@ -310,9 +316,9 @@ def _verify_checks(cfg: RunConfig, ctx: SpectralContext) -> list[dict]:
     center = complex(np.mean(np.asarray(params.theta, dtype=complex)))
     scale = max(1.0, abs(params.c))
 
-    worst: dict[str, float] = {}
-    for _ in range(3):
-        u, v = _draw_points(rng, center, scale, 2)
+    pairs = [_draw_points(rng, center, scale, 2) for _ in range(3)]
+    worst = {"monodromy_product_form": monodromy_product_gap(params, ctx.family, pairs[0][0])}
+    for u, v in pairs:
         for name, value in structure_checks(params, twist, u, v, ctx.family).items():
             worst[name] = _worse(worst.get(name, 0.0), value)
         for name, value in vacuum_action_residuals(modified, ctx.fact, params, u).items():

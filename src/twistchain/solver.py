@@ -354,7 +354,10 @@ class MatchReport:
 
 def classify_solutions(a: list[BetheSolution], b: list[BetheSolution]) -> MatchReport:
     """Greedy nearest pairing by root_distance below MATCH_TOL; eigenvalue
-    samples are compared on the paired entries only."""
+    samples are compared on the paired entries only, each gap relative to
+    the samples' size, |la - lb| / max(1, |la|, |lb|), as in
+    ``spectrum_match``: the samples grow like |u/c|^N, so an absolute gap
+    would measure their size."""
     stack = np.array([s.roots.values for s in b])
     free = np.ones(len(b), dtype=bool)
     pairs, unmatched_a = [], []
@@ -369,7 +372,8 @@ def classify_solutions(a: list[BetheSolution], b: list[BetheSolution]) -> MatchR
         pairs.append((i, j, float(d[j])))
         la, lb = sa.matched_eigenvalue, b[j].matched_eigenvalue
         if la is not None and lb is not None:
-            gap = np.nanmax(np.abs(la - lb))
+            scale = np.maximum(1.0, np.maximum(np.abs(la), np.abs(lb)))
+            gap = np.nanmax(np.abs(la - lb) / scale)
             worst_gap = max(worst_gap, float(gap))
     return MatchReport(
         pairs=tuple(pairs),

@@ -11,9 +11,10 @@ and mu = (kappa_tilde + kappa - rho) / (kappa_tilde + kappa - 2 rho).  A
 diagonal twist is the limit rho = 0, mu = 1, L = I of the same record.  The
 dressing nu = L T_a L of the monodromy gives the "modified" operators the
 modified algebraic Bethe ansatz is built from, and the transfer matrix is
-tr_a(K T) = tr_a(D nu).  Both are contractions of the four blocks with 2x2
-matrices (``chain._contract``).  All square roots take the principal branch
-so both rho branches are bit-reproducible.
+tr_a(K T) = tr_a(D nu).  Both act on the four blocks through 2x2
+matrices: nu is T with the dressing mu L0 (x) L0
+(``MonodromyFamily.dressed``).  All square roots take the principal
+branch so both rho branches are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -159,16 +160,15 @@ def factorize_twist(twist: TwistParams, branch: str = "minus") -> TwistFactoriza
 def build_modified_operators(
     family: MonodromyFamily, fact: TwistFactorization
 ) -> MonodromyFamily:
-    """L T_a(u) L = mu L0 T_a(u) L0 as a family of the input's shape.
+    """L T_a(u) L = mu L0 T_a(u) L0 as the dressing mu L0 (x) L0 of the
+    input family, on its coefficient array: no coefficient is computed or
+    copied, and each value is dressed where it is placed.
 
     L0 (``TwistFactorization.l0``) is built from the stored ratios, so the
     diagonal limit (both ratios zero, mu = 1) returns the input family
-    unchanged, and mu is applied once rather than as
-    sqrt(mu) on each side.  The dressing is one ``chain._contract``
-    product over the input's coefficient stack.
+    unchanged, and mu is applied once rather than as sqrt(mu) on each side.
     """
-    weights = fact.mu * np.einsum("ai,jb->abij", fact.l0, fact.l0)
-    return MonodromyFamily(_contract(family.coeffs, weights), family.unit)
+    return family.dressed(fact.mu * np.einsum("ai,jb->abij", fact.l0, fact.l0))
 
 
 def modified_diagonal_residual(

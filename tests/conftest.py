@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from twistchain import ChainParams, SpectralContext, TwistParams
+from twistchain.chain import Grading, MonodromyFamily
 
 settings.register_profile(
     "desk",
@@ -36,6 +37,20 @@ def random_context(rng, sites: int, diagonal: bool = False) -> SpectralContext:
 
 def draw_points(rng, count: int, scale: float = 1.0) -> np.ndarray:
     return scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+
+
+def dense_stack(family) -> np.ndarray:
+    """A family's four blocks as one dense (2, 2, degree + 1, d, d)
+    coefficient stack, t_ij at [i, j]."""
+    return np.array([[family.t11.coeffs, family.t12.coeffs], [family.t21.coeffs, family.t22.coeffs]])
+
+
+def dense_family(stack, unit=1.0) -> MonodromyFamily:
+    """A bare family stored dense, on one sector holding the whole basis,
+    from a (2, 2, k, d, d) coefficient stack."""
+    k, d = stack.shape[2], stack.shape[-1]
+    one_sector = Grading((np.arange(d),), np.zeros((2, 2), dtype=int))
+    return MonodromyFamily(stack.transpose(2, 0, 1, 3, 4).reshape(k, -1), unit, one_sector)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -260,6 +261,39 @@ def test_solve_with_huge_coupling(capsys):
         assert main(["solve", "--config", str(config), "--set", f"chain.c={c}"]) == 0, c
         report = json.loads(capsys.readouterr().out)
         assert report["checks"] and all(check["passed"] for check in report["checks"]), c
+
+
+def test_solve_at_small_coupling_compares_relative_samples(capsys):
+    # at c = 1e-3 the eigenvalue samples are about 1.7e9; the Newton and
+    # T-Q sets pair with root distance below 1e-11, but their samples differ
+    # by 1.7e-3 in absolute terms, which failed the absolute 1e-8 gate
+    assert main(["solve", "--config", str(N3_CONFIG), "--set", "chain.c=1e-3"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["cross_method_eigenvalue_gap"]["residual"] < 1e-10
+
+
+def test_verify_compares_the_family_with_the_product_form():
+    for sites in (1, 3, 6):
+        checks = {c["name"]: c for c in execute("verify", _grid_config(sites))["checks"]}
+        assert checks["monodromy_product_form"]["residual"] <= 1e-14, sites
+        # the stored grading leaves nothing outside it
+        assert checks["magnetization_conservation"]["residual"] == 0.0, sites
+
+
+@pytest.mark.parametrize("command, bound", [("verify", 35e6), ("spectrum", 30e6)])
+def test_command_memory_at_eight_sites(command, bound):
+    # the monodromy is stored as its magnetization blocks (3.5 MB here) and
+    # the modified operators as a dressing of them; with the two dense
+    # 2^N x 2^N coefficient stacks verify peaked at 92 MB, spectrum at 55 MB
+    cfg = _grid_config(8)
+    tracemalloc.start()
+    try:
+        report = execute(command, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(check["passed"] for check in report["checks"])
+    assert peak <= bound, peak
 
 
 def test_main_writes_output_file(tmp_path, capsys):

@@ -209,6 +209,25 @@ def test_tq_fit_recovers_newton_solutions(config_a):
     assert report.max_eigenvalue_gap < 1e-9
 
 
+def test_eigenvalue_gap_is_relative_and_sees_a_mispaired_sample():
+    # each sample gap is relative to the samples' size, so scaling both
+    # lists by 1e9 leaves it alone; a sample of another set still fails
+    newton = solve_newton(N2_CTX, starts=200, seed=1)
+    tq = solve_tq_fit(N2_CTX)
+    report = classify_solutions(newton, tq)
+    assert report.complete and report.max_eigenvalue_gap < 1e-9
+
+    def scaled(sols):
+        return [replace(s, matched_eigenvalue=1e9 * s.matched_eigenvalue) for s in sols]
+
+    big = classify_solutions(scaled(newton), scaled(tq))
+    assert big.max_eigenvalue_gap < 1e-9
+    (_, j, _), (_, k, _) = report.pairs[:2]
+    swapped = list(tq)
+    swapped[j] = replace(tq[j], matched_eigenvalue=tq[k].matched_eigenvalue)
+    assert classify_solutions(newton, swapped).max_eigenvalue_gap > 1e-3
+
+
 def test_tq_fit_two_sites():
     # the same complete, unflagged spectrum on a six-site real grid
     grid = tuple(0.15 * (k - 2.5) for k in range(6))
