@@ -311,54 +311,48 @@ def bethe_system(ctx: SpectralContext, batch, jacobian: bool = False):
 
     Everything comes from the pair differences d[b, i, k] = u_i - u_k.  In
     row i the three kernels facing the other roots are f(u_k, u_i) = 1 - c/d,
-    f(u_i, u_k) = 1 + c/d and g(u_i, u_k) = c/d, with 1 on the diagonal; the
-    products over ubar_i are the row products and those over ubar_ij their
-    leave-one-out products, neither formed by division, so root sets where
-    some f vanishes (the vanishing-vector sets) stay exact.  With w = g(u_i, u_j)^2/c, the u_j-derivatives of the three
-    kernels are -w, w and w, and their u_i-derivatives the opposite.  The
-    kernels are taken one at a time to keep the temporaries of a large
-    batch small.
+    f(u_i, u_k) = 1 + c/d and g(u_i, u_k) = c/d, with 1 on the diagonal,
+    stacked as one (3, B, n, n) array; the products over ubar_i are its row
+    products and those over ubar_ij its leave-one-out products, neither
+    formed by division, so root sets where some f vanishes (the
+    vanishing-vector sets) stay exact.  With w = g(u_i, u_j)^2/c, the
+    u_j-derivatives of the three kernels are -w, w and w, and their
+    u_i-derivatives the opposite.  The terms are summed in the order above,
+    and each row's entries depend on that row alone.
     """
     u = np.asarray(batch, dtype=complex)
     c = ctx.c
     t, rho = ctx.twist, ctx.fact.rho
-    n = u.shape[-1]
-    diag = np.eye(n, dtype=bool)
+    ii = np.arange(u.shape[-1])
     g = u[:, :, None] - u[:, None, :]
     close = np.abs(g) <= eps_dist(c)
-    coincident = np.any(close & ~diag, axis=(1, 2))
-    close |= diag
+    close[:, ii, ii] = False
+    coincident = np.any(close, axis=(1, 2))
+    close[:, ii, ii] = True
     g[close] = 1.0
     np.divide(c, g, out=g)
     g[close] = 0.0
     l1, l2 = ctx.lam(u)
-    x = t.kappa_tilde - rho
-    y = t.kappa - rho
-    res = np.zeros_like(u)
-    jac = None
-    d1 = d2 = 0.0  # slopes are only used for J
-    if jacobian:
-        d1, d2 = ctx.dlam(u)
-        w = g * g / c
-        jac = np.zeros_like(g)
+    x, y, z = t.kappa_tilde - rho, t.kappa - rho, 2 * rho
     # E is a sum of three terms, coeff(u_i) times the product over ubar_i of
     # one kernel offset + sign * g(u_i, u_k); that kernel's u_j-derivative
     # is sign * w, and slope is the u_i-derivative of coeff
-    for coeff, slope, offset, sign in (
-        (-x * l1, -x * d1, 1.0, -1.0),
-        (y * l2, y * d2, 1.0, 1.0),
-        (2 * rho * l1 * l2, 2 * rho * (d1 * l2 + l1 * d2), 0.0, 1.0),
-    ):
-        factors = sign * g
-        factors += offset
-        factors[:, diag] = 1.0
-        full = np.prod(factors, axis=-1)  # over ubar_i
-        res += coeff * full
-        if jacobian:
-            loo = _leave_one_out(factors)  # over ubar_ij
-            loo *= w
-            jac += (sign * coeff)[..., None] * loo
-            jac[:, diag] += slope * full - sign * coeff * np.sum(loo, axis=-1)
+    sign = np.array([-1.0, 1.0, 1.0])[:, None, None]
+    coeff = np.stack((-x * l1, y * l2, z * l1 * l2))
+    factors = sign[..., None] * g
+    factors += np.array([1.0, 1.0, 0.0])[:, None, None, None]
+    factors[:, :, ii, ii] = 1.0
+    full = np.prod(factors, axis=-1)
+    res = sum(coeff * full)  # 0 + t0 + t1 + t2, the order of a term-by-term loop
+    if not jacobian:
+        return res, None, coincident
+    d1, d2 = ctx.dlam(u)
+    slope = np.stack((-x * d1, y * d2, z * (d1 * l2 + l1 * d2)))
+    loo = _leave_one_out(factors)
+    loo *= g * g / c
+    signed = sign * coeff
+    jac = sum(signed[..., None] * loo)
+    jac[:, ii, ii] += sum(slope * full - signed * np.sum(loo, axis=-1))
     return res, jac, coincident
 
 

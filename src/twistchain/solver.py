@@ -43,6 +43,9 @@ VANISHING_TOL = 1e-9
 FIT_TOL = 1e-6
 # eigenvalue samples per root set, compared across methods and to the spectrum
 PROBES = 3
+# exponents [lo, hi) of the Newton step scales 2^-h, one kernel call per
+# chunk: a full step settles most rows, a few halvings nearly all the rest
+_HALVINGS = ((0, 1), (1, 5), (5, 20))
 
 # fixed generic offsets, scaled by |c| and recentered on the mean
 # inhomogeneity, so probe evaluations are reproducible run to run
@@ -205,44 +208,49 @@ def _newton_batch(
     shell, in start order.
 
     Every row takes the steps it would take alone; the masks only decide
-    which rows take part in each round.  A row is dropped when it
-    starts on coincident roots or meets an exactly singular Jacobian, and
-    stops when polished to rounding level or when 20 step halvings fail to
-    lower its residual norm; stopped rows then face the on-shell gate.
+    which rows take part in each round.  A row is dropped when it starts on
+    coincident roots or meets an exactly singular Jacobian, and stops when
+    polished to rounding level or when no step scale 2^-h, h < 20, lowers
+    its residual norm; stopped rows then face the on-shell gate.  One
+    kernel call tries a chunk of scales (_HALVINGS) on every pending row,
+    which takes the first scale that improves, as halving one at a time
+    would.  The step is solved in v = u/s, s = max(1, |c|), since J ~ 1/c.
     """
     u = np.array(starts, dtype=complex)
+    s = max(1.0, abs(ctx.c))
     res, _, coincident = bethe_system(ctx, u)
     alive = ~coincident
     running = alive.copy()
     score = np.linalg.norm(res, axis=1)
+    chunks = [np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in _HALVINGS]
     for _ in range(max_iter):
-        # polish down to rounding level: the determinant formulas downstream
-        # amplify any residual off-shellness, so the acceptance tolerance
-        # alone is not a good stopping point
-        running &= ~(np.max(np.abs(res), axis=1) <= 1e-14 * onshell_scales(ctx, u))
         rows = np.flatnonzero(running)
+        # polish to rounding level, not to the acceptance tolerance: the
+        # determinant formulas downstream amplify any residual off-shellness
+        polished = np.max(np.abs(res[rows]), axis=1) <= 1e-14 * onshell_scales(ctx, u[rows])
+        running[rows[polished]] = False
+        rows = rows[~polished]
         if rows.size == 0:
             break
         _, jac, _ = bethe_system(ctx, u[rows], jacobian=True)
-        step, ok = _newton_steps(jac, res[rows])
+        step, ok = _newton_steps(s * jac, res[rows])
         alive[rows[~ok]] = running[rows[~ok]] = False
-        rows, step = rows[ok], step[ok]
-        scale = np.ones(rows.size)
-        pending = np.ones(rows.size, dtype=bool)
-        for _ in range(20):  # halving guards against the kernel poles
-            idx = np.flatnonzero(pending)
-            if idx.size == 0:
+        rows, step = rows[ok], s * step[ok]
+        for scale in chunks:  # halving guards against the kernel poles
+            if rows.size == 0:
                 break
-            cand = u[rows[idx]] - scale[idx, None] * step[idx]
-            cres, _, hit_pole = bethe_system(ctx, cand)
-            cscore = np.linalg.norm(cres, axis=1)
-            better = ~hit_pole & (cscore < score[rows[idx]])
-            done = rows[idx[better]]
-            u[done], res[done], score[done] = cand[better], cres[better], cscore[better]
-            pending[idx[better]] = False
-            scale[idx[~better]] /= 2
+            cand = u[rows, None] - scale[:, None] * step[:, None]
+            cres, _, hit_pole = bethe_system(ctx, cand.reshape(-1, u.shape[1]))
+            cres = cres.reshape(cand.shape)
+            cscore = np.linalg.norm(cres, axis=2)
+            better = ~hit_pole.reshape(cscore.shape) & (cscore < score[rows, None])
+            hit = better.any(axis=1)
+            first = hit, better[hit].argmax(axis=1)  # each hit row's first better scale
+            done = rows[hit]
+            u[done], res[done], score[done] = cand[first], cres[first], cscore[first]
+            rows, step = rows[~hit], step[~hit]
         # stagnated; the final gate decides whether this counts
-        running[rows[pending]] = False
+        running[rows] = False
     onshell = np.max(np.abs(res), axis=1) <= tol * onshell_scales(ctx, u)
     return u[alive & onshell]
 
@@ -262,9 +270,8 @@ def solve_newton(
     with the chain length, since the outermost root sets drift outward as
     more roots are added.  All starts advance together on the batched
     residual/Jacobian kernel bethe_system; the converged rows go through
-    one _pool pass.  Root sets that build the zero vector are
-    dropped unless keep_vanishing is set, in which case they come back
-    flagged.
+    one _pool pass.  Root sets that build the zero vector are dropped
+    unless keep_vanishing is set, in which case they come back flagged.
     """
     n = ctx.sites
     rng = np.random.default_rng(seed)
@@ -272,11 +279,10 @@ def solve_newton(
     center = complex(np.mean(theta))
     scale = max(1.0, abs(ctx.c), 2 * float(np.max(np.abs(theta))))
     radius = 4.0 * (1 + n) * scale
-    batch = np.empty((starts, n), dtype=complex)
-    for b in range(starts):
-        radii = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
-        angles = rng.uniform(0.0, 2 * np.pi, n)
-        batch[b] = center + radii * np.exp(1j * angles)
+    # start by start, n radii then n angles
+    draws = rng.uniform(0.0, 1.0, (starts, 2, n))
+    radii = radius * np.sqrt(draws[:, 0])
+    batch = center + radii * np.exp(1j * (2 * np.pi * draws[:, 1]))
     kept = []
     for sol in _pool(ctx, _newton_batch(ctx, batch, max_iter, tol), "newton", tol):
         if vector_weight(ctx, sol.roots) < VANISHING_TOL:

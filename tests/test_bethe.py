@@ -34,6 +34,7 @@ from twistchain.linalg import eigenvalues
 from twistchain.solver import solve_tq_fit
 from twistchain.twist import twist_alpha
 
+import newton_reference
 from conftest import draw_points, random_context
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -277,6 +278,26 @@ def test_batch_rows_match_single_sets():
     assert np.array_equal(bethe_system(ctx, batch)[0], res)
     with pytest.raises(CoincidenceError):
         bethe_residuals(ctx, VariableSet(batch[4], 0.0))
+
+
+@pytest.mark.parametrize("sites", range(1, 7))
+def test_stacked_kernel_matches_the_term_by_term_reference(sites):
+    # bethe_system takes its three kernel terms as one stack; every entry of
+    # E and J must stay the one the term-by-term kernel gave, on batches
+    # with a coincident row and with a pair where some f vanishes
+    rng = np.random.default_rng(90 + sites)
+    ctx = random_context(rng, sites)
+    batch = np.array([_distinct_points(400 + 10 * sites + b, sites) for b in range(6)])
+    if sites > 1:
+        batch[1, 1] = batch[1, 0] - ctx.c
+        batch[2, 0] = batch[2, sites - 1] + 1e-12
+        batch[3, sites - 1] = batch[3, 0] - ctx.c
+    for jacobian in (False, True):
+        got = bethe_system(ctx, batch, jacobian)
+        want = newton_reference.bethe_system(ctx, batch, jacobian)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+        assert got[2].tolist() == [False, False, sites > 1, False, False, False]
+        assert (got[1] is None) if not jacobian else np.array_equal(got[1], want[1])
 
 
 def test_onshell_scale_and_tolerance():

@@ -254,9 +254,11 @@ def test_solve_with_huge_coupling(capsys):
     # divide by c one factor at a time; the T-Q fit works in v = u/|c|, where
     # the shifts Q(v -+ c/|c|) stay within the binomials.  In u they reached
     # c^2: the fit missed the Newton sets at c = 1e5 on three sites and at
-    # c = 1e20 on two, and overflowed at c = 1e300.  A RuntimeWarning fails
-    # the run, as everywhere in this suite.
-    cases = [(N2_CONFIG, c) for c in ("1e3", "1e20", "1e100", "1e300")] + [(N3_CONFIG, "1e5")]
+    # c = 1e20 on two, and overflowed at c = 1e300.  Newton solves for its
+    # step in v = u/|c| too: with J ~ 1/c the step overflowed at c = 1e300 on
+    # three sites.  A RuntimeWarning fails the run, as everywhere in this suite.
+    cases = [(N2_CONFIG, c) for c in ("1e3", "1e20", "1e100", "1e300")]
+    cases += [(N3_CONFIG, "1e5"), (N3_CONFIG, "1e300")]
     for config, c in cases:
         assert main(["solve", "--config", str(config), "--set", f"chain.c={c}"]) == 0, c
         report = json.loads(capsys.readouterr().out)

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from twistchain.bethe import (
     transfer_eigenvalue,
 )
 from twistchain.chain import build_transfer
+from twistchain.cli import execute, parse_config
 from twistchain.linalg import eigenpairs
 from twistchain.solver import (
     DEDUP_TOL,
@@ -29,8 +32,12 @@ from twistchain.solver import (
     vector_weight,
 )
 
+import newton_reference
+from conftest import random_context
+
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 LOW = -(3.0 + np.sqrt(5.0)) / 4.0
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 N2_CTX = SpectralContext.create(
     ChainParams(2, 1.0, (0.1, -0.1)),
@@ -166,7 +173,66 @@ def test_batched_newton_drops_only_the_broken_rows():
     assert len(clean) >= 10
     mixed = np.vstack((starts[:5], singular, coincident, starts[5:]))
     assert np.array_equal(_newton_batch(ctx, mixed, 80, 1e-8), clean)
+    assert np.array_equal(clean, newton_reference.newton_batch(ctx, starts, 80, 1e-8))
+    assert np.array_equal(clean, newton_reference.newton_batch(ctx, mixed, 80, 1e-8))
     assert len(_newton_batch(ctx, np.array([singular, coincident]), 80, 1e-8)) == 0
+
+
+def _config(name, grid_sites=None):
+    # grid_sites gives the grid chain, theta_k = 0.15(k - (N-1)/2), N = grid_sites
+    overrides = []
+    if grid_sites:
+        theta = json.dumps([0.15 * (k - (grid_sites - 1) / 2) for k in range(grid_sites)])
+        overrides = [f"chain.sites={grid_sites}", f"chain.inhomogeneities={theta}"]
+    return parse_config(str(CONFIGS / f"{name}.json"), overrides)
+
+
+@pytest.mark.parametrize(
+    "name, grid_sites", [("n2_generic", None), ("n3_generic", None), ("n3_generic", 4)]
+)
+def test_chunked_line_search_takes_the_steps_of_the_halving_loop(name, grid_sites):
+    # the step scales are tried a chunk per kernel call; every row must end
+    # where halving one scale per call leaves it, bit for bit
+    ctx = _config(name, grid_sites).context()
+    starts = newton_reference.newton_starts(ctx, 400, 1)
+    got = _newton_batch(ctx, starts, 80, 1e-8)
+    assert len(got) > 300
+    assert np.array_equal(got, newton_reference.newton_batch(ctx, starts, 80, 1e-8))
+
+
+def test_starts_are_the_per_start_draws(monkeypatch):
+    seen = []
+
+    def capture(ctx, starts, *_):
+        seen.append(starts)
+        return starts[:0]
+
+    monkeypatch.setattr(solver, "_newton_batch", capture)
+    for sites in range(1, 7):
+        ctx = random_context(np.random.default_rng(sites), sites)
+        for seed in (1, 2, 3):
+            assert solve_newton(ctx, starts=25, seed=seed) == []
+            assert np.array_equal(seen.pop(), newton_reference.newton_starts(ctx, 25, seed))
+
+
+def test_newton_calls_the_residual_kernel_once_per_chunk(monkeypatch):
+    # the scales 2^-h, h = 0..19, come in three chunks; one initial residual
+    # call, then per round one Jacobian call and at most one residual call
+    # per chunk: a line search that calls the kernel once per halving breaks
+    # the bound (601 residual calls against 80 Jacobian calls on n3_generic)
+    halvings = [h for lo, hi in solver._HALVINGS for h in range(lo, hi)]
+    assert halvings == list(range(20)) and len(solver._HALVINGS) == 3
+    calls = {False: 0, True: 0}
+    kernel = solver.bethe_system
+
+    def counted(ctx, batch, jacobian=False):
+        calls[jacobian] += 1
+        return kernel(ctx, batch, jacobian)
+
+    monkeypatch.setattr(solver, "bethe_system", counted)
+    execute("solve", _config("n3_generic"))
+    assert calls[True] > 0
+    assert calls[False] <= 1 + len(solver._HALVINGS) * calls[True]
 
 
 def test_vanishing_string_sets_are_filtered():
