@@ -34,6 +34,7 @@ import numpy as np
 from .chain import (
     ChainParams,
     MonodromyFamily,
+    _Block,
     build_monodromy,
     build_transfer,
     vacuum_weight_derivatives,
@@ -196,7 +197,7 @@ class SpectralContext:
         return build_modified_operators(self.family, self.fact)
 
     @cached_property
-    def transfer(self) -> MatrixPolynomial:
+    def transfer(self) -> _Block:
         return build_transfer(self.chain, self.twist, self.family)
 
     @cached_property

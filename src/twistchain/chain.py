@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import MatrixPolynomial, _read_only, kron_chain
+from .linalg import _read_only, kron_chain
 
 __all__ = [
     "ChainParams",
@@ -214,53 +214,58 @@ class Grading:
 
     ``sectors`` split the chain basis, and t_ij maps sector m into sector
     m + charge[i, j] and vanishes elsewhere.  A family stores, for t11,
-    t12, t21 and t22 in turn, the blocks t_ij[m + q_ij, m] of every column
-    sector m whose image is a sector, m ascending, each flattened row by
-    row.  The monodromy is stored on ``magnetization_grading``; one sector
-    holding the whole basis with zero charges stores the four dense blocks.
+    t12, t21 and t22 in turn, the blocks t_ij[m + q_ij, m] of ``layout``.
+    Blocks of one charge share that layout, so a weighted sum of them adds
+    entrywise: each later block of a charge folds into the first
+    (``folds``), and the first blocks of the charges, which fill the front
+    of the entries, land on the flattened d x d matrix at ``positions``.
+    The monodromy is stored on ``magnetization_grading``, where t22 folds
+    into t11; one sector holding the whole basis with zero charges stores
+    the four dense blocks, which all fold into t11.
     """
 
     def __init__(self, sectors, charge: np.ndarray):
         self.sectors, self.charge = tuple(sectors), charge
         self.dim = sum(len(s) for s in self.sectors)
-        # (i, j, m) -> (slice of the stored entries, shape) of t_ij[m + q_ij, m]
-        self.spans, start, n = {}, 0, len(self.sectors)
-        for i, j in _PAIRS:
-            q = charge[i, j]
-            for m in range(max(0, -q), min(n, n - q)):
-                shape = (len(self.sectors[m + q]), len(self.sectors[m]))
-                self.spans[i, j, m] = slice(start, start + shape[0] * shape[1]), shape
-                start += shape[0] * shape[1]
+        # (i, j, m) -> (slice of the stored entries, shape) of t_ij[m + q_ij, m];
+        # (i, j) -> slice of all the stored entries of t_ij
+        self.spans, self.pairs, first, self.folds, start = {}, {}, {}, [], 0
+        for ij in _PAIRS:
+            q = charge[ij]
+            layout = self.layout(q)
+            for m, span, shape in layout:
+                self.spans[(*ij, m)] = slice(start + span.start, start + span.stop), shape
+            self.pairs[ij] = slice(start, start + (layout[-1][1].stop if layout else 0))
+            if q in first:
+                self.folds.append((ij, self.pairs[ij], first[q][1]))
+            elif self.folds:
+                raise ValueError("the first block of each charge must come before every folded block")
+            else:
+                first[q] = ij, self.pairs[ij]
+            start = self.pairs[ij].stop
         self.size = start  # stored entries per coefficient
+        self.firsts = list(first.values())  # (i, j) and slice of each first block
+        self.positions = np.concatenate([
+            (self.sectors[m + q][:, None] * self.dim + self.sectors[m]).ravel()
+            for q in first for m, _, _ in self.layout(q)
+        ])
+        self.positions.setflags(write=False)
+
+    def layout(self, q: int) -> list:
+        """(m, slice, shape) of each block [m + q, m] between sectors, m
+        ascending, each flattened row by row after the one before."""
+        out, start, n = [], 0, len(self.sectors)
+        for m in range(max(0, -q), min(n, n - q)):
+            shape = (len(self.sectors[m + q]), len(self.sectors[m]))
+            out.append((m, slice(start, start + shape[0] * shape[1]), shape))
+            start += shape[0] * shape[1]
+        return out
 
     def blocks(self, entries: np.ndarray) -> dict:
         """(i, j, m) -> the block t_ij[m + q_ij, m] of stored entries with
         any leading axes, as a view."""
         lead = entries.shape[:-1]
         return {key: entries[..., span].reshape(*lead, *shape) for key, (span, shape) in self.spans.items()}
-
-    @cached_property
-    def charges(self) -> tuple:
-        """(positions, members) for each charge, in storage order.  Blocks
-        of one charge have the same shapes, so their stored entries land on
-        the same positions of the flattened d x d matrix, listed once;
-        members pairs each such block (i, j) with the slice of its stored
-        entries."""
-        d = self.dim
-        slices = {}
-        for (i, j, _), (span, _) in self.spans.items():
-            slices[i, j] = slice(slices.get((i, j), span).start, span.stop)
-        out = {}
-        for ij in _PAIRS:
-            q = self.charge[ij]
-            if q not in out:
-                positions = np.concatenate([
-                    (self.sectors[m + q][:, None] * d + self.sectors[m]).ravel()
-                    for *key, m in self.spans if tuple(key) == ij
-                ])
-                out[q] = positions, []
-            out[q][1].append((ij, slices[ij]))
-        return tuple(out.values())
 
 
 @lru_cache(maxsize=None)
@@ -298,9 +303,9 @@ class MonodromyFamily:
     t_ij; it is the identity for T.  A dense value is placed only at a
     point: ``entries(u)`` evaluates the stored entries in one product of
     the powers (1, z, ..., z**degree) against ``coeffs``, ``at(u)`` places
-    all four blocks as one (2, 2, d, d) array, and t11..t22 place one block
-    each.  A block's dense coefficient stack is placed only on request
-    (``t_ij.coeffs``).
+    all four blocks as one (2, 2, d, d) array, t11..t22 place one block
+    each, and ``contract(w)`` places a weighted sum of them.  A block's
+    dense coefficient stack is placed only on request (``t_ij.coeffs``).
     """
 
     t11, t12, t21, t22 = (_block(a, b) for a, b in _PAIRS)
@@ -345,13 +350,11 @@ class MonodromyFamily:
             block.place(entries.copy(), dest)
         return out.reshape(2, 2, d, d)
 
-    def contract(self, weights) -> np.ndarray:
-        """sum_ab weights[a, b] nu_ab placed as one read-only d x d matrix
-        per coefficient.  A 2x2 matrix M acts on the auxiliary space as a
-        twisted trace, tr_a(M nu) = sum_ab M_ba nu_ab, with weights M^T."""
-        out = _Block(self, np.tensordot(weights, self.dressing, 2)).coeffs
-        out.setflags(write=False)
-        return out
+    def contract(self, weights) -> "_Block":
+        """sum_ab weights[a, b] nu_ab, placed at a point by calling it.  A
+        2x2 matrix M acts on the auxiliary space as a twisted trace,
+        tr_a(M nu) = sum_ab M_ba nu_ab, with weights M^T."""
+        return _Block(self, np.tensordot(weights, self.dressing, 2))
 
     def dressed(self, weights) -> "MonodromyFamily":
         """The family sum_cd weights[a, b, c, d] nu_cd at [a, b], on the same
@@ -365,45 +368,44 @@ class _Block:
 
     A dense value is placed from the stored entries at each point, and the
     dense coefficient stack (degree + 1, d, d) only when ``coeffs`` is
-    read.  Blocks of one charge share their positions
-    (``Grading.charges``), so they are scaled, summed and written with one
-    indexed assignment; blocks alone in their charge whose entries follow
-    each other, as t12 and t21 do on the magnetization grading, are written
-    together.  It keeps what it reads of the family, not the family, which
-    caches its four blocks.
+    read: the entries are scaled by their weights, the first blocks of
+    weight 0 zeroed, the other blocks folded into the first of their charge
+    (``Grading.folds``), and the first blocks written with one indexed
+    assignment (``Grading.positions``).  It keeps what it reads of the
+    family, not the family, which caches its four blocks.
     """
 
     def __init__(self, family: MonodromyFamily, weights: np.ndarray):
         self._coeffs, self._unit, self._dim = family.coeffs, family.unit, family.dim
         self._exponents = np.arange(family.degree + 1)
         grading = family.grading
-        used = {ij for ij in _PAIRS if weights[ij] != 0}
         self._scale = None
-        if any(weights[ij] != 1 for ij in used):
-            self._scale = np.zeros(grading.size, dtype=complex)
-            for (i, j, _), (span, _) in grading.spans.items():
-                self._scale[span] = weights[i, j]
-        runs = []
-        for positions, members in grading.charges:
-            slices = [span for ij, span in members if ij in used]
-            if not slices:
-                continue
-            if len(slices) == 1 and runs and not runs[-1][2] and runs[-1][1].stop == slices[0].start:
-                last, first, _ = runs.pop()
-                positions, slices = np.concatenate((last, positions)), [slice(first.start, slices[0].stop)]
-            runs.append((positions, slices[0], slices[1:]))
-        self._runs = runs
+        if any(w != 0 and w != 1 for w in weights.flat):
+            self._scale = np.empty(grading.size, dtype=complex)
+            for ij, span in grading.pairs.items():
+                self._scale[span] = weights[ij]
+        # a folded block of weight 0 is left out, and the write runs from
+        # the first to the last first block that has a weight or takes a
+        # fold, zeroing those of weight 0 in between
+        self._folds = [(source, dest) for ij, source, dest in grading.folds if weights[ij] != 0]
+        taken = [dest for _, dest in self._folds]
+        first = [(weights[ij] != 0, span) for ij, span in grading.firsts]
+        live = [span for weighted, span in first if weighted or span in taken]
+        self._write = slice(live[0].start, live[-1].stop) if live else slice(0, 0)
+        self._zeros = [span for weighted, span in first if not weighted and self._write.start <= span.start < self._write.stop]
+        self._positions = grading.positions[self._write]
 
     def place(self, entries: np.ndarray, out: np.ndarray) -> None:
         """Write the block from one complex vector of stored entries, which
-        it scales in place, into the zeroed flattened matrix ``out``."""
+        it scales and folds in place, into the zeroed flattened matrix
+        ``out``."""
         if self._scale is not None:
             entries *= self._scale
-        for positions, first, rest in self._runs:
-            value = entries[first]
-            for span in rest:
-                value = value + entries[span]
-            out[positions] = value
+        for span in self._zeros:
+            entries[span] = 0
+        for source, dest in self._folds:
+            entries[dest] += entries[source]
+        out[self._positions] = entries[self._write]
 
     def __call__(self, u: complex) -> np.ndarray:
         out = np.zeros(self._dim * self._dim, dtype=complex)
@@ -540,10 +542,11 @@ def _contract(blocks, weights) -> np.ndarray:
     return out
 
 
-def build_transfer(params: ChainParams, twist, family: MonodromyFamily) -> MatrixPolynomial:
-    """Twisted transfer matrix t(u) = tr_a( K_a T_a(u) ) as a matrix
-    polynomial in the family's variable, placed from its stored blocks."""
-    return MatrixPolynomial(family.contract(twist.matrix().T), family.unit)
+def build_transfer(params: ChainParams, twist, family: MonodromyFamily) -> _Block:
+    """Twisted transfer matrix t(u) = tr_a( K_a T_a(u) ) as the contraction
+    of the family's blocks with K^T: calling it at u places t(u) from one
+    evaluation of the stored entries."""
+    return family.contract(twist.matrix().T)
 
 
 def _boundary_substitutions(twist) -> list[np.ndarray]:
@@ -593,7 +596,7 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
         if np.linalg.cond(kmat) > 1e12:
             raise ValueError("transfer matrix is singular at u = 0")
         low = MonodromyFamily(_monodromy_stack(params, 1), params.c, magnetization_grading(n))
-        t0, dt0 = low.contract(kmat.T)  # t(0), d t / dz at 0
+        t0, dt0 = low.contract(kmat.T).coeffs  # t(0), d t / dz at 0
         # dt0 t0^-1 as the transpose of the solve t0^T x = dt0^T
         return 2 * np.linalg.solve(t0.T, dt0.T).T - n * np.eye(params.dim)
     raise ValueError(f"unknown route {route!r}; use 'direct' or 'transfer'")
@@ -664,8 +667,8 @@ def _graded_products(family: MonodromyFamily, u: complex, v: complex):
     (``_dense_pieces``).  A product t_ij(x) t_kl(y) maps M to M + Q with
     Q = q_ij + q_kl and is formed on each column sector M as
     t_ij[M + Q, M + q_kl] @ t_kl[M + q_kl, M]; it is stored as one vector
-    of those blocks, M ascending, each flattened, so products of one Q share
-    a layout and combine entrywise.  Returns (uv, vu, charge, off_grade),
+    of those blocks in ``Grading.layout(Q)``, so products of one Q combine
+    entrywise.  Returns (uv, vu, charge, off_grade),
     with off_grade the norm of the entries outside the magnetization
     grading over max(1, norm of the blocks).
     """
@@ -674,24 +677,15 @@ def _graded_products(family: MonodromyFamily, u: complex, v: complex):
         pieces = [grading.blocks(family.entries(x)) for x in (u, v)]
     else:
         grading, pieces, off_grade = _dense_pieces(family, u, v)
-    sectors, charge = grading.sectors, grading.charge
-
-    n = len(sectors)
-    layouts = {}
-    for q in range(-2, 3):
-        spans, start = [], 0
-        for m in range(max(0, -q), min(n, n - q)):
-            shape = (len(sectors[m + q]), len(sectors[m]))
-            spans.append((m, slice(start, start + shape[0] * shape[1]), shape))
-            start += shape[0] * shape[1]
-        layouts[q] = spans, start
+    charge = grading.charge
+    layouts = {q: grading.layout(q) for q in range(-2, 3)}
 
     def table(first, second):
         out = {}
         for i, j, k, l in _QUADS:
-            spans, length = layouts[charge[i, j] + charge[k, l]]
-            vec = np.zeros(length, dtype=complex)
-            for m, span, shape in spans:
+            layout = layouts[charge[i, j] + charge[k, l]]
+            vec = np.zeros(layout[-1][1].stop if layout else 0, dtype=complex)
+            for m, span, shape in layout:
                 # a middle sector outside 0..N leaves the block zero
                 if (k, l, m) in second:
                     np.matmul(

@@ -127,6 +127,26 @@ def _section(data: dict, name: str, known: set[str]) -> dict:
     return sub
 
 
+# log10 of the largest double
+_MAX_DIGITS = float(np.log10(np.finfo(float).max))
+
+
+def _spread_digits(theta, c: complex) -> float:
+    """log10 of prod_k (1 + |theta_k - center| / s), s = max(1, |c|).
+
+    The commands evaluate the operators at points within a few s of the
+    center of the inhomogeneities.  There each factor (u - theta_k + c)/c
+    of T(u) is at most a few s/|c| times 1 + |theta_k - center|/s, so this
+    product is the size the inhomogeneities give the operators, apart from
+    the (s/|c|)**N the coupling gives them.  A spread whose arithmetic
+    overflows reads inf or nan.
+    """
+    with np.errstate(all="ignore"):
+        theta = np.asarray(theta, dtype=complex)
+        spread = np.abs(theta - theta.mean()) / max(1.0, abs(c))
+        return float(np.sum(np.log10(1 + spread)))
+
+
 def build_config(data: dict) -> RunConfig:
     """Validates a plain config dict; error messages name the bad field."""
     if not isinstance(data, dict):
@@ -153,6 +173,12 @@ def build_config(data: dict) -> RunConfig:
     if len(theta) != sites:
         raise ConfigError(
             f"chain.inhomogeneities: expected {sites} entries, got {len(theta)}"
+        )
+    spread = _spread_digits(theta, c)
+    if not 2 * spread <= _MAX_DIGITS:
+        raise ConfigError(
+            f"chain.inhomogeneities: their spread scales the operators near them by "
+            f"about 1e{spread:.0f}, so products of two operators overflow"
         )
 
     twist = _section(
@@ -304,9 +330,17 @@ def _cmd_verify(cfg: RunConfig) -> dict:
         with np.errstate(over="raise", invalid="raise"):
             return {"checks": _verify_checks(cfg, ctx)}
     except FloatingPointError:
+        # the field whose part of the operator scale is the larger
+        chain = cfg.chain
+        coupling = chain.sites * np.log10(max(1.0, abs(chain.c)) / abs(chain.c))
+        if _spread_digits(chain.theta, chain.c) > coupling:
+            raise ValueError(
+                "chain.inhomogeneities: the operators and their products at the "
+                "verify points overflow"
+            ) from None
         raise ValueError(
             f"chain.c: the operators and their products at the verify points "
-            f"overflow at c = {cfg.chain.c}"
+            f"overflow at c = {chain.c}"
         ) from None
 
 

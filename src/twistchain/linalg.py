@@ -114,19 +114,16 @@ def _read_only(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class MatrixPolynomial:
-    """Matrix-valued polynomial sum_k coeffs[..., k, :, :] * (u / unit)**k.
+    """Matrix-valued polynomial sum_k coeffs[k] * (u / unit)**k.
 
-    coeffs has shape (*blocks, degree + 1, d, d): any leading axes index a
-    stack of blocks that share the degree and are evaluated together, so a
-    value carries those axes in front of its d x d matrix.  ``unit`` scales
-    the variable: a polynomial whose natural variable is z = u / c keeps
-    O(1) coefficients in z for every c, where its coefficients in u would
-    carry c**-k and leave the float range for large or small |c|.
-    Evaluation is one contraction of the power vector (1, z, ..., z**n)
-    against the stack; coefficients are stored exactly as given (no
-    trimming), so the derivative at zero is coefficient(1) / unit.  A
-    read-only complex array is kept as it is, so several polynomials can be
-    views of one stack; any other input is copied.
+    coeffs has shape (degree + 1, d, d).  ``unit`` scales the variable: a
+    polynomial whose natural variable is z = u / c keeps O(1) coefficients
+    in z for every c, where its coefficients in u would carry c**-k and
+    leave the float range for large or small |c|.  Evaluation is one
+    product of the power vector (1, z, ..., z**n) against the stack;
+    coefficients are stored exactly as given (no trimming).  A read-only
+    complex array is kept as it is, so several polynomials can be views of
+    one stack; any other input is copied.
     """
 
     coeffs: np.ndarray
@@ -138,9 +135,9 @@ class MatrixPolynomial:
             # copy, so no caller keeps a writable handle on the coefficients
             c = np.array(c, dtype=complex)
             c.setflags(write=False)
-        if c.ndim < 3 or c.shape[-1] != c.shape[-2]:
-            raise ValueError(f"coeffs must have shape (..., k, d, d), got {c.shape}")
-        if c.shape[-3] == 0:
+        if c.ndim != 3 or c.shape[1] != c.shape[2]:
+            raise ValueError(f"coeffs must have shape (k, d, d), got {c.shape}")
+        if c.shape[0] == 0:
             raise ValueError("need at least the constant coefficient")
         unit = complex(self.unit)
         if unit == 0 or not np.isfinite(unit):
@@ -150,23 +147,15 @@ class MatrixPolynomial:
 
     @property
     def degree(self) -> int:
-        return self.coeffs.shape[-3] - 1
+        return self.coeffs.shape[0] - 1
 
     @property
     def dim(self) -> int:
         return self.coeffs.shape[-1]
 
-    def coefficient(self, k: int) -> np.ndarray:
-        """Coefficient of (u / unit)**k, one d x d matrix per block."""
-        if not 0 <= k <= self.degree:
-            raise ValueError(f"coefficient index must lie in 0..{self.degree}, got {k}")
-        return np.array(self.coeffs[..., k, :, :])
-
     def __call__(self, u: complex) -> np.ndarray:
-        # one matrix-vector product per block over the stack seen as
-        # (..., k, d*d); the result is a fresh array, never a view of the
-        # coefficients
-        *blocks, k, d, _ = self.coeffs.shape
+        # one vector-matrix product over the stack seen as (k, d*d); the
+        # result is a fresh array, never a view of the coefficients
+        k, d, _ = self.coeffs.shape
         powers = (complex(u) / self.unit) ** np.arange(k)
-        value = np.matmul(powers, self.coeffs.reshape(*blocks, k, d * d))
-        return value.reshape(*blocks, d, d)
+        return np.matmul(powers, self.coeffs.reshape(k, d * d)).reshape(d, d)

@@ -232,7 +232,7 @@ def eigenstate_residual(
     meaningful for on-shell parameter sets of full order."""
     rs = _as_set(roots, ctx.c)
     lam = transfer_eigenvalue(ctx, u, rs)
-    tmat = _contract(nu.at(complex(u)), ctx.fact.d_factor.T)
+    tmat = nu.contract(ctx.fact.d_factor.T)(u)
     if dual:
         vec = build_dual_vector(nu, rs).amplitudes
         resid = vec @ tmat - lam * vec
@@ -258,7 +258,7 @@ def raising_coefficient(
         raise ValueError("no higher sector available to project onto")
     u = complex(u)
     if which == "transfer":
-        op = _contract(nu.at(u), ctx.fact.d_factor.T)
+        op = nu.contract(ctx.fact.d_factor.T)(u)
     elif which in ("nu11", "nu22", "nu21"):
         op = getattr(nu, "t" + which[2:])(u)
     else:

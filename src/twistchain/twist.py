@@ -26,12 +26,11 @@ import numpy as np
 from .chain import (
     ChainParams,
     MonodromyFamily,
-    _contract,
+    _Block,
     _scaled_gap,
     vacuum_state,
     vacuum_weights,
 )
-from .linalg import MatrixPolynomial
 
 __all__ = [
     "TwistDegeneracyError",
@@ -173,7 +172,7 @@ def build_modified_operators(
 
 def modified_diagonal_residual(
     modified: MonodromyFamily,
-    transfer: MatrixPolynomial,
+    transfer: _Block,
     twist: TwistParams,
     fact: TwistFactorization,
     u: complex,
@@ -181,7 +180,7 @@ def modified_diagonal_residual(
     """Scaled gap (``chain._scaled_gap``) between tr_a(D nu(u)) and t(u),
     equal since K = L D L and nu = L T L; the D entries are
     kappa_tilde - rho and kappa - rho, so ``twist`` is implied by ``fact``."""
-    return _scaled_gap(_contract(modified.at(u), fact.d_factor.T), transfer(u))
+    return _scaled_gap(modified.contract(fact.d_factor.T)(u), transfer(u))
 
 
 def vacuum_action_residuals(

@@ -41,6 +41,7 @@ from twistchain.linalg import kron_chain
 from twistchain.states import offshell_action_residuals
 from twistchain.twist import build_modified_operators, factorize_twist
 
+import block_reference
 from conftest import dense_family, dense_stack, draw_points, random_context, random_theta, random_twist
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -383,6 +384,67 @@ def test_contract_matches_written_out_sum():
         want = written_out(kmat.T, at_u)
         got = _contract(at_u, kmat.T)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), sites
+
+
+def _placement_cases(rng, sites):
+    # (family, weights) on a real and a complex chain: T and nu for a
+    # generic and a diagonal twist, with the transfer weights K^T and D^T,
+    # weightings whose first block of a charge has weight 0, and no weight
+    zero_first = (np.array([[0.0, 0.0], [0.0, 2.5]]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+    for c, theta in ((1.0, tuple(rng.uniform(-0.3, 0.3, sites))), (0.7 + 0.4j, random_theta(rng, sites))):
+        params = ChainParams(sites, c, theta)
+        family = build_monodromy(params)
+        for diagonal in (False, True):
+            ctx = SpectralContext.create(params, random_twist(rng, diagonal))
+            nu = build_modified_operators(family, ctx.fact)
+            for member in (family, nu):
+                yield member, (ctx.twist.matrix().T, ctx.fact.d_factor.T, *zero_first)
+
+
+def _assert_places_as_the_reference(family, weights, u):
+    for ab, name in zip(np.ndindex(2, 2), ("t11", "t12", "t21", "t22")):
+        block, want = getattr(family, name), block_reference.Block(family, family.dressing[ab])
+        assert np.array_equal(block(u), want(u)) and np.array_equal(block.coeffs, want.coeffs), name
+    assert np.array_equal(family.at(u), block_reference.at(family, u))
+    for w in weights:
+        assert np.array_equal(family.contract(w)(u), block_reference.Block(
+            family, np.tensordot(w, family.dressing, 2))(u))
+        assert np.array_equal(family.contract(w).coeffs, block_reference.contract(family, w))
+
+
+def test_block_placement_matches_the_reference_bit_for_bit():
+    # scaling, zeroing and folding into the first block of each charge add
+    # the same terms in the same order as summing each charge group out of
+    # place, so every placed value is the reference's bit for bit
+    rng = np.random.default_rng(37)
+    for sites in range(1, 9):
+        u = draw_points(rng, 1)[0]
+        for family, weights in _placement_cases(rng, sites):
+            _assert_places_as_the_reference(family, weights, u)
+            if sites <= 4:
+                # the same blocks stored dense, on one sector with every
+                # block folding into t11
+                dense = dense_family(dense_stack(family), family.unit)
+                _assert_places_as_the_reference(dense, weights, u)
+
+
+def test_first_blocks_fill_the_front_and_folds_follow():
+    # each charge's first block lands on distinct positions of the d x d
+    # matrix; the folded blocks come after all of them
+    for sites in range(1, 6):
+        dense = Grading((np.arange(2 ** sites),), np.zeros((2, 2), dtype=int))
+        for grading in (magnetization_grading(sites), dense):
+            positions = grading.positions
+            assert len(np.unique(positions)) == len(positions), sites
+            assert np.all((0 <= positions) & (positions < grading.dim ** 2))
+            folded = [source for _, source, _ in grading.folds]
+            assert len(positions) + sum(s.stop - s.start for s in folded) == grading.size
+            assert all(s.start >= len(positions) for s in folded)
+        assert [ij for ij, _, _ in magnetization_grading(sites).folds] == [(1, 1)]
+        assert [ij for ij, _, _ in dense.folds] == [(0, 1), (1, 0), (1, 1)]
+    # t12 folds into t11, then t21 would open a charge after it
+    with pytest.raises(ValueError, match="folded"):
+        Grading(magnetization_sectors(2), np.array([[0, 0], [-1, 0]]))
 
 
 def test_transfer_family_commutes_up_to_six_sites():
