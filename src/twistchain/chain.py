@@ -214,14 +214,12 @@ class Grading:
 
     ``sectors`` split the chain basis, and t_ij maps sector m into sector
     m + charge[i, j] and vanishes elsewhere.  A family stores, for t11,
-    t12, t21 and t22 in turn, the blocks t_ij[m + q_ij, m] of ``layout``.
-    Blocks of one charge share that layout, so a weighted sum of them adds
-    entrywise: each later block of a charge folds into the first
-    (``folds``), and the first blocks of the charges, which fill the front
-    of the entries, land on the flattened d x d matrix at ``positions``.
-    The monodromy is stored on ``magnetization_grading``, where t22 folds
-    into t11; one sector holding the whole basis with zero charges stores
-    the four dense blocks, which all fold into t11.
+    t12, t21 and t22 in turn, the blocks t_ij[m + q_ij, m] of ``layout``,
+    and ``index`` holds the position of each stored entry in the flattened
+    d x d matrix of its block.  Blocks of one charge share that layout and
+    so their positions, and a weighted sum of them adds entrywise.  The
+    monodromy is stored on ``magnetization_grading``; one sector holding
+    the whole basis with zero charges stores the four dense blocks.
     """
 
     def __init__(self, sectors, charge: np.ndarray):
@@ -229,27 +227,17 @@ class Grading:
         self.dim = sum(len(s) for s in self.sectors)
         # (i, j, m) -> (slice of the stored entries, shape) of t_ij[m + q_ij, m];
         # (i, j) -> slice of all the stored entries of t_ij
-        self.spans, self.pairs, first, self.folds, start = {}, {}, {}, [], 0
+        self.spans, self.pairs, index, start = {}, {}, [], 0
         for ij in _PAIRS:
-            q = charge[ij]
-            layout = self.layout(q)
-            for m, span, shape in layout:
-                self.spans[(*ij, m)] = slice(start + span.start, start + span.stop), shape
-            self.pairs[ij] = slice(start, start + (layout[-1][1].stop if layout else 0))
-            if q in first:
-                self.folds.append((ij, self.pairs[ij], first[q][1]))
-            elif self.folds:
-                raise ValueError("the first block of each charge must come before every folded block")
-            else:
-                first[q] = ij, self.pairs[ij]
-            start = self.pairs[ij].stop
+            q, first = charge[ij], start
+            for m, span, shape in self.layout(q):
+                self.spans[(*ij, m)] = slice(first + span.start, first + span.stop), shape
+                index.append((self.sectors[m + q][:, None] * self.dim + self.sectors[m]).ravel())
+                start = first + span.stop
+            self.pairs[ij] = slice(first, start)
         self.size = start  # stored entries per coefficient
-        self.firsts = list(first.values())  # (i, j) and slice of each first block
-        self.positions = np.concatenate([
-            (self.sectors[m + q][:, None] * self.dim + self.sectors[m]).ravel()
-            for q in first for m, _, _ in self.layout(q)
-        ])
-        self.positions.setflags(write=False)
+        self.index = np.concatenate(index)
+        self.index.setflags(write=False)
 
     def layout(self, q: int) -> list:
         """(m, slice, shape) of each block [m + q, m] between sectors, m
@@ -296,9 +284,9 @@ class MonodromyFamily:
     polynomials in z = u / unit.
 
     ``coeffs`` has shape (degree + 1, grading.size): coefficient k of every
-    entry the grading stores, read-only.  It is real when every coefficient
-    is, as for a real coupling and real inhomogeneities; that halves its
-    size and the cost of an evaluation.  ``dressing`` maps the stored
+    entry the grading stores, read-only.  ``build_monodromy`` stores it
+    real when every theta/c is real, as for a real coupling and real
+    inhomogeneities; that halves its size and the cost of an evaluation.  ``dressing`` maps the stored
     blocks t_ij to the family's blocks, nu_ab = sum_ij dressing[a, b, i, j]
     t_ij; it is the identity for T.  A dense value is placed only at a
     point: ``entries(u)`` evaluates the stored entries in one product of
@@ -347,7 +335,7 @@ class MonodromyFamily:
         d = self.dim
         out = np.zeros((4, d * d), dtype=complex)
         for block, dest in zip((self.t11, self.t12, self.t21, self.t22), out):
-            block.place(entries.copy(), dest)
+            block.place(entries, dest)
         return out.reshape(2, 2, d, d)
 
     def contract(self, weights) -> "_Block":
@@ -368,44 +356,36 @@ class _Block:
 
     A dense value is placed from the stored entries at each point, and the
     dense coefficient stack (degree + 1, d, d) only when ``coeffs`` is
-    read: the entries are scaled by their weights, the first blocks of
-    weight 0 zeroed, the other blocks folded into the first of their charge
-    (``Grading.folds``), and the first blocks written with one indexed
-    assignment (``Grading.positions``).  It keeps what it reads of the
-    family, not the family, which caches its four blocks.
+    read.  Blocks of one charge share their positions (``Grading.index``),
+    so the weighted blocks of each charge are summed entrywise in storage
+    order and the sum is written once.  The weights multiply only when some
+    weight is not 0 or 1, and then as a per-entry array for each block:
+    numpy rounds a product with a broadcast complex scalar differently.  It keeps what it
+    reads of the family, not the family, which caches its four blocks.
     """
 
     def __init__(self, family: MonodromyFamily, weights: np.ndarray):
         self._coeffs, self._unit, self._dim = family.coeffs, family.unit, family.dim
         self._exponents = np.arange(family.degree + 1)
         grading = family.grading
-        self._scale = None
-        if any(w != 0 and w != 1 for w in weights.flat):
-            self._scale = np.empty(grading.size, dtype=complex)
-            for ij, span in grading.pairs.items():
-                self._scale[span] = weights[ij]
-        # a folded block of weight 0 is left out, and the write runs from
-        # the first to the last first block that has a weight or takes a
-        # fold, zeroing those of weight 0 in between
-        self._folds = [(source, dest) for ij, source, dest in grading.folds if weights[ij] != 0]
-        taken = [dest for _, dest in self._folds]
-        first = [(weights[ij] != 0, span) for ij, span in grading.firsts]
-        live = [span for weighted, span in first if weighted or span in taken]
-        self._write = slice(live[0].start, live[-1].stop) if live else slice(0, 0)
-        self._zeros = [span for weighted, span in first if not weighted and self._write.start <= span.start < self._write.stop]
-        self._positions = grading.positions[self._write]
+        used = [ij for ij in _PAIRS if weights[ij] != 0]
+        scaled = any(weights[ij] != 1 for ij in used)
+        # charge -> (positions of its blocks, [(stored slice, weights or None)])
+        self._charges = {}
+        for ij in used:
+            span = grading.pairs[ij]
+            w = np.full(span.stop - span.start, weights[ij], dtype=complex) if scaled else None
+            self._charges.setdefault(grading.charge[ij], (grading.index[span], []))[1].append((span, w))
 
     def place(self, entries: np.ndarray, out: np.ndarray) -> None:
-        """Write the block from one complex vector of stored entries, which
-        it scales and folds in place, into the zeroed flattened matrix
-        ``out``."""
-        if self._scale is not None:
-            entries *= self._scale
-        for span in self._zeros:
-            entries[span] = 0
-        for source, dest in self._folds:
-            entries[dest] += entries[source]
-        out[self._positions] = entries[self._write]
+        """Write the block from one vector of stored entries into the zeroed
+        flattened matrix ``out``."""
+        for index, terms in self._charges.values():
+            total = None
+            for span, w in terms:
+                term = entries[span] if w is None else entries[span] * w
+                total = term if total is None else total + term
+            out[index] = total
 
     def __call__(self, u: complex) -> np.ndarray:
         out = np.zeros(self._dim * self._dim, dtype=complex)
@@ -416,7 +396,7 @@ class _Block:
     def coeffs(self) -> np.ndarray:
         out = np.zeros((len(self._coeffs), self._dim, self._dim), dtype=complex)
         for row, dest in zip(self._coeffs, out.reshape(len(out), -1)):
-            self.place(row.astype(complex), dest)
+            self.place(row, dest)
         return out
 
 
@@ -435,11 +415,27 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
     return MonodromyFamily(coeffs, params.c, magnetization_grading(params.sites))
 
 
-def _halves(size: list, m: int) -> tuple[slice, slice]:
-    """Slices of sector m of n sites that come from sector m of n - 1
-    sites (new spin up) and from sector m - 1 (new spin down); ``size``
-    holds the sizes of the sectors of n - 1 sites and then a 0."""
-    return slice(0, size[m]), slice(size[m], size[m] + size[m - 1])
+def _site_gathers(n: int) -> tuple[np.ndarray, ...]:
+    """The two gathers of site n over the entries that
+    ``magnetization_grading`` stores at n - 1 sites: (copies, sources) for
+    the P term and (diagonal, reads) for the (z - theta_n/c) I term, each
+    a list of entries at n sites and the entry at n - 1 sites it reads."""
+    new, old = magnetization_grading(n), magnetization_grading(n - 1)
+    pair, old_pair = (
+        np.repeat(np.arange(4), [s.stop - s.start for s in g.pairs.values()]) for g in (new, old)
+    )
+    # where[(2i + j) d'^2 + r' d' + c'] is the stored entry of t_ij[r', c']
+    cells = old.dim * old.dim
+    where = np.zeros(4 * cells, dtype=np.intp)
+    where[old_pair * cells + old.index] = np.arange(old.size)
+    # entry t_ij[2r' + a, 2c' + b], with the new site the fastest slot
+    row, col = np.divmod(new.index, new.dim)
+    cell = (row >> 1) * old.dim + (col >> 1)
+    a, b, i, j = row & 1, col & 1, pair >> 1, pair & 1
+    copies, diagonal = np.flatnonzero(a == j), np.flatnonzero(a == b)
+    sources = where[(2 * i + b)[copies] * cells + cell[copies]]
+    reads = where[pair[diagonal] * cells + cell[diagonal]]
+    return copies, sources, diagonal, reads
 
 
 def _monodromy_stack(params: ChainParams, degree: int) -> np.ndarray:
@@ -453,72 +449,45 @@ def _monodromy_stack(params: ChainParams, degree: int) -> np.ndarray:
 
         t_ij^(n) = (z - theta_n/c) t_ij^(n-1) (x) I + sum_k t_ik^(n-1) (x) E_jk
 
-    with the new site as the fastest tensor slot.  Sector M of n sites is
-    sector M of n - 1 sites with the new spin up and sector M - 1 with it
-    down.  The recursion keeps each sector in that order, up half then
-    down half, so block t_ij^(n)[M + q, M] is written with slices: its
-    (up, up) and (down, down) quarters take the z term from t_ij^(n-1) on
-    column sectors M and M - 1, and its quarters with row spin j and
-    column spin k take t_ik^(n-1) on column sector M - k.  That order reads
-    the spins from the last site to the first; at the end every block is
-    sorted into ``magnetization_sectors`` order.  Each entry sees the same
-    copy, scaling and additions, in the same order, as in the recursion on
-    dense 2^N blocks, so every stored coefficient equals the dense one bit
-    for bit.  A coefficient of degree k reads only coefficients of degree
-    <= k, so the stack is cut at ``degree``.  Raises ValueError naming the
-    coupling on overflow.  The stack is real when every coefficient is.
+    with the new site as the fastest tensor slot.  Each step is two gathers
+    over the stored entries of n - 1 sites (``_site_gathers``): entry
+    t_ij^(n)[2r + a, 2c + b] copies its P term from t_ib^(n-1)[r, c] when
+    a = j, then, when a = b, subtracts theta_n/c t_ij^(n-1)[r, c] and adds
+    t_ij^(n-1)[r, c] one degree up.  Each entry sees the same copy,
+    scaling and additions, in the same order, as in the recursion on dense
+    2^N blocks, so every stored coefficient equals the dense one bit for
+    bit.  When every theta/c is real the recursion runs in real arithmetic
+    and the stack is real.  A coefficient of degree k reads only
+    coefficients of degree <= k, so the stack is cut at ``degree``.  Raises
+    ValueError naming the coupling on overflow.
     """
     c = params.c
-    one = np.ones((1, 1, 1), dtype=complex)
-    blocks = {(0, 0, 0): one, (1, 1, 0): one}  # T^(0), the auxiliary identity
-    order = [np.zeros(1, dtype=int)]  # basis indices of each sector, as kept
-    kept = 1
+    shifts = [theta / c for theta in params.theta]
+    real = all(shift.imag == 0 for shift in shifts)
+    # T^(0), the auxiliary identity: t11 = t22 = 1 on the empty chain
+    coeffs = np.ones((1, magnetization_grading(0).size), dtype=float if real else complex)
     try:
-        # the blocks start finite, so they hold an inf or a nan only after a
-        # shift or one of the array steps below overflowed
+        # the entries start finite, so they hold an inf or a nan only after
+        # a shift or one of the array steps below overflowed
         with np.errstate(over="raise", invalid="raise"):
-            for n, theta in enumerate(params.theta, 1):
-                shift = theta / c
+            for n, shift in enumerate(shifts, 1):
                 if not cmath.isfinite(shift):
                     raise FloatingPointError("theta/c overflows")
-                m, kept = kept, min(kept + 1, degree + 1)
-                # an empty sector after the last stands for sectors n and -1
-                padded = order + [np.zeros(0, dtype=int)]
-                size = [len(s) for s in padded]
-                new = {}
-                for i, j in _PAIRS:
-                    q = _CHARGE[i, j]
-                    for big_m in range(max(0, -q), min(n, n - q) + 1):
-                        rows, cols = _halves(size, big_m + q), _halves(size, big_m)
-                        out = np.zeros((kept, rows[1].stop, cols[1].stop), dtype=complex)
-                        for k in (0, 1):  # t_ik (x) E_jk
-                            src = blocks.get((i, k, big_m - k))
-                            if src is not None:
-                                out[:m, rows[j], cols[k]] = src
-                        for s in (0, 1):  # (z - theta/c) t_ij (x) I
-                            src = blocks.get((i, j, big_m - s))
-                            if src is not None:
-                                diag = out[:, rows[s], cols[s]]
-                                diag[:m] -= shift * src
-                                diag[1:] += src[: kept - 1]
-                        new[i, j, big_m] = out
-                blocks = new
-                order = [
-                    np.concatenate((2 * padded[big_m], 2 * padded[big_m - 1] + 1))
-                    for big_m in range(n + 1)
-                ]
+                shift = shift.real if real else shift
+                copies, sources, diagonal, reads = _site_gathers(n)
+                m, kept = len(coeffs), min(len(coeffs) + 1, degree + 1)
+                out = np.zeros((kept, magnetization_grading(n).size), dtype=coeffs.dtype)
+                out[:m, copies] = coeffs[:, sources]
+                term = coeffs[:, reads]
+                value = out[:, diagonal]
+                value[:m] -= shift * term
+                value[1:] += term[: kept - 1]
+                out[:, diagonal] = value
+                coeffs = out
     except FloatingPointError:
         raise ValueError(
             f"chain.c: the monodromy coefficients (theta/c)**k overflow at c = {c}"
         ) from None
-    grading = magnetization_grading(params.sites)
-    sort = [np.argsort(o) for o in order]
-    real = not any(block.imag.any() for block in blocks.values())
-    coeffs = np.empty((kept, grading.size), dtype=float if real else complex)
-    for (i, j, m), (span, _) in grading.spans.items():
-        block = blocks[i, j, m].real if real else blocks[i, j, m]
-        rows, cols = sort[m + _CHARGE[i, j]], sort[m]
-        coeffs[:, span] = block[:, rows[:, None], cols].reshape(kept, -1)
     coeffs.setflags(write=False)
     return coeffs
 

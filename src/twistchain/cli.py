@@ -28,7 +28,7 @@ from .chain import (
     monodromy_product_gap,
     structure_checks,
 )
-from .linalg import ConvergenceError
+from .linalg import MAX_EIG_DIM, ConvergenceError
 from .overlaps import norm_report, overlap_report
 from .solver import classify_solutions, probe_points, solve_newton, solve_tq_fit, spectrum_match
 from .states import offshell_action_residuals, raising_identity_residual
@@ -161,6 +161,14 @@ def build_config(data: dict) -> RunConfig:
     sites = chain["sites"]
     if not _is_count(sites):
         raise ConfigError(f"chain.sites: expected a positive integer, got {sites!r}")
+    # verify places T on aux (x) chain, so 2^(N+1) <= MAX_EIG_DIM; compared
+    # by exponent, since 2**sites of a huge count never finishes
+    most = MAX_EIG_DIM.bit_length() - 2
+    if sites > most:
+        raise ConfigError(
+            f"chain.sites: at most {most}, since the monodromy on aux (x) chain "
+            f"has dimension 2^(N+1) <= {MAX_EIG_DIM}; got {sites}"
+        )
     c = _as_complex(chain.get("c", 1.0), "chain.c")
     if c == 0:
         raise ConfigError("chain.c: must be nonzero")
@@ -278,21 +286,19 @@ def _encode(obj):
     return obj
 
 
-def _check(name: str, residual: float, tolerance: float) -> dict:
-    return {
+def _check(name: str, residual: float, tolerance: float, sets=None, holds=True) -> dict:
+    """One check record.  It passes when ``holds`` and the residual is
+    within the tolerance; a check over ``sets`` on-shell root sets records
+    their number, and over none it has checked nothing, so it fails
+    whatever its residual."""
+    check = {
         "name": name,
         "residual": float(residual),
         "tolerance": float(tolerance),
-        "passed": bool(residual <= tolerance),
+        "passed": bool(holds and residual <= tolerance and sets != 0),
     }
-
-
-def _check_over_sets(name: str, residual: float, tolerance: float, sets: int) -> dict:
-    """A check over `sets` on-shell root sets; over none it has checked
-    nothing, so it fails whatever its residual."""
-    check = _check(name, residual, tolerance)
-    check["passed"] = check["passed"] and sets > 0
-    check["sets_checked"] = sets
+    if sets is not None:
+        check["sets_checked"] = sets
     return check
 
 
@@ -417,21 +423,14 @@ def _cmd_solve(cfg: RunConfig) -> dict:
     match = classify_solutions(newton, tq)
     spectral = spectrum_match(ctx, newton)
     checks = [
-        {
-            "name": "spectrum_completeness",
-            "residual": float(spectral["max_rel_gap"]),
-            "tolerance": cfg.onshell_tol,
-            "passed": bool(
-                spectral["counts_match"]
-                and spectral["max_rel_gap"] <= cfg.onshell_tol
-            ),
-        },
-        {
-            "name": "cross_method_eigenvalue_gap",
-            "residual": float(match.max_eigenvalue_gap),
-            "tolerance": cfg.onshell_tol,
-            "passed": bool(match.complete and match.max_eigenvalue_gap <= cfg.onshell_tol),
-        },
+        _check(
+            "spectrum_completeness", spectral["max_rel_gap"], cfg.onshell_tol,
+            holds=spectral["counts_match"],
+        ),
+        _check(
+            "cross_method_eigenvalue_gap", match.max_eigenvalue_gap, cfg.onshell_tol,
+            holds=match.complete,
+        ),
     ]
     return {
         "checks": checks,
@@ -474,7 +473,7 @@ def _cmd_overlap(cfg: RunConfig) -> dict:
                     "passed": bool(rep.relative_error <= cfg.onshell_tol),
                 })
     checks = [
-        _check_over_sets("slavnov_max_relative_error", worst, cfg.onshell_tol, len(onshell))
+        _check("slavnov_max_relative_error", worst, cfg.onshell_tol, sets=len(onshell))
     ]
     return {"checks": checks, "overlaps": rows}
 
@@ -496,9 +495,7 @@ def _cmd_norm(cfg: RunConfig) -> dict:
             "passed": bool(rep.relative_error <= cfg.onshell_tol),
         })
     checks = [
-        _check_over_sets(
-            "gaudin_korepin_max_relative_error", worst, cfg.onshell_tol, len(onshell)
-        )
+        _check("gaudin_korepin_max_relative_error", worst, cfg.onshell_tol, sets=len(onshell))
     ]
     return {"checks": checks, "norms": rows}
 

@@ -428,23 +428,31 @@ def test_block_placement_matches_the_reference_bit_for_bit():
                 _assert_places_as_the_reference(dense, weights, u)
 
 
-def test_first_blocks_fill_the_front_and_folds_follow():
-    # each charge's first block lands on distinct positions of the d x d
-    # matrix; the folded blocks come after all of them
+def test_grading_index_places_every_stored_entry():
+    # within each block the positions are distinct cells of the d x d
+    # matrix, blocks of one charge share them, and the stored entries of a
+    # bare family scattered there are its four blocks
+    rng = np.random.default_rng(38)
     for sites in range(1, 6):
-        dense = Grading((np.arange(2 ** sites),), np.zeros((2, 2), dtype=int))
-        for grading in (magnetization_grading(sites), dense):
-            positions = grading.positions
-            assert len(np.unique(positions)) == len(positions), sites
-            assert np.all((0 <= positions) & (positions < grading.dim ** 2))
-            folded = [source for _, source, _ in grading.folds]
-            assert len(positions) + sum(s.stop - s.start for s in folded) == grading.size
-            assert all(s.start >= len(positions) for s in folded)
-        assert [ij for ij, _, _ in magnetization_grading(sites).folds] == [(1, 1)]
-        assert [ij for ij, _, _ in dense.folds] == [(0, 1), (1, 0), (1, 1)]
-    # t12 folds into t11, then t21 would open a charge after it
-    with pytest.raises(ValueError, match="folded"):
-        Grading(magnetization_sectors(2), np.array([[0, 0], [-1, 0]]))
+        params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
+        family = build_monodromy(params)
+        dense = dense_family(dense_stack(family), family.unit)
+        u = draw_points(rng, 1)[0]
+        for member in (family, dense):
+            grading = member.grading
+            index = grading.index
+            assert index.shape == (grading.size,) and not index.flags.writeable
+            assert np.all((0 <= index) & (index < grading.dim ** 2)), sites
+            for ij, span in grading.pairs.items():
+                assert len(np.unique(index[span])) == span.stop - span.start, (sites, ij)
+                for kl, other in grading.pairs.items():
+                    if grading.charge[kl] == grading.charge[ij]:
+                        assert np.array_equal(index[span], index[other]), (sites, ij, kl)
+            scattered = np.zeros((4, grading.dim ** 2), dtype=complex)
+            entries = member.entries(u)
+            for row, span in zip(scattered, grading.pairs.values()):
+                row[index[span]] = entries[span]
+            assert np.array_equal(scattered.reshape(member.at(u).shape), member.at(u)), sites
 
 
 def test_transfer_family_commutes_up_to_six_sites():
@@ -607,6 +615,22 @@ def test_block_recursion_matches_the_dense_recursion_bit_for_bit(c):
             assert got.dtype == complex
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (sites, degree)
             assert not rest.any(), (sites, degree)
+
+
+def test_real_shifts_take_the_real_recursion_bit_for_bit():
+    # a complex coupling with every theta/c real runs the recursion in real
+    # arithmetic, and its coefficients are the dense complex recursion's
+    # real parts bit for bit, with no imaginary part left
+    rng = np.random.default_rng(39)
+    c = 1.0 + 1.0j  # theta = r c divides back to exactly r
+    for sites in range(1, 9):
+        params = ChainParams(sites, c, tuple(c * r for r in rng.uniform(-0.3, 0.3, sites)))
+        assert all((t / c).imag == 0 for t in params.theta)
+        for degree in (sites, 1):
+            want, _ = _graded_part(_dense_recursion(params, degree), sites)
+            got = _monodromy_stack(params, degree)
+            assert got.dtype == float and not want.imag.any(), (sites, degree)
+            assert np.array_equal(got.view(np.uint64), want.real.view(np.uint64)), (sites, degree)
 
 
 def test_real_chains_store_real_coefficients():

@@ -191,6 +191,20 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error: kappa_plus * kappa_minus = 0" in capsys.readouterr().err
 
 
+def test_sites_beyond_the_dense_cap_exit_2_naming_them(tmp_path, capsys, monkeypatch):
+    # 2^(N+1) > MAX_EIG_DIM is rejected while the config is read, before
+    # anything is built; a command must never start at such a size
+    monkeypatch.setattr("twistchain.cli.execute", lambda *args: pytest.fail("a command ran"))
+    assert build_config(dict(MINIMAL, chain={"sites": 11})).chain.sites == 11
+    for sites in (12, 13, 10 ** 100):
+        with pytest.raises(ConfigError, match=r"chain\.sites: at most 11"):
+            build_config(dict(MINIMAL, chain={"sites": sites}))
+    path = _write(tmp_path, MINIMAL)
+    for command in ("verify", "spectrum"):
+        assert main([command, "--config", path, "--set", "chain.sites=12"]) == 2
+        assert "error: chain.sites: at most 11" in capsys.readouterr().err
+
+
 N2_CONFIG = N3_CONFIG.with_name("n2_generic.json")
 
 
