@@ -318,13 +318,6 @@ class MonodromyFamily:
     def dim(self) -> int:
         return self.grading.dim
 
-    @property
-    def graded(self) -> bool:
-        """True when the family's blocks are its stored blocks on the
-        magnetization grading, so each keeps or shifts M by construction."""
-        sites = self.dim.bit_length() - 1
-        return self.grading is magnetization_grading(sites) and np.array_equal(self.dressing, _BARE)
-
     def entries(self, u: complex) -> np.ndarray:
         """The stored entries at u, complex."""
         return _evaluate(self.coeffs, (complex(u) / self.unit) ** np.arange(self.degree + 1))
@@ -492,25 +485,6 @@ def _monodromy_stack(params: ChainParams, degree: int) -> np.ndarray:
     return coeffs
 
 
-def _contract(blocks, weights) -> np.ndarray:
-    """sum_ij weights[..., i, j] t_ij over four dense auxiliary blocks.
-
-    ``blocks`` holds t_ij at [i, j] of its two leading axes, such as the
-    (2, 2, d, d) value of ``MonodromyFamily.at``.  ``weights`` is one 2x2
-    matrix or a stack of them, and the result carries its leading axes.  A
-    2x2 matrix M acts on the auxiliary space as a twisted trace,
-    tr_a(M T) = sum_ij M_ji t_ij, with weights M^T.  The whole contraction
-    is one (k x 4) @ (4 x rest) product into one new read-only array.
-    """
-    w = np.asarray(weights, dtype=complex)
-    b = np.asarray(blocks, dtype=complex)
-    rows = w.reshape(-1, 4)
-    out = np.empty(w.shape[:-2] + b.shape[2:], dtype=complex)
-    np.matmul(rows, b.reshape(4, -1), out=out.reshape(len(rows), -1))
-    out.setflags(write=False)
-    return out
-
-
 def build_transfer(params: ChainParams, twist, family: MonodromyFamily) -> _Block:
     """Twisted transfer matrix t(u) = tr_a( K_a T_a(u) ) as the contraction
     of the family's blocks with K^T: calling it at u places t(u) from one
@@ -579,21 +553,22 @@ def structure_checks(
     family: MonodromyFamily,
 ) -> dict[str, float]:
     """Frobenius residuals of the defining exchange structure, each a
-    scaled gap between its two sides.
+    scaled gap between its two sides, for a bare family.
 
     Every two-point check reads the block products t_ij(u) t_kl(v) and
     t_kl(v) t_ij(u) off the two tables of ``_graded_products``, which are
-    taken one magnetization block at a time: the RTT relation through its
-    16 block components (``_rtt_gap``), the three exchange relations used
-    by the algebraic Bethe ansatz, which are three of those components, and
-    commutativity of the transfer matrix, the twist-weighted sum of each
-    table split by charge.  Blocks in different (row, column) sectors are
-    disjoint, so their squared norms add and every gap is exact.
-    ``magnetization_conservation`` is the share of the blocks at u and v
-    that lies outside the magnetization grading; a family stored on that
-    grading reads 0 by construction, so its blocks are checked against the
-    R-matrix product by ``monodromy_product_gap``.  GL(2) invariance of the
-    R-matrix against the twist is a 4x4 check.
+    taken one block of the family's grading at a time: the RTT relation
+    through its 16 block components (``_rtt_gap``), the three exchange
+    relations used by the algebraic Bethe ansatz, which are three of those
+    components, and commutativity of the transfer matrix, the
+    twist-weighted sum of each table split by charge.  Blocks in different
+    (row, column) sectors are disjoint, so their squared norms add and
+    every gap is exact.  ``magnetization_conservation`` is the share of the
+    stored entries at u and v that sit outside the magnetization grading;
+    the chain's monodromy stores none there and reads 0, so its blocks are
+    checked against the R-matrix product by ``monodromy_product_gap``.
+    GL(2) invariance of the R-matrix against the twist is a 4x4 check.  A
+    dressed family raises ValueError.
     """
     if abs(u - v) <= 1e-9 * max(1.0, abs(params.c)):
         raise ValueError("structure checks need two distinct spectral points")
@@ -624,28 +599,39 @@ def structure_checks(
 
 def _graded_products(family: MonodromyFamily, u: complex, v: complex):
     """Tables uv[i, j, k, l] = t_ij(u) t_kl(v) and vu[i, j, k, l] =
-    t_ij(v) t_kl(u) of every block product, one block of a grading at a time.
+    t_ij(v) t_kl(u) of every block product of a bare family, one block of
+    its grading at a time.
 
-    A grading is a list of sectors of the chain basis and a charge q_ij per
-    block, such that t_ij maps sector M into sector M + q_ij and vanishes
-    elsewhere.  A family whose blocks are stored on the magnetization
-    grading (``MonodromyFamily.graded``) gives its blocks as views of one
-    evaluation of its entries at each point, and nothing lies outside the
-    grading.  Any other family, a dressed one such as nu or one stored
-    dense, is evaluated densely, and its products are the dense ones
-    (``_dense_pieces``).  A product t_ij(x) t_kl(y) maps M to M + Q with
-    Q = q_ij + q_kl and is formed on each column sector M as
-    t_ij[M + Q, M + q_kl] @ t_kl[M + q_kl, M]; it is stored as one vector
-    of those blocks in ``Grading.layout(Q)``, so products of one Q combine
-    entrywise.  Returns (uv, vu, charge, off_grade),
-    with off_grade the norm of the entries outside the magnetization
-    grading over max(1, norm of the blocks).
+    The grading's sectors split the chain basis, and t_ij maps sector M
+    into sector M + q_ij and vanishes elsewhere, so the pieces at each
+    point are the views ``Grading.blocks`` of one evaluation of the stored
+    entries: the magnetization blocks for the chain's monodromy, the four
+    dense blocks for a family stored on one sector with zero charges.  A
+    product t_ij(x) t_kl(y) maps M to M + Q with Q = q_ij + q_kl and is
+    formed on each column sector M as t_ij[M + Q, M + q_kl] @
+    t_kl[M + q_kl, M]; it is stored as one vector of those blocks in
+    ``Grading.layout(Q)``, so products of one Q combine entrywise.  Returns
+    (uv, vu, charge, off_grade), with off_grade the norm of the stored
+    entries at u and v outside the magnetization grading over max(1, norm
+    of all of them): an entry of t_ij at [r, c] (``Grading.index``) is
+    outside when M(r) - M(c) != j - i.  A dressed family mixes the blocks
+    its grading keeps apart, so it raises ValueError.
     """
-    if family.graded:
-        grading, off_grade = family.grading, 0.0
-        pieces = [grading.blocks(family.entries(x)) for x in (u, v)]
-    else:
-        grading, pieces, off_grade = _dense_pieces(family, u, v)
+    if not np.array_equal(family.dressing, _BARE):
+        raise ValueError("block products need a bare family; a dressed one mixes its grading's charges")
+    grading = family.grading
+    entries = [family.entries(x) for x in (u, v)]
+    pieces = [grading.blocks(e) for e in entries]
+    down = _down_counts(grading.dim.bit_length() - 1)
+    row, col = np.divmod(grading.index, grading.dim)
+    stored_charge = np.repeat(_CHARGE.ravel(), [s.stop - s.start for s in grading.pairs.values()])
+    outside = down[row] - down[col] != stored_charge
+    off_sq = total_sq = 0.0
+    for e in entries:
+        off = e[outside]
+        off_sq += np.vdot(off, off).real
+        total_sq += np.vdot(e, e).real
+    off_grade = float(np.sqrt(off_sq) / max(1.0, np.sqrt(total_sq)))
     charge = grading.charge
     layouts = {q: grading.layout(q) for q in range(-2, 3)}
 
@@ -666,25 +652,6 @@ def _graded_products(family: MonodromyFamily, u: complex, v: complex):
         return out
 
     return table(*pieces), table(*pieces[::-1]), charge, off_grade
-
-
-def _dense_pieces(family: MonodromyFamily, u: complex, v: complex):
-    """The four blocks of any family at u and v from their dense values, as
-    the pieces of one sector holding the whole basis with q = 0, so the
-    tables hold the dense products.  Returns (grading, pieces, off_grade),
-    pieces keyed as ``Grading.blocks``."""
-    sites = family.dim.bit_length() - 1
-    at = (family.at(u), family.at(v))
-    down = _down_counts(sites)
-    outside = down[:, None] - down[None, :] != _CHARGE[..., None, None]
-    off_sq = total_sq = 0.0
-    for blocks in at:
-        off = blocks[outside]
-        off_sq += np.vdot(off, off).real
-        total_sq += np.vdot(blocks, blocks).real
-    off_grade = float(np.sqrt(off_sq) / max(1.0, np.sqrt(total_sq)))
-    grading = Grading((np.arange(family.dim),), np.zeros((2, 2), dtype=int))
-    return grading, [{(i, j, 0): blocks[i, j] for i, j in _PAIRS} for blocks in at], off_grade
 
 
 def monodromy_product_gap(params: ChainParams, family: MonodromyFamily, u: complex) -> float:
@@ -736,8 +703,10 @@ def exchange_residuals(
     family: MonodromyFamily, c: complex, u: complex, v: complex
 ) -> dict[str, float]:
     """Scale-relative residuals of the three two-point exchange relations
-    for any family of monodromy blocks; the twisted operators obey the same
-    relations as the plain ones, so this is shared by both."""
+    for a bare family of monodromy blocks, read off the
+    ``_graded_products`` tables.  The twisted operators obey the same
+    relations as the plain ones; a dressed family raises ValueError, so
+    they are checked on their blocks stored as a bare family."""
     uv, vu, _, _ = _graded_products(family, u, v)
     return _exchange_gaps(uv, vu, c / (u - v))
 

@@ -175,11 +175,14 @@ def gaudin_limit_deviation(
 
     Each entry must equal lim c * dLam/du_i / g(v_j, ubar) as v_j
     approaches u_j.  The limit is taken numerically as the mean of the
-    values at offsets +h and -h, h = 1e-4 max(1, |c|) so the offset keeps
-    its distance from the coincidence guard ``eps_dist(c)``; this cancels
-    the linear error term without the rounding gain of a one-sided
-    extrapolation near the pole.  The return value is the worst relative
-    deviation over all entries.
+    values at offsets +h and -h, h = 1e-4 |c|: the kernel g = c/(u - v)
+    varies on the scale |c|, so the offset is the same fraction of it at
+    every coupling.  The symmetric mean cancels the linear error term
+    without the rounding gain of a one-sided extrapolation near the pole.
+    At |c| <= 1e-5 the offset is within the coincidence guard
+    ``eps_dist(c)``, which is absolute there, and the kernel raises
+    CoincidenceError.  The return value is the worst relative deviation
+    over all entries.
     ``matrix`` is gaudin_matrix(ctx, roots) when the caller already holds
     it.
     """
@@ -189,7 +192,7 @@ def gaudin_limit_deviation(
     # deviations are measured against the matrix scale, not entrywise: the
     # extrapolation error of a small entry is set by the large ones
     floor = max(1.0, float(np.max(np.abs(ref))))
-    h = 1e-4 * max(1.0, abs(ctx.c))
+    h = 1e-4 * abs(ctx.c)
     worst = 0.0
     for i in range(n):
         for j in range(n):

@@ -24,7 +24,7 @@ from .bethe import (
     raising_eigenpart,
     transfer_eigenvalue,
 )
-from .chain import MonodromyFamily, _contract, _scaled_gap, magnetization_sectors, vacuum_state
+from .chain import MonodromyFamily, _scaled_gap, magnetization_sectors, vacuum_state
 
 
 def _sites_of(family: MonodromyFamily) -> int:
@@ -185,7 +185,7 @@ def offshell_action_residuals(
     # the transfer matrix tr_a(D nu(u)), from the blocks above
     x, y = np.diag(f.d_factor)
     acct = diagonal_side(x, y, ctx.twist.kappa_minus / f.mu)
-    rt = _scaled_gap(_contract(at_u, f.d_factor.T) @ base, acct)
+    rt = _scaled_gap(np.tensordot(f.d_factor.T, at_u, 2) @ base, acct)
 
     return {
         "nu12_action": r12,

@@ -17,7 +17,6 @@ from twistchain.chain import (
     SIGMA_Y,
     SIGMA_Z,
     _boundary_substitutions,
-    _contract,
     _graded_products,
     _monodromy_stack,
     _scaled_gap,
@@ -25,6 +24,7 @@ from twistchain.chain import (
     build_monodromy,
     build_r_matrix,
     build_transfer,
+    exchange_residuals,
     local_operator,
     magnetization_grading,
     magnetization_sectors,
@@ -175,11 +175,27 @@ def _dense_checks(family, twist, c, u, v):
     }
 
 
+def _dense_off_grade(family, u, v):
+    # the share of the four blocks at u and v outside the magnetization
+    # grading, from their dense values: t_ij[r, c] is outside when
+    # M(r) - M(c) != j - i, with M the number of down spins
+    down = np.array([bin(k).count("1") for k in range(family.dim)])
+    charge = np.array([[0, 1], [-1, 0]])
+    outside = down[:, None] - down[None, :] != charge[..., None, None]
+    off_sq = total_sq = 0.0
+    for blocks in (family.at(u), family.at(v)):
+        off = blocks[outside]
+        off_sq += np.vdot(off, off).real
+        total_sq += np.vdot(blocks, blocks).real
+    return np.sqrt(off_sq) / max(1.0, np.sqrt(total_sq))
+
+
 def _perturbed_t12(params, rng, keep_grading):
-    # t12 with 1e-3 noise on its coefficients: on every entry, stored dense,
-    # whose products take the dense route, or only on the entries that raise
-    # the down-spin count by one, as t12 itself does, stored on the
-    # magnetization blocks, whose products are taken block by block
+    # t12 with 1e-3 noise on its coefficients: on every entry, stored dense
+    # on one sector holding the whole basis, whose products are the dense
+    # ones, or only on the entries that raise the down-spin count by one, as
+    # t12 itself does, stored on the magnetization blocks, whose products
+    # are taken block by block
     family = build_monodromy(params)
     if keep_grading:
         coeffs = family.coeffs.astype(complex)
@@ -198,8 +214,9 @@ def test_structure_checks_match_dense_doubled_space():
     # a family that breaks the algebra gives every check a gap far above
     # roundoff, so a mis-indexed block-product table would show.  Scaling
     # t12 alone would not do: each exchange relation holds t12 once per term.
-    # Noise on every entry breaks the magnetization grading too, so the
-    # products are the dense ones.
+    # Noise on every entry breaks the magnetization grading too, which
+    # magnetization_conservation reads off the positions of the stored
+    # entries and must match on the dense values.
     rng = np.random.default_rng(6)
     for sites in range(1, 5):
         params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
@@ -211,7 +228,9 @@ def test_structure_checks_match_dense_doubled_space():
         for name, value in want.items():
             assert value > 1e-6, (sites, name)
             assert abs(got[name] - value) <= 1e-10 * value, (sites, name)
-        assert got["magnetization_conservation"] > 1e-6, sites
+        off_grade = _dense_off_grade(broken, u, v)
+        assert off_grade > 1e-6, sites
+        assert abs(got["magnetization_conservation"] - off_grade) <= 1e-12 * off_grade, sites
     for sites in range(1, 7):
         params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
         u, v = draw_points(rng, 2)
@@ -382,7 +401,7 @@ def test_contract_matches_written_out_sum():
         # four blocks evaluated at one point contract the same way
         at_u = family.at(draw_points(rng, 1)[0])
         want = written_out(kmat.T, at_u)
-        got = _contract(at_u, kmat.T)
+        got = np.tensordot(kmat.T, at_u, 2)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), sites
 
 
@@ -413,17 +432,18 @@ def _assert_places_as_the_reference(family, weights, u):
 
 
 def test_block_placement_matches_the_reference_bit_for_bit():
-    # scaling, zeroing and folding into the first block of each charge add
-    # the same terms in the same order as summing each charge group out of
-    # place, so every placed value is the reference's bit for bit
+    # each charge summed entrywise in storage order and written once at
+    # Grading.index adds the same terms in the same order as summing each
+    # charge group out of place, so every placed value is the reference's
+    # bit for bit
     rng = np.random.default_rng(37)
     for sites in range(1, 9):
         u = draw_points(rng, 1)[0]
         for family, weights in _placement_cases(rng, sites):
             _assert_places_as_the_reference(family, weights, u)
             if sites <= 4:
-                # the same blocks stored dense, on one sector with every
-                # block folding into t11
+                # the same blocks stored dense, on one sector where all
+                # four blocks share one charge and so one write
                 dense = dense_family(dense_stack(family), family.unit)
                 _assert_places_as_the_reference(dense, weights, u)
 
@@ -727,21 +747,19 @@ def test_graded_products_match_the_dense_route():
                 assert np.max(np.abs(placed - want_product)) <= 1e-14 * scale, (sites, i, j, k, l)
 
 
-def test_dressed_family_takes_the_dense_products():
-    # nu = mu L0 T L0 mixes the charges, so its products are those of its
-    # own dense values, never of the stored blocks of T it is built on
+def test_block_products_reject_a_dressed_family():
+    # nu = mu L0 T L0 mixes the charges that the grading of T keeps apart,
+    # so the block products, and every check read off them, refuse it
     rng = np.random.default_rng(36)
-    for sites in range(1, 5):
-        ctx = random_context(rng, sites)
-        nu = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
-        u, v = draw_points(rng, 2)
-        uv, vu, charge, _ = _graded_products(nu, u, v)
-        assert not charge.any()
-        at_u, at_v = nu.at(u), nu.at(v)
-        for i, j, k, l in itertools.product((0, 1), repeat=4):
-            want = at_u[i, j] @ at_v[k, l]
-            got = uv[i, j, k, l].reshape(want.shape)
-            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want))), sites
+    ctx = random_context(rng, 3)
+    nu = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
+    u, v = draw_points(rng, 2)
+    with pytest.raises(ValueError, match="bare family"):
+        _graded_products(nu, u, v)
+    with pytest.raises(ValueError, match="bare family"):
+        structure_checks(ctx.chain, ctx.twist, u, v, nu)
+    with pytest.raises(ValueError, match="bare family"):
+        exchange_residuals(nu, ctx.c, u, v)
 
 
 def test_degree_one_stack_is_the_low_monodromy_coefficients():

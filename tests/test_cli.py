@@ -288,6 +288,17 @@ def test_solve_at_small_coupling_compares_relative_samples(capsys):
     assert checks["cross_method_eigenvalue_gap"]["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("config", ["n2_generic.json", "n3_generic.json"])
+def test_norm_at_small_coupling_takes_its_limit_offset_in_c(capsys, config):
+    # the Gaudin limit check offsets by h = 1e-4 |c|; an offset of
+    # 1e-4 max(1, |c|) is 0.1 c at c = 1e-3, and the limit form disagreed
+    # with the norm matrix there, which stopped the command with exit 2
+    path = str(N3_CONFIG.with_name(config))
+    assert main(["norm", "--config", path, "--set", "chain.c=1e-3"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks and all(check["passed"] and check["sets_checked"] for check in checks)
+
+
 def test_verify_compares_the_family_with_the_product_form():
     for sites in (1, 3, 6):
         checks = {c["name"]: c for c in execute("verify", _grid_config(sites))["checks"]}

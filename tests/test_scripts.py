@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +24,26 @@ def test_completeness_scan_finds_every_set(capsys):
     assert scan.main(["--config", config, "--seeds", "1", "--starts", "400"]) == 0
     out = capsys.readouterr().out
     assert "missed=none" in out and "extra=none" in out
+
+
+def test_report_set_writes_reports_without_wall_time(tmp_path):
+    report_set = _load("report_set")
+    every = report_set.runs()
+    assert len(every) == 48 and len({run.name for run in every}) == 48
+    selected = [run for run in every if run.config.stem == "config_a"]
+    assert [run.command for run in selected] == list(report_set.COMMANDS)
+    codes = report_set.write(tmp_path, selected)
+    assert codes == {run.name: 0 for run in selected}
+    for run in selected:
+        report = json.loads((tmp_path / f"{run.name}.json").read_text())
+        assert report["command"] == run.command and "wall_time_s" not in report
+    assert (tmp_path / "runs.txt").read_text() == "".join(f"{run.name} exit 0\n" for run in selected)
+    # a run that stops on bad input records its error line and exit code
+    bad = report_set.Run("bad", "verify", selected[0].config, ("chain.sites=0",))
+    assert report_set.write(tmp_path / "bad", [bad]) == {"bad": 2}
+    assert not (tmp_path / "bad" / "bad.json").exists()
+    lines = (tmp_path / "bad" / "runs.txt").read_text().splitlines()
+    assert lines[0] == "bad exit 2" and lines[1].startswith("  error: chain.sites")
 
 
 def test_traced_functions_resolve_on_the_package():

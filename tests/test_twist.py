@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twistchain import ChainParams, SpectralContext, TwistParams
-from twistchain.chain import _contract, build_monodromy, build_transfer, exchange_residuals, vacuum_state
+from twistchain.chain import build_monodromy, build_transfer, exchange_residuals, vacuum_state
 from twistchain.twist import (
     TwistDegeneracyError,
     build_modified_operators,
@@ -12,7 +12,7 @@ from twistchain.twist import (
     vacuum_action_residuals,
 )
 
-from conftest import dense_stack, draw_points, random_context, random_theta, random_twist
+from conftest import dense_family, dense_stack, draw_points, random_context, random_theta, random_twist
 
 
 def test_factorization_reconstructs_twist():
@@ -96,9 +96,12 @@ def test_modified_operators_keep_exchange_relations():
     for sites in (1, 2, 3):
         ctx = random_context(rng, sites)
         nu = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
+        # the block products take bare families only, so the dressed
+        # blocks are stored dense as one
+        dense = dense_family(dense_stack(nu), nu.unit)
         for _ in range(3):
             u, v = draw_points(rng, 2)
-            for name, value in exchange_residuals(nu, ctx.c, u, v).items():
+            for name, value in exchange_residuals(dense, ctx.c, u, v).items():
                 assert value < 1e-10, (sites, name)
 
 
@@ -174,6 +177,6 @@ def test_dressing_and_trace_match_hand_expanded_blocks():
                 two_term = (tw.kappa_tilde - fact.rho) * nu.t11(u) + (
                     tw.kappa - fact.rho
                 ) * nu.t22(u)
-                got = _contract(nu.at(u), fact.d_factor.T)
+                got = np.tensordot(fact.d_factor.T, nu.at(u), 2)
                 assert _rel(got, two_term) <= 1e-14, (sites, fact.branch)
 
