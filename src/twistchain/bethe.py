@@ -8,8 +8,9 @@ Arguments written as sets mean products over all pairs, with the empty
 product equal to 1; ubar_i and ubar_ij denote the set with one or two
 entries removed.  Every such product is read off an array of g values: the
 kernel row g(x, ubar) of one point against a set for the scalar
-coefficients, the pair-difference matrix of a batch of sets for the Bethe
-residuals and Jacobians.  Entries are left out by index, never divided out,
+coefficients (rows of many points at once for the eigenvalue gradient), the
+pair-difference matrix of a batch of sets for the Bethe residuals and
+Jacobians.  Entries are left out by index, never divided out,
 so a vanishing f stays exact.  On top of the kernels sit the inhomogeneous
 eigenvalue of the twisted transfer matrix,
 
@@ -388,19 +389,33 @@ def onshell_tolerance(ctx: SpectralContext, roots, factor: float = 1e-8) -> floa
     return factor * float(onshell_scales(ctx, rs.values[None, :])[0])
 
 
-def eigenvalue_gradient(ctx: SpectralContext, u, roots, i: int) -> complex:
+def eigenvalue_gradient(ctx: SpectralContext, u, roots, i):
     """Analytic partial derivative of Lam(u, ubar) with respect to u_i.
 
     d/du_i Lam(u, ubar) = g(u, u_i)^2 / c * [ -(kt - rho) lam1(u) f(ubar_i, u)
         + (k - rho) lam2(u) f(u, ubar_i) + 2 rho lam1 lam2 g(u, ubar_i) ].
+
+    u and i broadcast against each other, so one call gives a whole table:
+    free points along one axis and root indices along another give the
+    Slavnov Jacobian.  Everything comes from one kernel array g(u, u_k)
+    over a last axis of roots and one evaluation of lam1 and lam2 at u; in
+    each of the three kernel factors the entry of u_i is set to 1, never
+    divided out, so a vanishing f stays exact.  Scalar u and i give a
+    complex.
     """
     rs = _as_set(roots, ctx.c)
+    c, values = ctx.c, rs.values
     t, f = ctx.twist, ctx.fact
-    gi = kernel_g(u, rs[i], ctx.c)
-    bracket = _three_term(
-        ctx, u, rs, -(t.kappa_tilde - f.rho), t.kappa - f.rho, 2 * f.rho, i
-    )
-    return gi ** 2 / ctx.c * bracket
+    u = np.asarray(u, dtype=complex)
+    i = np.arange(values.size)[i]  # negative i counts from the end, as rs[i] did
+    g = kernel_g(u[..., None], values, c)
+    gi = c / (u - values[i])  # g(u, u_i), broadcast over u and i
+    left_out = i[..., None] == np.arange(values.size)
+    p1, p2, p3 = np.prod(np.where(left_out, 1.0, np.stack((1 - g, 1 + g, g))), axis=-1)
+    l1, l2 = ctx.lam(u)
+    a, b, z = -(t.kappa_tilde - f.rho), t.kappa - f.rho, 2 * f.rho
+    out = gi * gi / c * (a * l1 * p1 + b * l2 * p2 + z * l1 * l2 * p3)
+    return complex(out) if out.ndim == 0 else out
 
 
 def term_F(ctx: SpectralContext, u, i: int, roots) -> complex:

@@ -66,7 +66,8 @@ def _require_onshell(
     res defaults to the Bethe residuals of the modified ansatz."""
     res = np.abs(bethe_residuals(ctx, rs) if res is None else res)
     tau = onshell_tolerance(ctx, rs)
-    if float(np.max(res)) > tau:
+    # written so that a NaN residual or tolerance fails the test
+    if not float(np.max(res)) <= tau:
         raise OffShellError(
             f"{label} set is off shell: residuals {res.tolist()}, "
             f"tolerance {tau:.3e}"
@@ -103,7 +104,8 @@ def slavnov_formula(
     One of the two sets must solve the Bethe equations; the orientation
     selects which.  The Jacobian entry (i, j) is the derivative of the
     eigenvalue at the j-th free point with respect to the i-th on-shell
-    root, and the Cauchy kernel is evaluated at the matching orientation.
+    root, the whole matrix from one broadcast ``eigenvalue_gradient`` call,
+    and the Cauchy kernel is evaluated at the matching orientation.
     """
     us = _as_set(us, ctx.c).sorted()
     vs = _as_set(vs, ctx.c).sorted()
@@ -118,12 +120,7 @@ def slavnov_formula(
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
     _require_onshell(ctx, onshell, orientation)
-    jac = np.array(
-        [
-            [eigenvalue_gradient(ctx, free[j], onshell, i) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    jac = eigenvalue_gradient(ctx, free.values[None, :], onshell, np.arange(n)[:, None])
     cauchy = kernel_g(free.values[:, None], onshell.values[None, :], ctx.c)
     t, f = ctx.twist, ctx.fact
     stretch = t.kappa_tilde + t.kappa - f.rho
@@ -182,7 +179,7 @@ def gaudin_limit_deviation(
     At |c| <= 1e-5 the offset is within the coincidence guard
     ``eps_dist(c)``, which is absolute there, and the kernel raises
     CoincidenceError.  The return value is the worst relative deviation
-    over all entries.
+    over all entries, NaN when any entry's is.
     ``matrix`` is gaudin_matrix(ctx, roots) when the caller already holds
     it.
     """
@@ -193,7 +190,7 @@ def gaudin_limit_deviation(
     # extrapolation error of a small entry is set by the large ones
     floor = max(1.0, float(np.max(np.abs(ref))))
     h = 1e-4 * abs(ctx.c)
-    worst = 0.0
+    deviations = []
     for i in range(n):
         for j in range(n):
 
@@ -206,8 +203,9 @@ def gaudin_limit_deviation(
                 )
 
             limit = (raw(h) + raw(-h)) / 2
-            worst = max(worst, abs(limit - ref[i, j]) / floor)
-    return worst
+            deviations.append(abs(limit - ref[i, j]) / floor)
+    # np.max, unlike the builtin max, propagates a NaN
+    return float(np.max(deviations, initial=0.0))
 
 
 def gaudin_norm(
@@ -224,7 +222,7 @@ def gaudin_norm(
     gaudin = gaudin_matrix(ctx, rs)
     if verify_limit:
         dev = gaudin_limit_deviation(ctx, rs, gaudin)
-        if dev > LIMIT_TOL:
+        if not dev <= LIMIT_TOL:
             raise ValueError(
                 f"norm matrix disagrees with its limit form by {dev:.3e}"
             )

@@ -330,6 +330,40 @@ def test_gradient_matches_finite_difference(seed):
         assert abs(grad - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("sites", range(1, 8))
+def test_broadcast_gradient_matches_per_entry_calls(sites):
+    # one call with free points along one axis and root indices along the
+    # other gives the table d Lam(v_j)/d u_i; array and scalar complex
+    # arithmetic round differently, so entries agree to rounding, not bits.
+    # Where u_1 - u_0 = -c an f is exactly 0 and an entry can cancel, so
+    # that set is compared against the size of its table
+    rng = np.random.default_rng(640 + sites)
+    ctx = random_context(rng, sites)
+    rows = np.arange(sites)[:, None]
+    for trial in range(4):
+        pts = _distinct_points(900 + 10 * sites + trial, 2 * sites)
+        roots, free = pts[:sites], 1.3 * pts[sites:]
+        vanishing = trial == 3 and sites > 1
+        if vanishing:
+            # on a grid of 1/64 the difference of one coupling is exact
+            roots[0] = np.round(64 * roots[0]) / 64
+            roots[1] = roots[0] - ctx.c
+            assert 1.0 + kernel_g(roots[1], roots[0], ctx.c) == 0
+        table = eigenvalue_gradient(ctx, free[None, :], roots, rows)
+        assert table.shape == (sites, sites)
+        single = [[eigenvalue_gradient(ctx, free[j], roots, i) for j in range(sites)] for i in range(sites)]
+        assert all(type(x) is complex for row in single for x in row)
+        single = np.array(single)
+        scale = np.max(np.abs(single)) if vanishing else np.abs(single)
+        assert np.all(np.abs(table - single) <= 1e-14 * scale), (sites, trial)
+    # a free point within the coincidence guard of a root still raises
+    free[sites - 1] = roots[0] + 0.5 * eps_dist(ctx.c)
+    with pytest.raises(CoincidenceError):
+        eigenvalue_gradient(ctx, free[None, :], roots, rows)
+    with pytest.raises(CoincidenceError):
+        eigenvalue_gradient(ctx, free[sites - 1], roots, sites - 1)
+
+
 @given(st.integers(0, 200), st.integers(1, 4))
 def test_cauchy_determinant_closed_form(seed, size):
     pts = _distinct_points(seed, 2 * size)

@@ -30,6 +30,7 @@ from twistchain.solver import solve_tq_fit
 from twistchain.states import build_bethe_vector, build_dual_vector, w0
 from twistchain.twist import build_modified_operators
 
+import slavnov_reference
 from conftest import draw_points, random_context
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -38,6 +39,10 @@ ROOT5 = np.sqrt(5.0)
 N2_CTX = SpectralContext.create(
     ChainParams(2, 1.0, (0.1, -0.1)),
     TwistParams(2.0 + 0.3j, 1.0 - 0.2j, 0.8 + 0.1j, 0.5 - 0.05j),
+)
+# configs/n3_generic.json as shipped
+N3_CTX = SpectralContext.create(
+    ChainParams(3, 1.0, (0.1, -0.1, 0.2)), TwistParams(1.8 + 0.2j, 1.1 + 0.1j, 0.8, 0.6)
 )
 
 
@@ -242,6 +247,66 @@ def test_gaudin_limit_catches_a_wrong_entry(grid6, monkeypatch):
     for roots in sets[::8]:
         with pytest.raises(ValueError, match="limit form"):
             gaudin_norm(ctx, roots)
+
+
+def test_gaudin_norm_rejects_a_nan_limit_deviation(grid6, monkeypatch):
+    # the builtin max skips a NaN, so a NaN entry once read as deviation 0
+    ctx, sets = grid6
+    exact = overlaps.gaudin_matrix
+
+    def poisoned(ctx, roots):
+        g = exact(ctx, roots)
+        g[1, 2] = np.nan
+        return g
+
+    assert np.isnan(gaudin_limit_deviation(ctx, sets[0], poisoned(ctx, sets[0])))
+    monkeypatch.setattr(overlaps, "gaudin_matrix", poisoned)
+    with pytest.raises(ValueError, match="limit form by nan"):
+        gaudin_norm(ctx, sets[0])
+
+
+def test_a_nan_root_is_off_shell():
+    ctx = N3_CTX
+    roots = ctx.roots([np.nan, 0.3 + 0.1j, -0.7 + 0.2j])
+    free = (1.1 + 0.4j, -0.2 - 0.9j, 0.6 - 1.3j)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(gaudin_limit_deviation(ctx, roots))
+        with pytest.raises(OffShellError, match="nan"):
+            gaudin_norm(ctx, roots)
+        with pytest.raises(OffShellError):
+            slavnov_formula(ctx, roots, free, "u-onshell")
+        with pytest.raises(OffShellError):
+            slavnov_formula(ctx, free, roots, "v-onshell")
+
+
+@pytest.mark.parametrize("sites", range(1, 7))
+def test_slavnov_formula_matches_the_per_entry_reference(sites):
+    # the Jacobian from one broadcast gradient call against the entry-by-entry
+    # Jacobian it replaced, on the grid chain's T-Q sets, in both
+    # orientations.  On shell an entry's three terms partly cancel, so
+    # entries are compared at the scale of the matrix.  A relative change e
+    # of every entry moves det J by at most e kappa to first order, with
+    # kappa = sum |J^-1_ji J_ij| the componentwise condition of det J, so the
+    # formulas must agree to 1e-13 where kappa <= 100 and to 1e-15 kappa
+    # beyond.  kappa reaches 1.6e3 at six sites, where the two differ by
+    # 1.7e-13 and the per-entry one is itself 2.1e-13 from a 40-digit
+    # evaluation of the same determinant
+    theta = tuple(0.15 * (k - (sites - 1) / 2) for k in range(sites))
+    ctx = SpectralContext.create(ChainParams(sites, 1.0, theta), N3_CTX.twist)
+    sets = [s.roots for s in solve_tq_fit(ctx) if s.flag is None]
+    rng = np.random.default_rng(120 + sites)
+    for roots in sets[:: max(1, len(sets) // 4)]:
+        free = ctx.roots(draw_points(rng, sites, 1.3)).sorted()
+        onshell = roots.sorted()
+        want = slavnov_reference.slavnov_jacobian(ctx, free, onshell)
+        got = eigenvalue_gradient(ctx, free.values[None, :], onshell, np.arange(sites)[:, None])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), sites
+        kappa = np.sum(np.abs(np.linalg.inv(want).T * want))
+        for args in ((roots, free, "u-onshell"), (free, roots, "v-onshell")):
+            gap = relative_gap(
+                slavnov_formula(ctx, *args), slavnov_reference.slavnov_formula(ctx, *args)
+            )
+            assert gap <= 1e-13 * max(1.0, kappa / 100), (sites, args[2], gap, kappa)
 
 
 def test_distinct_solutions_are_orthogonal_two_sites():
