@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -180,19 +181,23 @@ def build_r_matrix(u: complex, c: complex) -> np.ndarray:
     return (u / c) * np.eye(4, dtype=complex) + PERM4
 
 
-def monodromy_matrix(params: ChainParams, u: complex) -> np.ndarray:
-    """T_a(u) on aux (x) chain, dimension 2^(N+1): the R-matrix product
-    applied to the identity one factor at a time.
+def monodromy_matrix(params: ChainParams, u: complex, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """T_a(u) on aux (x) chain, dimension 2^(N+1), or its rows start..stop - 1:
+    the R-matrix product applied to the identity one factor at a time.
 
     Right multiplication by R_ak(u - theta_k) = ((u - theta_k)/c) I + P_ak
-    scales the matrix and adds it with the column slots of the auxiliary
-    space and of site k swapped, O(4^(N+1)) per factor.
+    scales each row and adds it with the column slots of the auxiliary
+    space and of site k swapped, O(2^(N+1)) per row and factor.  Rows
+    never mix, so a run of rows starts from the same rows of the identity
+    and takes the same steps as in the whole product.
     """
     dim = 2 * params.dim
     slots = (2,) * (params.sites + 1)
-    out = np.eye(dim, dtype=complex)
+    stop = dim if stop is None else stop
+    out = np.zeros((stop - start, dim), dtype=complex)
+    out[np.arange(stop - start), np.arange(start, stop)] = 1.0
     for k, theta in enumerate(params.theta, 1):
-        swapped = np.swapaxes(out.reshape(dim, *slots), 1, k + 1).reshape(dim, dim)
+        swapped = np.swapaxes(out.reshape(-1, *slots), 1, k + 1).reshape(out.shape)
         out = (u - theta) / params.c * out + swapped
     return out
 
@@ -309,6 +314,7 @@ class MonodromyFamily:
             dressing = np.array(dressing, dtype=complex).reshape(2, 2, 2, 2)
             dressing.setflags(write=False)
         self.coeffs, self.unit, self.grading, self.dressing = coeffs, complex(unit), grading, dressing
+        self._fulls = weakref.WeakValueDictionary()
 
     @property
     def degree(self) -> int:
@@ -342,6 +348,19 @@ class MonodromyFamily:
         coefficient array."""
         return type(self)(self.coeffs, self.unit, self.grading, np.tensordot(weights, self.dressing, 2))
 
+    def _full(self, value: complex) -> np.ndarray:
+        """One read-only array of ``value`` as long as the longest stored
+        block, shared by every live weighted block of the family that has
+        that weight, bit for bit (two zeros of opposite sign are two
+        weights); it is freed with the last block that reads it."""
+        key = np.complex128(value).tobytes()
+        full = self._fulls.get(key)
+        if full is None:
+            longest = max(s.stop - s.start for s in self.grading.pairs.values())
+            full = self._fulls[key] = np.full(longest, value, dtype=complex)
+            full.setflags(write=False)
+        return full
+
 
 class _Block:
     """sum_ij weights[i, j] t_ij over the stored blocks of a family: one of
@@ -352,9 +371,11 @@ class _Block:
     read.  Blocks of one charge share their positions (``Grading.index``),
     so the weighted blocks of each charge are summed entrywise in storage
     order and the sum is written once.  The weights multiply only when some
-    weight is not 0 or 1, and then as a per-entry array for each block:
-    numpy rounds a product with a broadcast complex scalar differently.  It keeps what it
-    reads of the family, not the family, which caches its four blocks.
+    weight is not 0 or 1, and then as a per-entry array for each block,
+    shared by the family per weight value (``MonodromyFamily._full``):
+    numpy rounds a product with a broadcast complex scalar differently.  It
+    keeps what it reads of the family, not the family, which caches its
+    four blocks.
     """
 
     def __init__(self, family: MonodromyFamily, weights: np.ndarray):
@@ -367,7 +388,7 @@ class _Block:
         self._charges = {}
         for ij in used:
             span = grading.pairs[ij]
-            w = np.full(span.stop - span.start, weights[ij], dtype=complex) if scaled else None
+            w = family._full(weights[ij])[: span.stop - span.start] if scaled else None
             self._charges.setdefault(grading.charge[ij], (grading.index[span], []))[1].append((span, w))
 
     def place(self, entries: np.ndarray, out: np.ndarray) -> None:
@@ -408,11 +429,13 @@ def build_monodromy(params: ChainParams) -> MonodromyFamily:
     return MonodromyFamily(coeffs, params.c, magnetization_grading(params.sites))
 
 
+@lru_cache(maxsize=None)
 def _site_gathers(n: int) -> tuple[np.ndarray, ...]:
     """The two gathers of site n over the entries that
     ``magnetization_grading`` stores at n - 1 sites: (copies, sources) for
     the P term and (diagonal, reads) for the (z - theta_n/c) I term, each
-    a list of entries at n sites and the entry at n - 1 sites it reads."""
+    a list of entries at n sites and the entry at n - 1 sites it reads.
+    Planned once per n and kept read-only, like the gradings."""
     new, old = magnetization_grading(n), magnetization_grading(n - 1)
     pair, old_pair = (
         np.repeat(np.arange(4), [s.stop - s.start for s in g.pairs.values()]) for g in (new, old)
@@ -428,6 +451,8 @@ def _site_gathers(n: int) -> tuple[np.ndarray, ...]:
     copies, diagonal = np.flatnonzero(a == j), np.flatnonzero(a == b)
     sources = where[(2 * i + b)[copies] * cells + cell[copies]]
     reads = where[pair[diagonal] * cells + cell[diagonal]]
+    for gather in (copies, sources, diagonal, reads):
+        gather.setflags(write=False)
     return copies, sources, diagonal, reads
 
 
@@ -471,10 +496,12 @@ def _monodromy_stack(params: ChainParams, degree: int) -> np.ndarray:
                 m, kept = len(coeffs), min(len(coeffs) + 1, degree + 1)
                 out = np.zeros((kept, magnetization_grading(n).size), dtype=coeffs.dtype)
                 out[:m, copies] = coeffs[:, sources]
+                # scaled in place and gathered again: no third gather-sized array
                 term = coeffs[:, reads]
                 value = out[:, diagonal]
-                value[:m] -= shift * term
-                value[1:] += term[: kept - 1]
+                value[:m] -= np.multiply(shift, term, out=term)
+                del term
+                value[1:] += coeffs[: kept - 1, reads]
                 out[:, diagonal] = value
                 coeffs = out
     except FloatingPointError:
@@ -556,66 +583,65 @@ def structure_checks(
     scaled gap between its two sides, for a bare family.
 
     Every two-point check reads the block products t_ij(u) t_kl(v) and
-    t_kl(v) t_ij(u) off the two tables of ``_graded_products``, which are
-    taken one block of the family's grading at a time: the RTT relation
-    through its 16 block components (``_rtt_gap``), the three exchange
-    relations used by the algebraic Bethe ansatz, which are three of those
-    components, and commutativity of the transfer matrix, the
-    twist-weighted sum of each table split by charge.  Blocks in different
-    (row, column) sectors are disjoint, so their squared norms add and
-    every gap is exact.  ``magnetization_conservation`` is the share of the
-    stored entries at u and v that sit outside the magnetization grading;
-    the chain's monodromy stores none there and reads 0, so its blocks are
-    checked against the R-matrix product by ``monodromy_product_gap``.
-    GL(2) invariance of the R-matrix against the twist is a 4x4 check.  A
+    t_kl(v) t_ij(u) off the tables of ``_graded_products``, one column
+    sector at a time: the RTT relation through its 16 block components
+    (``_rtt_sides``), the three exchange relations used by the algebraic
+    Bethe ansatz, which are three of those components, and commutativity
+    of the transfer matrix, the twist-weighted sum of each table split by
+    charge.  Blocks in different (row, column) sectors are disjoint, so
+    their squared norms add and every gap is exact.
+    ``magnetization_conservation`` is the share of the stored entries at u
+    and v that sit outside the magnetization grading; the chain's
+    monodromy stores none there and reads 0, so its blocks are checked
+    against the R-matrix product by ``monodromy_product_gap``.  GL(2)
+    invariance of the R-matrix against the twist is a 4x4 check.  A
     dressed family raises ValueError.
     """
     if abs(u - v) <= 1e-9 * max(1.0, abs(params.c)):
         raise ValueError("structure checks need two distinct spectral points")
     c = params.c
-    uv, vu, charge, off_grade = _graded_products(family, u, v)
-
-    # t(x) t(y) = sum_{ij,kl} K_ji K_lk t_ij(x) t_kl(y); terms of one total
-    # charge share a layout and add, terms of different charges are disjoint
+    charge, off_grade, sectors = _graded_products(family, u, v)
     kmat = twist.matrix()
-    tuv, tvu = {}, {}
-    for i, j, k, l in _QUADS:
-        q = charge[i, j] + charge[k, l]
-        w = kmat[j, i] * kmat[l, k]
-        tuv[q] = tuv.get(q, 0.0) + w * uv[i, j, k, l]
-        tvu[q] = tvu.get(q, 0.0) + w * vu[i, j, k, l]
-
+    gaps = _summed_gaps(
+        {
+            "rtt": _rtt_sides(uv, vu, (u - v) / c),
+            "transfer_commutator": _commutator_sides(uv, vu, kmat, charge),
+            **_exchange_sides(uv, vu, c / (u - v)),
+        }
+        for uv, vu in sectors
+    )
     r4 = build_r_matrix(u - v, c)
     kk = np.kron(kmat, kmat)
     out = {
-        "rtt": _rtt_gap(uv, vu, (u - v) / c),
-        "transfer_commutator": _summed_gap((tuv[q], tvu[q]) for q in tuv),
+        "rtt": gaps.pop("rtt"),
+        "transfer_commutator": gaps.pop("transfer_commutator"),
         "gl2_invariance": _scaled_gap(r4 @ kk, kk @ r4),
     }
-    out.update(_exchange_gaps(uv, vu, c / (u - v)))
+    out.update(gaps)
     out["magnetization_conservation"] = off_grade
     return out
 
 
 def _graded_products(family: MonodromyFamily, u: complex, v: complex):
-    """Tables uv[i, j, k, l] = t_ij(u) t_kl(v) and vu[i, j, k, l] =
-    t_ij(v) t_kl(u) of every block product of a bare family, one block of
-    its grading at a time.
+    """The block products of a bare family, one column sector of its
+    grading at a time.
 
     The grading's sectors split the chain basis, and t_ij maps sector M
     into sector M + q_ij and vanishes elsewhere, so the pieces at each
     point are the views ``Grading.blocks`` of one evaluation of the stored
     entries: the magnetization blocks for the chain's monodromy, the four
     dense blocks for a family stored on one sector with zero charges.  A
-    product t_ij(x) t_kl(y) maps M to M + Q with Q = q_ij + q_kl and is
-    formed on each column sector M as t_ij[M + Q, M + q_kl] @
-    t_kl[M + q_kl, M]; it is stored as one vector of those blocks in
-    ``Grading.layout(Q)``, so products of one Q combine entrywise.  Returns
-    (uv, vu, charge, off_grade), with off_grade the norm of the stored
-    entries at u and v outside the magnetization grading over max(1, norm
-    of all of them): an entry of t_ij at [r, c] (``Grading.index``) is
-    outside when M(r) - M(c) != j - i.  A dressed family mixes the blocks
-    its grading keeps apart, so it raises ValueError.
+    product t_ij(x) t_kl(y) maps M to M + Q with Q = q_ij + q_kl; on column
+    sector M it is t_ij[M + Q, M + q_kl] @ t_kl[M + q_kl, M], zero when
+    the middle sector lies outside the grading and empty when M + Q does.
+    Returns (charge, off_grade, sectors): ``sectors`` yields, for each M in
+    turn, the tables uv[i, j, k, l] = t_ij(u) t_kl(v) and vu[i, j, k, l] =
+    t_ij(v) t_kl(u) of those blocks, so products of one Q share a shape
+    and combine entrywise.  off_grade is the norm of the stored entries at
+    u and v outside the magnetization grading over max(1, norm of all of
+    them): an entry of t_ij at [r, c] (``Grading.index``) is outside when
+    M(r) - M(c) != j - i.  A dressed family mixes the blocks its grading
+    keeps apart, so it raises ValueError.
     """
     if not np.array_equal(family.dressing, _BARE):
         raise ValueError("block products need a bare family; a dressed one mixes its grading's charges")
@@ -633,61 +659,81 @@ def _graded_products(family: MonodromyFamily, u: complex, v: complex):
         total_sq += np.vdot(e, e).real
     off_grade = float(np.sqrt(off_sq) / max(1.0, np.sqrt(total_sq)))
     charge = grading.charge
-    layouts = {q: grading.layout(q) for q in range(-2, 3)}
+    sizes = [len(s) for s in grading.sectors]
 
-    def table(first, second):
+    def table(first, second, m):
         out = {}
         for i, j, k, l in _QUADS:
-            layout = layouts[charge[i, j] + charge[k, l]]
-            vec = np.zeros(layout[-1][1].stop if layout else 0, dtype=complex)
-            for m, span, shape in layout:
-                # a middle sector outside 0..N leaves the block zero
-                if (k, l, m) in second:
-                    np.matmul(
-                        first[i, j, m + charge[k, l]],
-                        second[k, l, m],
-                        out=vec[span].reshape(shape),
-                    )
-            out[i, j, k, l] = vec
+            mid = m + charge[k, l]
+            top = mid + charge[i, j]
+            rows = sizes[top] if 0 <= top < len(sizes) else 0
+            out[i, j, k, l] = block = np.zeros((rows, sizes[m]), dtype=complex)
+            if (k, l, m) in second and (i, j, mid) in first:
+                np.matmul(first[i, j, mid], second[k, l, m], out=block)
         return out
 
-    return table(*pieces), table(*pieces[::-1]), charge, off_grade
+    sectors = ((table(*pieces, m), table(*pieces[::-1], m)) for m in range(len(sizes)))
+    return charge, off_grade, sectors
 
 
 def monodromy_product_gap(params: ChainParams, family: MonodromyFamily, u: complex) -> float:
-    """Scaled gap between the family's four blocks at u, placed as one
-    operator on aux (x) chain, and the R-matrix product
-    ``monodromy_matrix``, which shares neither the recursion nor the
-    storage."""
-    product = monodromy_matrix(params, u)
+    """Scaled gap between the family's four blocks at u, as one operator on
+    aux (x) chain, and the R-matrix product ``monodromy_matrix``, which
+    shares neither the recursion nor the storage.  One auxiliary row of
+    blocks is placed at a time and compared with runs of rows of the
+    product, their squared norms summed."""
     d = family.dim
-    value = family.at(u).transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
-    return _scaled_gap(value, product)
+    run = max(1, d // 4)
+
+    def runs():
+        for a, pair in enumerate(((family.t11, family.t12), (family.t21, family.t22))):
+            left, right = (block(u) for block in pair)
+            for start in range(0, d, run):
+                rows = monodromy_matrix(params, u, a * d + start, a * d + min(start + run, d))
+                here = slice(start, start + run)
+                yield {"product": [(left[here], rows[:, :d]), (right[here], rows[:, d:])]}
+            del left, right
+
+    return _summed_gaps(runs())["product"]
 
 
-def _rtt_gap(uv: dict, vu: dict, a: complex) -> float:
-    """Scaled gap between R_ab(u - v) T_a(u) T_b(v) and
-    T_b(v) T_a(u) R_ab(u - v) on slots (a, b, chain), a = (u - v)/c.
+def _rtt_sides(uv: dict, vu: dict, a: complex):
+    """The two sides of R_ab(u - v) T_a(u) T_b(v) = T_b(v) T_a(u) R_ab(u - v)
+    on slots (a, b, chain), a = (u - v)/c, as its 16 block components.
 
     R_ab = a I + P_ab; P_ab swaps the row slots on the left and the column
     slots on the right, so block (ik, jl) of the two sides is
     a t_ij(u) t_kl(v) + t_kj(u) t_il(v) and a t_kl(v) t_ij(u) + t_kj(v) t_il(u).
-    The squared norms add up block by block, so neither side is formed.
     """
-    return _summed_gap(
+    return (
         (a * uv[i, j, k, l] + uv[k, j, i, l], a * vu[k, l, i, j] + vu[k, j, i, l])
         for i, j, k, l in _QUADS
     )
 
 
-def _summed_gap(pairs) -> float:
-    """``_scaled_gap`` of two operators given as (lhs, rhs) pairs of
-    disjoint blocks, their squared norms summed block by block."""
-    sq = np.zeros(3)
-    for lhs, rhs in pairs:
-        sq += [np.vdot(x, x).real for x in (lhs, rhs, lhs - rhs)]
-    norm_l, norm_r, norm_d = np.sqrt(sq)
-    return float(norm_d / max(1.0, norm_l, norm_r))
+def _commutator_sides(uv: dict, vu: dict, kmat: np.ndarray, charge: np.ndarray):
+    """t(u) t(v) and t(v) t(u), formed when first read, with t(x) t(y) =
+    sum_{ij,kl} K_ji K_lk t_ij(x) t_kl(y): terms of one total charge share
+    a shape and add, terms of different charges are disjoint."""
+    tuv, tvu = {}, {}
+    for i, j, k, l in _QUADS:
+        q, w = charge[i, j] + charge[k, l], kmat[j, i] * kmat[l, k]
+        tuv[q] = tuv.get(q, 0.0) + w * uv[i, j, k, l]
+        tvu[q] = tvu.get(q, 0.0) + w * vu[i, j, k, l]
+    yield from zip(tuv.values(), tvu.values())
+
+
+def _summed_gaps(sides) -> dict[str, float]:
+    """``_scaled_gap`` of each named operator identity whose two sides come
+    in disjoint blocks: ``sides`` yields {name: (lhs, rhs) pairs}, and the
+    squared norms of each name's pairs are summed before the ratio."""
+    sq = {}
+    for named in sides:
+        for name, pairs in named.items():
+            acc = sq.setdefault(name, np.zeros(3))
+            for lhs, rhs in pairs:
+                acc += [np.vdot(x, x).real for x in (lhs, rhs, lhs - rhs)]
+    return {name: float(np.sqrt(acc[2]) / max(1.0, *np.sqrt(acc[:2]))) for name, acc in sq.items()}
 
 
 def _scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -704,29 +750,29 @@ def exchange_residuals(
 ) -> dict[str, float]:
     """Scale-relative residuals of the three two-point exchange relations
     for a bare family of monodromy blocks, read off the
-    ``_graded_products`` tables.  The twisted operators obey the same
-    relations as the plain ones; a dressed family raises ValueError, so
-    they are checked on their blocks stored as a bare family."""
-    uv, vu, _, _ = _graded_products(family, u, v)
-    return _exchange_gaps(uv, vu, c / (u - v))
+    ``_graded_products`` tables one column sector at a time.  The twisted
+    operators obey the same relations as the plain ones; a dressed family
+    raises ValueError, so they are checked on their blocks stored as a
+    bare family."""
+    _, _, sectors = _graded_products(family, u, v)
+    g = c / (u - v)
+    return _summed_gaps(_exchange_sides(uv, vu, g) for uv, vu in sectors)
 
 
-def _exchange_gaps(uv: dict, vu: dict, g: complex) -> dict[str, float]:
-    """The exchange relations read off the ``_graded_products`` tables, with
-    g = g(u, v) = c/(u - v); index 0 is 1, so uv[0, 0, 0, 1] = t11(u) t12(v)."""
+def _exchange_sides(uv: dict, vu: dict, g: complex) -> dict:
+    """The sides of the exchange relations in the ``_graded_products``
+    tables, with g = g(u, v) = c/(u - v); index 0 is 1, so uv[0, 0, 0, 1]
+    = t11(u) t12(v)."""
     f_uv = 1.0 + g            # f(u, v)
     f_vu = 1.0 - g            # f(v, u), since g(v, u) = -g(u, v)
-    ex_11 = _scaled_gap(uv[0, 0, 0, 1], f_vu * vu[0, 1, 0, 0] + g * uv[0, 1, 0, 0])
-    ex_22 = _scaled_gap(uv[1, 1, 0, 1], f_uv * vu[0, 1, 1, 1] - g * uv[0, 1, 1, 1])
     # The creation/annihilation exchange closes on the diagonal blocks.  The
     # ordering t12(v) t21(u) on the right is the one compatible with the
     # global commutator structure; swapping the arguments only works at N=1
     # where t12 and t21 are constant in the spectral parameter.
-    ex_21 = _scaled_gap(
-        uv[1, 0, 0, 1], vu[0, 1, 1, 0] + g * (vu[0, 0, 1, 1] - uv[0, 0, 1, 1])
-    )
     return {
-        "exchange_t11_t12": ex_11,
-        "exchange_t22_t12": ex_22,
-        "exchange_t21_t12": ex_21,
+        "exchange_t11_t12": [(uv[0, 0, 0, 1], f_vu * vu[0, 1, 0, 0] + g * uv[0, 1, 0, 0])],
+        "exchange_t22_t12": [(uv[1, 1, 0, 1], f_uv * vu[0, 1, 1, 1] - g * uv[0, 1, 1, 1])],
+        "exchange_t21_t12": [
+            (uv[1, 0, 0, 1], vu[0, 1, 1, 0] + g * (vu[0, 0, 1, 1] - uv[0, 0, 1, 1]))
+        ],
     }

@@ -63,7 +63,10 @@ def _require_onshell(
     ctx: SpectralContext, rs: VariableSet, label: str, res=None
 ) -> None:
     """Raise OffShellError unless the residuals of rs are within tolerance;
-    res defaults to the Bethe residuals of the modified ansatz."""
+    res defaults to the Bethe residuals of the modified ansatz.  A root
+    that is not finite is rejected first, before any arithmetic on it."""
+    if not np.all(np.isfinite(rs.values)):
+        raise OffShellError(f"{label} set is off shell: roots {rs.values.tolist()} are not all finite")
     res = np.abs(bethe_residuals(ctx, rs) if res is None else res)
     tau = onshell_tolerance(ctx, rs)
     # written so that a NaN residual or tolerance fails the test

@@ -86,33 +86,37 @@ def build_dual_vector(nu: MonodromyFamily, roots) -> BetheVector:
     )
 
 
-class _StringBuilder:
-    """Creation strings over subsets of one list of points, each operator
-    matrix given once.
+def _creation_strings(nu: MonodromyFamily, points, keys) -> dict:
+    """Creation strings over subsets of ``points``, by tuple of point
+    indices: the string of (k_0, k_1, ...) applies the creation operator at
+    points k_0, k_1, ... to the reference state, rightmost first, one
+    matrix-vector product per index, exactly as ``build_bethe_vector`` does
+    for those points, so its amplitudes are that build's bit for bit.
 
-    ``mats[k]`` is the creation operator at point k; calling the builder
-    with a tuple of point indices applies one matrix per index, rightmost
-    first, to the reference state, exactly as ``build_bethe_vector`` does
-    for those points.  Every partial string (the string of a suffix of the
-    tuple) is kept, read-only, so a string starts from its longest suffix
-    built before, one matrix-vector product per new index, and its
-    amplitudes are those of the full build bit for bit.
+    Every suffix of every key is listed first.  The operators are then
+    placed one at a time, in rounds over point 0 and the other points in
+    descending order, and each one extends every listed suffix it heads
+    whose rest is built.  Only the operator at point 0 is kept between
+    rounds: the action checks put their probe there and apply it both
+    first and last, so it is placed once, and no more than two operators
+    are ever held.  Returns {key: amplitudes} for every suffix, with ()
+    the reference state.
     """
-
-    def __init__(self, mats, sites: int):
-        self.mats = list(mats)
-        vacuum = vacuum_state(sites)
-        vacuum.setflags(write=False)
-        self.strings = {(): vacuum}
-
-    def __call__(self, keys: tuple) -> np.ndarray:
-        start = next(k for k in range(len(keys) + 1) if keys[k:] in self.strings)
-        amp = self.strings[keys[start:]]
-        for k in reversed(range(start)):
-            amp = self.mats[keys[k]] @ amp
-            amp.setflags(write=False)
-            self.strings[keys[k:]] = amp
-        return amp
+    strings = {(): vacuum_state(_sites_of(nu))}
+    pending = {key[k:] for key in keys for k in range(len(key))}
+    probe = None
+    while pending:
+        for p in (0, *range(len(points) - 1, 0, -1)):
+            ready = [s for s in pending if s[0] == p and s[1:] in strings]
+            if not ready:
+                continue
+            op = probe if p == 0 and probe is not None else nu.t12(points[p])
+            if p == 0:
+                probe = op
+            strings.update({s: op @ strings[s[1:]] for s in ready})
+            pending.difference_update(ready)
+            del op
+    return strings
 
 
 def offshell_action_residuals(
@@ -136,56 +140,61 @@ def offshell_action_residuals(
     rp = f.ratio_plus
     coef = action_coefficients(ctx, u, rs)
 
-    # each operator is evaluated once per point: all four at u, the
-    # creation operator alone at each root; every string below is a
-    # product of these matrices, keyed by point index with the probe at 0
-    # and root i at i + 1
-    at_u = nu.at(u)
-    (t11u, t12u), (t21u, t22u) = at_u
-    string = _StringBuilder([t12u, *(nu.t12(x) for x in rs.values)], n)
+    # each operator is evaluated once per point, and one or two are placed
+    # at a time: the creation operator at each point while the strings are
+    # built, keyed by point index with the probe at 0 and root i at i + 1,
+    # then nu11, nu22 and nu21 at u, each applied to the string alone
     roots_at = tuple(range(1, m + 1))
 
     def without(*skip) -> tuple:
         return tuple(k for k in roots_at if k - 1 not in skip)
 
-    base = string(roots_at)
-    plus = string((0, *roots_at))
+    first, second = np.triu_indices(m, 1)
+    # B(u, ubar_i), the i-th argument traded for the probe point; B(ubar_i);
+    # B(u, ubar_ij)
+    swapped_keys = [(0, *without(i)) for i in range(m)]
+    lowered_keys = [without(i) for i in range(m)]
+    pair_keys = [(0, *without(i, j)) for i, j in zip(first, second)]
+    string = _creation_strings(
+        nu, (u, *rs.values),
+        [roots_at, (0, *roots_at), (*roots_at, 0), *swapped_keys, *lowered_keys, *pair_keys],
+    )
+    base, plus = string[roots_at], string[(0, *roots_at)]
 
     # creation: apply last vs apply first, equal only because the family
     # commutes with itself
-    permuted = string((*roots_at, 0))
-    r12 = _scaled_gap(t12u @ base, permuted)
+    r12 = _scaled_gap(plus, string[(*roots_at, 0)])
 
     def strings(keys) -> np.ndarray:
         out = np.empty((len(keys), base.size), dtype=complex)
         for row, key in zip(out, keys):
-            row[:] = string(key)
+            row[:] = string[key]
         return out
 
-    # B(u, ubar_i): the i-th argument traded for the probe point
-    swapped = strings([(0, *without(i)) for i in range(m)])
+    swapped = strings(swapped_keys)
 
     def diagonal_side(x, y, raising) -> np.ndarray:
         """Right side of the action of x nu11 + y nu22 on the string, the
         order-(m+1) string weighted by ``raising``."""
         return raising * plus + coef.diag_eigenvalue(x, y) * base + coef.swapped(x, y) @ swapped
 
-    r11 = _scaled_gap(t11u @ base, diagonal_side(1.0, 0.0, rp))
-    r22 = _scaled_gap(t22u @ base, diagonal_side(0.0, 1.0, rp))
+    # nu11, nu22 and nu21 at u applied to the string
+    a11, a22, a21 = (block(u) @ base for block in (nu.t11, nu.t22, nu.t21))
+    r11 = _scaled_gap(a11, diagonal_side(1.0, 0.0, rp))
+    r22 = _scaled_gap(a22, diagonal_side(0.0, 1.0, rp))
 
     # nu21 adds the lowering sums: B(ubar_i) and B(u, ubar_ij)
-    first, second = np.triu_indices(m, 1)
     acc21 = (
         rp * diagonal_side(1.0, 1.0, rp)
-        + coef.F @ strings([without(i) for i in range(m)])
-        + coef.G[first, second] @ strings([(0, *without(i, j)) for i, j in zip(first, second)])
+        + coef.F @ strings(lowered_keys)
+        + coef.G[first, second] @ strings(pair_keys)
     )
-    r21 = _scaled_gap(t21u @ base, acc21)
+    r21 = _scaled_gap(a21, acc21)
 
-    # the transfer matrix tr_a(D nu(u)), from the blocks above
+    # the transfer matrix tr_a(D nu(u)), from the four blocks' actions
     x, y = np.diag(f.d_factor)
     acct = diagonal_side(x, y, ctx.twist.kappa_minus / f.mu)
-    rt = _scaled_gap(np.tensordot(f.d_factor.T, at_u, 2) @ base, acct)
+    rt = _scaled_gap(np.tensordot(f.d_factor.T, np.array([[a11, plus], [a21, a22]]), 2), acct)
 
     return {
         "nu12_action": r12,
@@ -211,14 +220,15 @@ def raising_identity_residual(
     f = ctx.fact
 
     # the probe is point 0, root i is point i + 1
-    string = _StringBuilder([nu.t12(x) for x in _prepend(u, rs).values], n)
     roots_at = tuple(range(1, n + 1))
-    lhs = (ctx.twist.kappa_minus / f.mu) * string((0, *roots_at))
-    terms = [raising_eigenpart(ctx, u, rs) * string(roots_at)]
+    dropped = [(0, *roots_at[:i], *roots_at[i + 1 :]) for i in range(n)]
+    string = _creation_strings(nu, _prepend(u, rs).values, [(0, *roots_at), roots_at, *dropped])
+    lhs = (ctx.twist.kappa_minus / f.mu) * string[(0, *roots_at)]
+    terms = [raising_eigenpart(ctx, u, rs) * string[roots_at]]
     for i in range(n):
         rest = rs.drop(i)
         coeff = kernel_g(rs[i], u, c) * raising_eigenpart(ctx, rs[i], rest)
-        terms.append(coeff * string((0, *roots_at[:i], *roots_at[i + 1 :])))
+        terms.append(coeff * string[dropped[i]])
     # the terms can be many orders larger than their sum and cancel, so the
     # gap is taken relative to the sum of all the norms, with a unit floor
     scale = max(1.0, sum(float(np.linalg.norm(v)) for v in (lhs, *terms)))

@@ -199,8 +199,10 @@ def vacuum_action_residuals(
     v0 = vacuum_state(params.sites)
     l1, l2 = vacuum_weights(params, u)
     rp = fact.ratio_plus
-    # nu_ij(u) |0> for all four blocks, from one evaluation
-    (nu11, b), (nu21, nu22) = modified.at(u) @ v0
+    # nu_ij(u) |0> for each block, placed one at a time
+    nu11, b, nu21, nu22 = (
+        block(u) @ v0 for block in (modified.t11, modified.t12, modified.t21, modified.t22)
+    )
     return {
         "nu11_vacuum": _scaled_gap(nu11, l1 * v0 + rp * b),
         "nu22_vacuum": _scaled_gap(nu22, l2 * v0 + rp * b),

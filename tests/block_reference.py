@@ -1,8 +1,9 @@
 """Reference copy of the block placement as it stood before each charge
-was summed entrywise and written once at ``Grading.index``: blocks grouped
-by charge, each group summed out of place, and a block alone in its charge
-merged with the next one whose entries follow it.  ``chain._Block`` must
-reproduce its values bit for bit."""
+was summed entrywise and written once at ``Grading.index``: every stored
+entry scaled in place by one full-length vector of its block's weight,
+blocks grouped by charge, each group summed out of place, and a block alone
+in its charge merged with the next one whose entries follow it.
+``chain._Block`` must reproduce its values bit for bit."""
 
 import numpy as np
 

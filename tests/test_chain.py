@@ -433,9 +433,10 @@ def _assert_places_as_the_reference(family, weights, u):
 
 def test_block_placement_matches_the_reference_bit_for_bit():
     # each charge summed entrywise in storage order and written once at
-    # Grading.index adds the same terms in the same order as summing each
-    # charge group out of place, so every placed value is the reference's
-    # bit for bit
+    # Grading.index, each block weighted by the family's one shared array
+    # of its weight, forms the same products and adds them in the same
+    # order as scaling every entry and summing each charge group out of
+    # place, so every placed value is the reference's bit for bit
     rng = np.random.default_rng(37)
     for sites in range(1, 9):
         u = draw_points(rng, 1)[0]
@@ -511,8 +512,9 @@ def test_structure_checks_at_eight_sites():
 
 
 def test_structure_checks_memory_at_eight_sites():
-    # the four blocks at one point take 4.2 MB at N=8; the products by
-    # magnetization block take 6.6 MB for both orders.  Dense block-product
+    # the stored entries at both points take 1.6 MB at N=8, and the block
+    # products of one column sector at most 2.1 MB for both orders (the
+    # products of every sector at once took 6.6 MB).  Dense block-product
     # tables would take 34 MB, and an operator on the doubled auxiliary
     # space, 2^(N+2) square, 16 MB more each time one is formed
     params, tw = _eight_site_grid()
@@ -523,7 +525,7 @@ def test_structure_checks_memory_at_eight_sites():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6, peak
+    assert peak < 7e6, peak
 
 
 def test_operator_build_memory_at_eight_sites():
@@ -696,8 +698,12 @@ def test_monodromy_matrix_is_the_embedded_product():
         params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
         for u in draw_points(rng, 2):
             want = _embedded_product(params, u)
-            gap = np.linalg.norm(monodromy_matrix(params, u) - want)
+            whole = monodromy_matrix(params, u)
+            gap = np.linalg.norm(whole - want)
             assert gap <= 1e-15 * np.linalg.norm(want), (sites, u)
+            # rows never mix, so a run of rows is the whole product's
+            lo, hi = params.dim // 2, 2 * params.dim - 1
+            assert np.array_equal(monodromy_matrix(params, u, lo, hi), whole[lo:hi]), (sites, u)
 
 
 def test_product_form_flags_a_perturbed_block():
@@ -729,20 +735,25 @@ def test_graded_products_match_the_dense_route():
         family = build_monodromy(params)
         dense = dense_family(dense_stack(family), params.c)
         u, v = draw_points(rng, 2)
-        *tables, charge, off_grade = _graded_products(family, u, v)
-        *want, _, dense_off_grade = _graded_products(dense, u, v)
+        charge, off_grade, by_sector = _graded_products(family, u, v)
+        _, dense_off_grade, (want,) = _graded_products(dense, u, v)
         assert off_grade == 0.0 and dense_off_grade == 0.0
         sectors = magnetization_sectors(sites)
+        # each column sector's blocks placed back into the dense products
+        dim = params.dim
+        tables = [{quad: np.zeros((dim, dim), dtype=complex) for quad in want[0]} for _ in want]
+        for m, pair in enumerate(by_sector):
+            for table, pieces in zip(tables, pair):
+                for (i, j, k, l), block in pieces.items():
+                    q = charge[i, j] + charge[k, l]
+                    if block.size:
+                        rows, cols = sectors[m + q], sectors[m]
+                        table[i, j, k, l][rows[:, None], cols] = block
+                    else:
+                        assert not 0 <= m + q <= sites, (sites, m, i, j, k, l)
         for table, ref in zip(tables, want):
-            for (i, j, k, l), vec in table.items():
-                q = charge[i, j] + charge[k, l]
-                placed, start = np.zeros((params.dim, params.dim), dtype=complex), 0
-                for m in range(max(0, -q), min(sites + 1, sites + 1 - q)):
-                    rows, cols = sectors[m + q], sectors[m]
-                    block = vec[start : start + len(rows) * len(cols)]
-                    placed[rows[:, None], cols] = block.reshape(len(rows), len(cols))
-                    start += len(rows) * len(cols)
-                want_product = ref[i, j, k, l].reshape(params.dim, params.dim)
+            for (i, j, k, l), placed in table.items():
+                want_product = ref[i, j, k, l]
                 scale = max(1.0, np.max(np.abs(want_product)))
                 assert np.max(np.abs(placed - want_product)) <= 1e-14 * scale, (sites, i, j, k, l)
 

@@ -279,6 +279,20 @@ def test_a_nan_root_is_off_shell():
             slavnov_formula(ctx, free, roots, "v-onshell")
 
 
+def test_a_nan_root_is_rejected_before_any_arithmetic():
+    # the suite turns RuntimeWarnings into errors, so with no errstate a NaN
+    # that reached the Bethe residuals would raise a warning, not the
+    # named error
+    ctx = N3_CTX
+    roots = ctx.roots([np.nan, 0.3 + 0.1j, -0.7 + 0.2j])
+    free = (1.1 + 0.4j, -0.2 - 0.9j, 0.6 - 1.3j)
+    with pytest.raises(OffShellError, match="nan"):
+        gaudin_norm(ctx, roots)
+    for us, vs, orientation in ((roots, free, "u-onshell"), (free, roots, "v-onshell")):
+        with pytest.raises(OffShellError, match="nan"):
+            slavnov_formula(ctx, us, vs, orientation)
+
+
 @pytest.mark.parametrize("sites", range(1, 7))
 def test_slavnov_formula_matches_the_per_entry_reference(sites):
     # the Jacobian from one broadcast gradient call against the entry-by-entry

@@ -168,7 +168,7 @@ def test_action_checks_evaluate_each_operator_once_per_point():
 
 
 def test_string_builder_matches_the_full_build_bit_for_bit():
-    # a string starts from the longest suffix built before, which applies
+    # a string extends its suffix one operator at a time, which applies
     # the same matrices to the same vectors in the same order as the full
     # build, so the amplitudes must be identical, not merely close
     rng = np.random.default_rng(19)
@@ -176,12 +176,13 @@ def test_string_builder_matches_the_full_build_bit_for_bit():
         ctx = random_context(rng, sites)
         nu = _family(ctx)
         pts = VariableSet(draw_points(rng, sites + 1), eps_dist(ctx.c))
-        string = states._StringBuilder([nu.t12(x) for x in pts.values], sites)
         orders = [rng.permutation(sites + 1)[: rng.integers(0, sites + 2)] for _ in range(12)]
         orders += [np.arange(sites + 1), np.arange(1, sites + 1), np.array([0, *range(2, sites + 1)])]
-        for order in orders:
+        keys = [tuple(int(k) for k in order) for order in orders]
+        string = states._creation_strings(nu, pts.values, keys)
+        for order, key in zip(orders, keys):
             vs = VariableSet(pts.values[order], pts.eps)
-            got = string(tuple(int(k) for k in order))
+            got = string[key]
             assert np.array_equal(got, build_bethe_vector(nu, vs).amplitudes), order
 
 
