@@ -306,10 +306,11 @@ def raising_eigenpart(ctx: SpectralContext, u, roots) -> complex:
 def bethe_system(ctx: SpectralContext, batch, jacobian: bool = False):
     """Residuals E, optionally Jacobians J, for a batch of root sets at once.
 
-    batch has shape (B, n).  Returns (E, J, coincident): E[b, i] is
+    batch has shape (B, n).  Returns (E, J, coincident, scale): E[b, i] is
     E(u_i, ubar_i) of row b, J[b, i, j] = d E[b, i] / d u_j (None unless
-    jacobian is set), and coincident[b] marks rows with a pair of roots
-    within eps_dist(c), whose E and J entries are meaningless.
+    jacobian is set), coincident[b] marks rows with a pair of roots within
+    eps_dist(c), whose E and J entries are meaningless, and scale[b] is
+    row b's ``onshell_scales``, read off the lam1 and lam2 the kernel forms.
 
     Everything comes from the pair differences d[b, i, k] = u_i - u_k.  In
     row i the three kernels facing the other roots are f(u_k, u_i) = 1 - c/d,
@@ -346,8 +347,9 @@ def bethe_system(ctx: SpectralContext, batch, jacobian: bool = False):
     factors[:, :, ii, ii] = 1.0
     full = np.prod(factors, axis=-1)
     res = sum(coeff * full)  # 0 + t0 + t1 + t2, the order of a term-by-term loop
+    scale = _onshell_scale(l1, l2)
     if not jacobian:
-        return res, None, coincident
+        return res, None, coincident, scale
     d1, d2 = ctx.dlam(u)
     slope = np.stack((-x * d1, y * d2, z * (d1 * l2 + l1 * d2)))
     loo = _leave_one_out(factors)
@@ -355,12 +357,12 @@ def bethe_system(ctx: SpectralContext, batch, jacobian: bool = False):
     signed = sign * coeff
     jac = sum(signed[..., None] * loo)
     jac[:, ii, ii] += sum(slope * full - signed * np.sum(loo, axis=-1))
-    return res, jac, coincident
+    return res, jac, coincident, scale
 
 
 def _single_row(ctx: SpectralContext, roots, jacobian: bool):
     rs = _as_set(roots, ctx.c)
-    res, jac, coincident = bethe_system(ctx, rs.values[None, :], jacobian)
+    res, jac, coincident, _ = bethe_system(ctx, rs.values[None, :], jacobian)
     if coincident[0]:
         raise CoincidenceError("kernel g evaluated at coincident parameters")
     return res[0], None if jac is None else jac[0]
@@ -377,11 +379,14 @@ def bethe_jacobian(ctx: SpectralContext, roots) -> np.ndarray:
     return _single_row(ctx, roots, jacobian=True)[1]
 
 
+def _onshell_scale(l1, l2) -> np.ndarray:
+    return np.maximum(1.0, np.max(np.abs(l1 * l2), axis=-1, initial=0.0))
+
+
 def onshell_scales(ctx: SpectralContext, batch) -> np.ndarray:
     """max(1, |lam1 lam2|) over each row of a (B, n) batch of root sets;
     normalizes on-shell tolerances."""
-    l1, l2 = ctx.lam(np.asarray(batch, dtype=complex))
-    return np.maximum(1.0, np.max(np.abs(l1 * l2), axis=-1, initial=0.0))
+    return _onshell_scale(*ctx.lam(np.asarray(batch, dtype=complex)))
 
 
 def onshell_tolerance(ctx: SpectralContext, roots, factor: float = 1e-8) -> float:

@@ -182,11 +182,14 @@ def gaudin_limit_deviation(
     At |c| <= 1e-5 the offset is within the coincidence guard
     ``eps_dist(c)``, which is absolute there, and the kernel raises
     CoincidenceError.  The return value is the worst relative deviation
-    over all entries, NaN when any entry's is.
+    over all entries, NaN when any entry's is, or when a root is not
+    finite, which is answered before any arithmetic.
     ``matrix`` is gaudin_matrix(ctx, roots) when the caller already holds
     it.
     """
     rs = _as_set(roots, ctx.c)
+    if not np.all(np.isfinite(rs.values)):
+        return float("nan")
     n = len(rs)
     ref = gaudin_matrix(ctx, rs) if matrix is None else matrix
     # deviations are measured against the matrix scale, not entrywise: the

@@ -22,12 +22,8 @@ from .bethe import (
     VariableSet,
     _tq_base,
     _tq_system,
-    bethe_residuals,
     bethe_system,
     eps_dist,
-    onshell_scales,
-    onshell_tolerance,
-    transfer_eigenvalue,
 )
 from .linalg import _spectral_order, eigenpairs
 from .states import build_bethe_vector
@@ -110,53 +106,70 @@ def root_distance(a, rows):
     return float(dist[0]) if b.ndim == 1 else dist
 
 
-def _attach(
-    ctx: SpectralContext, values, method: str, tol: float, flag: str | None = None
-) -> BetheSolution:
-    try:
-        rs = VariableSet(values, eps_dist(ctx.c)).sorted()
-    except CoincidenceError:
-        rs = VariableSet(values, 0.0).sorted()
-        flag = flag or "coincident-roots"
-    res = np.abs(bethe_residuals(ctx, rs))
-    tau = onshell_tolerance(ctx, rs, tol)
-    lam = np.empty(PROBES, dtype=complex)
-    for k, p in enumerate(probe_points(ctx, PROBES)):
-        try:
-            lam[k] = transfer_eigenvalue(ctx, p, rs)
-        except CoincidenceError:
-            lam[k] = np.nan
-            flag = flag or "probe-collision"
-    return BetheSolution(
-        roots=rs,
-        residuals=res,
-        onshell=bool(np.max(res) <= tau),
-        tau=tau,
-        method=method,
-        matched_eigenvalue=lam,
-        flag=flag,
-    )
-
-
 def _pool(ctx: SpectralContext, rows, method: str, tol: float, flags=None) -> list:
     """Attach each distinct root set among rows once, canonically ordered.
 
     The first row of every group closer than DEDUP_TOL is kept; one inside
     NEAR_DUP_TOL of an earlier kept row is flagged instead of collapsed.
-    flags[k], when given, is row k's own flag.
+    flags[k], when given, is row k's own flag; after it come
+    "probe-collision", for a set with a root within eps_dist(c) of a probe
+    point (its sample there is nan), then "near-duplicate".  The kept sets
+    are attached together: residuals and tolerances from one kernel call,
+    and at each probe the kernel-row products of every set from one
+    reduction, combined set by set as ``transfer_eigenvalue`` does.  A kept
+    set with two roots within eps_dist(c) raises CoincidenceError.
     """
     left = np.arange(len(rows))
     near = np.zeros(len(rows), dtype=bool)
-    pool = []
+    kept = []
     while left.size:
         k, left = left[0], left[1:]
-        sol = _attach(ctx, rows[k], method, tol, flags[k] if flags else None)
-        if near[k] and sol.flag is None:
-            sol = replace(sol, flag="near-duplicate")
-        pool.append(sol)
+        kept.append(k)
         d = root_distance(rows[k], rows[left])
         near[left[d < NEAR_DUP_TOL]] = True
         left = left[d >= DEDUP_TOL]
+    if not kept:
+        return []
+    sets = np.asarray(rows, dtype=complex)[kept]
+    sets = np.take_along_axis(sets, np.lexsort((sets.imag, sets.real), axis=-1), axis=-1)
+    res, _, coincident, scale = bethe_system(ctx, sets)
+    if coincident.any():
+        raise CoincidenceError("kernel g evaluated at coincident parameters")
+    c, t, f = ctx.c, ctx.twist, ctx.fact
+    a, b, z = t.kappa_tilde - f.rho, t.kappa - f.rho, 2 * f.rho
+    lam = np.full((len(sets), PROBES), np.nan, dtype=complex)
+    collided = np.zeros(len(sets), dtype=bool)
+    for j, p in enumerate(probe_points(ctx, PROBES)):
+        diff = p - sets
+        met = np.any(np.abs(diff) <= eps_dist(c), axis=-1)
+        collided |= met
+        g = c / diff[~met]
+        p1, p2, p3 = (np.prod(x, axis=-1) for x in (1 - g, 1 + g, g))
+        l1, l2 = ctx.lam(p)
+        # scalar products: numpy's elementwise complex multiply may fuse
+        # multiply-adds, which would move the last bit of a sample
+        for i, k in enumerate(np.flatnonzero(~met)):
+            lam[k, j] = a * l1 * p1[i] + b * l2 * p2[i] + z * l1 * l2 * p3[i]
+    pool = []
+    for i, k in enumerate(kept):
+        flag = flags[k] if flags else None
+        if collided[i]:
+            flag = flag or "probe-collision"
+        if near[k] and flag is None:
+            flag = "near-duplicate"
+        absres = np.abs(res[i])
+        tau = tol * float(scale[i])
+        pool.append(
+            BetheSolution(
+                roots=VariableSet(sets[i], eps_dist(c)),
+                residuals=absres,
+                onshell=bool(np.max(absres) <= tau),
+                tau=tau,
+                method=method,
+                matched_eigenvalue=lam[i],
+                flag=flag,
+            )
+        )
     pool.sort(key=BetheSolution.canonical_key)
     return pool
 
@@ -214,33 +227,41 @@ def _newton_batch(
     its residual norm; stopped rows then face the on-shell gate.  One
     kernel call tries a chunk of scales (_HALVINGS) on every pending row,
     which takes the first scale that improves, as halving one at a time
-    would.  The step is solved in v = u/s, s = max(1, |c|), since J ~ 1/c.
+    would; once the pending rows times the scales left fit in a call of
+    len(starts) rows, the scales left go in one call.  The polish stop and
+    the gate read each row's on-shell scale from the kernel call that
+    scored its point.  The step is solved in v = u/s, s = max(1, |c|),
+    since J ~ 1/c.
     """
     u = np.array(starts, dtype=complex)
     s = max(1.0, abs(ctx.c))
-    res, _, coincident = bethe_system(ctx, u)
+    res, _, coincident, ref = bethe_system(ctx, u)
     alive = ~coincident
     running = alive.copy()
     score = np.linalg.norm(res, axis=1)
-    chunks = [np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in _HALVINGS]
+    factors = np.ldexp(1.0, -np.arange(_HALVINGS[-1][1]))
     for _ in range(max_iter):
         rows = np.flatnonzero(running)
         # polish to rounding level, not to the acceptance tolerance: the
         # determinant formulas downstream amplify any residual off-shellness
-        polished = np.max(np.abs(res[rows]), axis=1) <= 1e-14 * onshell_scales(ctx, u[rows])
+        polished = np.max(np.abs(res[rows]), axis=1) <= 1e-14 * ref[rows]
         running[rows[polished]] = False
         rows = rows[~polished]
         if rows.size == 0:
             break
-        _, jac, _ = bethe_system(ctx, u[rows], jacobian=True)
+        _, jac, _, _ = bethe_system(ctx, u[rows], jacobian=True)
         step, ok = _newton_steps(s * jac, res[rows])
         alive[rows[~ok]] = running[rows[~ok]] = False
         rows, step = rows[ok], s * step[ok]
-        for scale in chunks:  # halving guards against the kernel poles
-            if rows.size == 0:
+        tried = 0
+        for lo, hi in _HALVINGS:  # halving guards against the kernel poles
+            if rows.size == 0 or lo < tried:
                 break
+            if rows.size * (factors.size - lo) <= len(u):
+                hi = factors.size  # the rest fit in a call no larger than the first
+            scale = factors[lo:hi]
             cand = u[rows, None] - scale[:, None] * step[:, None]
-            cres, _, hit_pole = bethe_system(ctx, cand.reshape(-1, u.shape[1]))
+            cres, _, hit_pole, cref = bethe_system(ctx, cand.reshape(-1, u.shape[1]))
             cres = cres.reshape(cand.shape)
             cscore = np.linalg.norm(cres, axis=2)
             better = ~hit_pole.reshape(cscore.shape) & (cscore < score[rows, None])
@@ -248,10 +269,12 @@ def _newton_batch(
             first = hit, better[hit].argmax(axis=1)  # each hit row's first better scale
             done = rows[hit]
             u[done], res[done], score[done] = cand[first], cres[first], cscore[first]
+            ref[done] = cref.reshape(cscore.shape)[first]
             rows, step = rows[~hit], step[~hit]
+            tried = hi
         # stagnated; the final gate decides whether this counts
         running[rows] = False
-    onshell = np.max(np.abs(res), axis=1) <= tol * onshell_scales(ctx, u)
+    onshell = np.max(np.abs(res), axis=1) <= tol * ref
     return u[alive & onshell]
 
 

@@ -1,11 +1,32 @@
 """Reference copies of the Newton route as it stood before its kernel calls
 were batched: one residual kernel call per step halving, one pass per
-kernel term.  The solver's versions must reproduce these bit for bit."""
+kernel term; and of the pool as it stood before its root sets were
+attached together: one kernel call and one eigenvalue per probe for each
+set.  The solver's versions must reproduce these bit for bit."""
+
+from dataclasses import replace
 
 import numpy as np
 
-from twistchain.bethe import _leave_one_out, eps_dist, onshell_scales
-from twistchain.solver import _newton_steps
+from twistchain.bethe import (
+    CoincidenceError,
+    VariableSet,
+    _leave_one_out,
+    bethe_residuals,
+    eps_dist,
+    onshell_scales,
+    onshell_tolerance,
+    transfer_eigenvalue,
+)
+from twistchain.solver import (
+    DEDUP_TOL,
+    NEAR_DUP_TOL,
+    PROBES,
+    BetheSolution,
+    _newton_steps,
+    probe_points,
+    root_distance,
+)
 
 
 def bethe_system(ctx, batch, jacobian=False):
@@ -96,3 +117,46 @@ def newton_starts(ctx, starts, seed):
         angles = rng.uniform(0.0, 2 * np.pi, n)
         batch[b] = center + radii * np.exp(1j * angles)
     return batch
+
+
+def attach(ctx, values, method, tol, flag=None):
+    try:
+        rs = VariableSet(values, eps_dist(ctx.c)).sorted()
+    except CoincidenceError:
+        rs = VariableSet(values, 0.0).sorted()
+        flag = flag or "coincident-roots"
+    res = np.abs(bethe_residuals(ctx, rs))
+    tau = onshell_tolerance(ctx, rs, tol)
+    lam = np.empty(PROBES, dtype=complex)
+    for k, p in enumerate(probe_points(ctx, PROBES)):
+        try:
+            lam[k] = transfer_eigenvalue(ctx, p, rs)
+        except CoincidenceError:
+            lam[k] = np.nan
+            flag = flag or "probe-collision"
+    return BetheSolution(
+        roots=rs,
+        residuals=res,
+        onshell=bool(np.max(res) <= tau),
+        tau=tau,
+        method=method,
+        matched_eigenvalue=lam,
+        flag=flag,
+    )
+
+
+def pool(ctx, rows, method, tol, flags=None):
+    left = np.arange(len(rows))
+    near = np.zeros(len(rows), dtype=bool)
+    pool = []
+    while left.size:
+        k, left = left[0], left[1:]
+        sol = attach(ctx, rows[k], method, tol, flags[k] if flags else None)
+        if near[k] and sol.flag is None:
+            sol = replace(sol, flag="near-duplicate")
+        pool.append(sol)
+        d = root_distance(rows[k], rows[left])
+        near[left[d < NEAR_DUP_TOL]] = True
+        left = left[d >= DEDUP_TOL]
+    pool.sort(key=BetheSolution.canonical_key)
+    return pool

@@ -269,9 +269,10 @@ def test_batch_rows_match_single_sets():
     batch = np.array([_distinct_points(300 + b, 4) for b in range(5)])
     batch[2, 3] = batch[2, 0] - ctx.c
     batch[4, 1] = batch[4, 2] + 1e-12  # coincident: flagged, not raised
-    res, jac, coincident = bethe_system(ctx, batch, jacobian=True)
+    res, jac, coincident, scale = bethe_system(ctx, batch, jacobian=True)
     assert res.shape == (5, 4) and jac.shape == (5, 4, 4)
     assert coincident.tolist() == [False, False, False, False, True]
+    assert np.array_equal(scale, onshell_scales(ctx, batch))
     for b in range(4):
         assert np.array_equal(res[b], bethe_residuals(ctx, batch[b]))
         assert np.array_equal(jac[b], bethe_jacobian(ctx, batch[b]))

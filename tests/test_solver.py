@@ -1,12 +1,14 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twistchain import ChainParams, SpectralContext, TwistParams, solver
+from twistchain import ChainParams, SpectralContext, TwistParams, bethe, solver
 from twistchain.bethe import (
+    CoincidenceError,
+    VariableSet,
     _tq_base,
     bethe_jacobian,
     bethe_residuals,
@@ -188,11 +190,20 @@ def _config(name, grid_sites=None):
 
 
 @pytest.mark.parametrize(
-    "name, grid_sites", [("n2_generic", None), ("n3_generic", None), ("n3_generic", 4)]
+    "name, grid_sites",
+    [
+        ("n2_generic", None),
+        ("n3_generic", None),
+        ("n3_generic", 4),
+        ("n3_generic", 5),
+        ("n3_generic", 6),
+    ],
 )
 def test_chunked_line_search_takes_the_steps_of_the_halving_loop(name, grid_sites):
-    # the step scales are tried a chunk per kernel call; every row must end
-    # where halving one scale per call leaves it, bit for bit
+    # the step scales are tried a chunk per kernel call, or all the scales
+    # left in one call once they fit; every row must end where halving one
+    # scale per call leaves it, bit for bit (at N = 5 and 6 some rounds
+    # take the chunks and some the merged call)
     ctx = _config(name, grid_sites).context()
     starts = newton_reference.newton_starts(ctx, 400, 1)
     got = _newton_batch(ctx, starts, 80, 1e-8)
@@ -216,23 +227,33 @@ def test_starts_are_the_per_start_draws(monkeypatch):
 
 
 def test_newton_calls_the_residual_kernel_once_per_chunk(monkeypatch):
-    # the scales 2^-h, h = 0..19, come in three chunks; one initial residual
-    # call, then per round one Jacobian call and at most one residual call
-    # per chunk: a line search that calls the kernel once per halving breaks
-    # the bound (601 residual calls against 80 Jacobian calls on n3_generic)
+    # the scales 2^-h, h = 0..19, come in three chunks, and the scales left
+    # go in one call once they fit in the size of the first call; one
+    # initial residual call, then per round one Jacobian call and residual
+    # calls that average at most two, and one call per pool.  A line search
+    # that calls the kernel once per halving (601 residual calls against 80
+    # Jacobian calls on n3_generic) or once per chunk (233) breaks the bound.
+    # lam1 and lam2 are read off the kernel call that scored each point, not
+    # evaluated again for the polish stop or the pool (534 evaluations)
     halvings = [h for lo, hi in solver._HALVINGS for h in range(lo, hi)]
     assert halvings == list(range(20)) and len(solver._HALVINGS) == 3
-    calls = {False: 0, True: 0}
-    kernel = solver.bethe_system
+    calls = {False: 0, True: 0, "lam": 0}
+    kernel, weights = solver.bethe_system, bethe.vacuum_weights
 
     def counted(ctx, batch, jacobian=False):
         calls[jacobian] += 1
         return kernel(ctx, batch, jacobian)
 
+    def counted_weights(*args):
+        calls["lam"] += 1
+        return weights(*args)
+
     monkeypatch.setattr(solver, "bethe_system", counted)
+    monkeypatch.setattr(bethe, "vacuum_weights", counted_weights)
     execute("solve", _config("n3_generic"))
     assert calls[True] > 0
-    assert calls[False] <= 1 + len(solver._HALVINGS) * calls[True]
+    assert calls[False] <= 1 + 2 * calls[True]
+    assert calls["lam"] <= 250
 
 
 def test_vanishing_string_sets_are_filtered():
@@ -263,6 +284,85 @@ def test_pool_flags_near_duplicates(config_a):
     assert len(pool) == 2
     assert pool[0].roots[0] == GOLDEN + 1e-9
     assert pool[1].flag == "near-duplicate"
+
+
+def _assert_same_pool(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in fields(BetheSolution):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, VariableSet):
+                assert x.eps == y.eps
+                x, y = x.values, y.values
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y, equal_nan=True), field.name
+            else:
+                assert type(x) is type(y) and (x == y or x != x and y != y), field.name
+
+
+@pytest.mark.parametrize(
+    "name, grid_sites",
+    [("n2_generic", None), ("n3_generic", None), ("n3_generic", 4), ("n3_generic", 5)],
+)
+def test_pool_attaches_as_the_set_by_set_pass(name, grid_sites, monkeypatch):
+    # the kept sets are attached together; every field of every solution,
+    # and the order of the list, must be what attaching one set at a time
+    # gave, bit for bit, on the rows Newton and the T-Q fit hand the pool
+    ctx = _config(name, grid_sites).context()
+    seen = []
+
+    def capture(*args):
+        seen.append(args)
+        return _pool(*args)
+
+    monkeypatch.setattr(solver, "_pool", capture)
+    solve_newton(ctx, starts=400, seed=1)
+    solve_tq_fit(ctx)
+    assert [args[2] for args in seen] == ["newton", "tq"]
+    for args in seen:
+        got = _pool(*args)
+        assert len(got) >= 2 ** ctx.sites - 1
+        _assert_same_pool(got, newton_reference.pool(*args))
+
+
+def test_pool_flags_crafted_rows_as_the_set_by_set_pass():
+    ctx = _config("n3_generic").context()
+    p = probe_points(ctx, 3)
+    base = np.array([0.3 + 0.1j, -0.7 + 0.2j, 1.1 - 0.4j])
+    rows = np.array(
+        [
+            base,
+            base + 3e-5,  # near-duplicate
+            base + 1e-9,  # absorbed
+            [p[1], 0.3, 0.5j],  # probe-collision
+            [p[1], 0.3 + 3e-5, 0.5j],  # near-duplicate, but probe-collision first
+            [-0.4, p[0], p[2]],  # probe-collision at two probes, own flag first
+            [-1.5, 0.9j, 2.0],  # own flag
+        ]
+    )
+    own = [None, None, None, None, None, "tq-residual", "tq-residual"]
+    for flags in (own, None):
+        got = _pool(ctx, rows, "tq", 1e-8, flags)
+        _assert_same_pool(got, newton_reference.pool(ctx, rows, "tq", 1e-8, flags))
+        assert len(got) == 6
+    assert sorted(str(sol.flag) for sol in got) == sorted(
+        ["None", "near-duplicate", "probe-collision", "probe-collision", "probe-collision", "None"]
+    )
+    # samples of a set with a nan root are nan without a probe collision
+    nan_row = np.array([[np.nan, 0.3 + 0.1j, -0.7 + 0.2j]])
+    with np.errstate(invalid="ignore"):
+        got = _pool(ctx, nan_row, "newton", 1e-8)
+        _assert_same_pool(got, newton_reference.pool(ctx, nan_row, "newton", 1e-8))
+    assert got[0].flag is None and np.isnan(got[0].matched_eigenvalue).all()
+    # a set with two roots within eps_dist(c) was never attached: both raise
+    for pair in ((0.1, 0.1 + 1e-12), (0.1, 0.1)):
+        coincident = np.array([base, [*pair, 0.5j]])
+        for pool in (_pool, newton_reference.pool):
+            with pytest.raises(CoincidenceError):
+                pool(ctx, coincident, "tq", 1e-8, [None, "tq-residual"])
+    empty = np.empty((0, 3), dtype=complex)
+    assert _pool(ctx, empty, "tq", 1e-8, []) == []
+    assert newton_reference.pool(ctx, empty, "tq", 1e-8, []) == []
 
 
 def test_tq_fit_recovers_newton_solutions(config_a):
