@@ -10,8 +10,8 @@ outputs of two trees is a byte-identity check of their reports.
 
 The runs are the five commands on the four bundled configs, ``verify``
 and ``spectrum`` on the grid chain (the n3_generic twist with
-theta_k = 0.15 (k - (N - 1)/2) and c = 1) at N = 1..8, and ``solve``,
-``norm`` and ``overlap`` on the grid chain at N = 1..4.
+theta_k = 0.15 (k - (N - 1)/2) and c = 1) at N = 1..8, ``solve`` on the
+grid chain at N = 1..4, and ``norm`` and ``overlap`` on it at N = 1..6.
 
 Usage:
     PYTHONPATH=src python scripts/report_set.py OUTDIR
@@ -50,7 +50,11 @@ def runs() -> list[Run]:
         for command in COMMANDS
     ]
     grid = CONFIGS / "n3_generic.json"
-    for commands, sizes in ((("verify", "spectrum"), range(1, 9)), (("solve", "norm", "overlap"), range(1, 5))):
+    for commands, sizes in (
+        (("verify", "spectrum"), range(1, 9)),
+        (("solve",), range(1, 5)),
+        (("norm", "overlap"), range(1, 7)),
+    ):
         out += [
             Run(f"grid-n{sites}-{command}", command, grid, grid_overrides(sites))
             for command in commands

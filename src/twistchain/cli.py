@@ -5,7 +5,9 @@ replays the algebraic identity suite, ``spectrum`` diagonalizes the
 transfer matrix at probe points one magnetization sector at a time,
 ``solve`` runs both root finders and cross-classifies, ``overlap`` and
 ``norm`` compare the determinant formulas against direct state
-contractions.  Reports are deterministic given the config and seed,
+contractions over the unflagged sets of the T-Q fit, one per eigenvector.
+Newton runs in ``solve`` alone, where its agreement with the T-Q fit is
+the evidence.  Reports are deterministic given the config and seed,
 except for the wall-time field.
 """
 
@@ -447,64 +449,53 @@ def _cmd_solve(cfg: RunConfig) -> dict:
     }
 
 
-def _onshell_sets(cfg: RunConfig, ctx: SpectralContext):
-    sols = solve_newton(
-        ctx, starts=cfg.starts, seed=cfg.seed, max_iter=cfg.max_iter, tol=cfg.tol
-    )
-    return [s for s in sols if s.flag is None]
-
-
-def _cmd_overlap(cfg: RunConfig) -> dict:
+def _onshell_check(cfg: RunConfig, name: str, key: str, compare) -> dict:
+    """One formula-vs-contraction check over the unflagged sets of the T-Q
+    fit, one set per eigenvector, in the fit's canonical order.
+    ``compare(cfg, ctx, roots)`` yields (row fields, report) pairs for one
+    on-shell set; each becomes a report row under ``key``, and the check
+    ``name`` takes the worst relative error over all rows."""
     ctx = cfg.context()
-    onshell = _onshell_sets(cfg, ctx)
+    onshell = [s.roots for s in solve_tq_fit(ctx) if s.flag is None]
+    rows = []
+    worst = 0.0
+    for i, roots in enumerate(onshell):
+        for fields, rep in compare(cfg, ctx, roots):
+            worst = _worse(worst, rep.relative_error)
+            rows.append({
+                "onshell_index": i,
+                **fields,
+                "direct": rep.direct,
+                "formula": rep.formula,
+                "relative_error": rep.relative_error,
+                "passed": bool(rep.relative_error <= cfg.onshell_tol),
+            })
+    checks = [_check(name, worst, cfg.onshell_tol, sets=len(onshell))]
+    return {"checks": checks, key: rows}
+
+
+def _overlaps(cfg: RunConfig, ctx: SpectralContext, roots):
+    # the same five free sets for every on-shell set, drawn from the seed
     rng = np.random.default_rng(cfg.seed)
     center = complex(np.mean(np.asarray(cfg.chain.theta, dtype=complex)))
     scale = max(1.0, abs(ctx.c))
-    offshell = [_draw_points(rng, center, scale, ctx.sites) for _ in range(5)]
-    rows = []
-    worst = 0.0
-    for i, sol in enumerate(onshell):
-        for j, free in enumerate(offshell):
-            for orientation in ("u-onshell", "v-onshell"):
-                us = sol.roots if orientation == "u-onshell" else tuple(free)
-                vs = tuple(free) if orientation == "u-onshell" else sol.roots
-                rep = overlap_report(ctx, us, vs, orientation)
-                worst = _worse(worst, rep.relative_error)
-                rows.append({
-                    "onshell_index": i,
-                    "offshell_index": j,
-                    "orientation": orientation,
-                    "direct": rep.direct,
-                    "formula": rep.formula,
-                    "relative_error": rep.relative_error,
-                    "passed": bool(rep.relative_error <= cfg.onshell_tol),
-                })
-    checks = [
-        _check("slavnov_max_relative_error", worst, cfg.onshell_tol, sets=len(onshell))
-    ]
-    return {"checks": checks, "overlaps": rows}
+    for j in range(5):
+        free = tuple(_draw_points(rng, center, scale, ctx.sites))
+        for orientation, us, vs in (("u-onshell", roots, free), ("v-onshell", free, roots)):
+            fields = {"offshell_index": j, "orientation": orientation}
+            yield fields, overlap_report(ctx, us, vs, orientation)
+
+
+def _norms(cfg: RunConfig, ctx: SpectralContext, roots):
+    yield {"roots": [complex(z) for z in roots]}, norm_report(ctx, roots)
+
+
+def _cmd_overlap(cfg: RunConfig) -> dict:
+    return _onshell_check(cfg, "slavnov_max_relative_error", "overlaps", _overlaps)
 
 
 def _cmd_norm(cfg: RunConfig) -> dict:
-    ctx = cfg.context()
-    onshell = _onshell_sets(cfg, ctx)
-    rows = []
-    worst = 0.0
-    for i, sol in enumerate(onshell):
-        rep = norm_report(ctx, sol.roots)
-        worst = _worse(worst, rep.relative_error)
-        rows.append({
-            "onshell_index": i,
-            "roots": [complex(z) for z in sol.roots],
-            "direct": rep.direct,
-            "formula": rep.formula,
-            "relative_error": rep.relative_error,
-            "passed": bool(rep.relative_error <= cfg.onshell_tol),
-        })
-    checks = [
-        _check("gaudin_korepin_max_relative_error", worst, cfg.onshell_tol, sets=len(onshell))
-    ]
-    return {"checks": checks, "norms": rows}
+    return _onshell_check(cfg, "gaudin_korepin_max_relative_error", "norms", _norms)
 
 
 _COMMANDS = {

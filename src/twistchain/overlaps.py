@@ -96,6 +96,19 @@ def scalar_direct(dual, ket) -> complex:
     return complex(a @ b)
 
 
+def _cauchy_determinant(cauchy: np.ndarray) -> complex:
+    """det of the Cauchy matrix g(free_i, onshell_j), the overlap formulas'
+    denominator; a zero, which a Cauchy matrix of distinct points has only
+    in rounding, is a ValueError naming it."""
+    det = determinant(cauchy)
+    if det == 0:
+        raise ValueError(
+            "the Cauchy matrix of the two parameter sets is singular in double "
+            "precision, so the overlap formula has no denominator"
+        )
+    return det
+
+
 def slavnov_formula(
     ctx: SpectralContext,
     us,
@@ -108,7 +121,9 @@ def slavnov_formula(
     selects which.  The Jacobian entry (i, j) is the derivative of the
     eigenvalue at the j-th free point with respect to the i-th on-shell
     root, the whole matrix from one broadcast ``eigenvalue_gradient`` call,
-    and the Cauchy kernel is evaluated at the matching orientation.
+    and the Cauchy kernel is evaluated at the matching orientation.  The
+    coupling's power c^n is taken inside the determinant as det(c J): J
+    scales as 1/c, so at large |c| c^n overflows where det J underflows.
     """
     us = _as_set(us, ctx.c).sorted()
     vs = _as_set(vs, ctx.c).sorted()
@@ -127,8 +142,8 @@ def slavnov_formula(
     cauchy = kernel_g(free.values[:, None], onshell.values[None, :], ctx.c)
     t, f = ctx.twist, ctx.fact
     stretch = t.kappa_tilde + t.kappa - f.rho
-    prefactor = (ctx.c * f.mu ** 2 / stretch) ** n * w0(ctx, onshell)
-    return prefactor * determinant(jac) / determinant(cauchy)
+    prefactor = (f.mu ** 2 / stretch) ** n * w0(ctx, onshell)
+    return prefactor * determinant(ctx.c * jac) / _cauchy_determinant(cauchy)
 
 
 def gaudin_matrix(ctx: SpectralContext, roots) -> np.ndarray:
@@ -301,9 +316,8 @@ def classical_slavnov(ctx: SpectralContext, us, vs) -> complex:
         ]
     )
     cauchy = kernel_g(us.values[:, None], vs.values[None, :], ctx.c)
-    return (ctx.c / t.kappa_tilde) ** m * lam2bar * determinant(jac) / determinant(
-        cauchy
-    )
+    prefactor = (1 / t.kappa_tilde) ** m * lam2bar
+    return prefactor * determinant(ctx.c * jac) / _cauchy_determinant(cauchy)
 
 
 def n1_reference(ctx: SpectralContext, u: complex, v: complex) -> dict:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bethe import (
-    CoincidenceError,
     SpectralContext,
     VariableSet,
     _tq_base,
@@ -112,12 +111,15 @@ def _pool(ctx: SpectralContext, rows, method: str, tol: float, flags=None) -> li
     The first row of every group closer than DEDUP_TOL is kept; one inside
     NEAR_DUP_TOL of an earlier kept row is flagged instead of collapsed.
     flags[k], when given, is row k's own flag; after it come
-    "probe-collision", for a set with a root within eps_dist(c) of a probe
-    point (its sample there is nan), then "near-duplicate".  The kept sets
-    are attached together: residuals and tolerances from one kernel call,
-    and at each probe the kernel-row products of every set from one
-    reduction, combined set by set as ``transfer_eigenvalue`` does.  A kept
-    set with two roots within eps_dist(c) raises CoincidenceError.
+    "coincident-roots", for a set with two roots within eps_dist(c) (its
+    residuals are nan, since the kernel g has a pole there, and its roots
+    carry no distance guard), "probe-collision", for a set with a root
+    within eps_dist(c) of a probe point (its sample there is nan), then
+    "near-duplicate".  The kept sets are attached together: residuals and
+    tolerances from one kernel call, and at each probe the kernel-row
+    products of every set from one reduction, combined set by set as
+    ``transfer_eigenvalue`` does.  A set with a repeated root, which no
+    VariableSet holds, raises CoincidenceError.
     """
     left = np.arange(len(rows))
     near = np.zeros(len(rows), dtype=bool)
@@ -133,8 +135,7 @@ def _pool(ctx: SpectralContext, rows, method: str, tol: float, flags=None) -> li
     sets = np.asarray(rows, dtype=complex)[kept]
     sets = np.take_along_axis(sets, np.lexsort((sets.imag, sets.real), axis=-1), axis=-1)
     res, _, coincident, scale = bethe_system(ctx, sets)
-    if coincident.any():
-        raise CoincidenceError("kernel g evaluated at coincident parameters")
+    res[coincident] = np.nan
     c, t, f = ctx.c, ctx.twist, ctx.fact
     a, b, z = t.kappa_tilde - f.rho, t.kappa - f.rho, 2 * f.rho
     lam = np.full((len(sets), PROBES), np.nan, dtype=complex)
@@ -153,6 +154,8 @@ def _pool(ctx: SpectralContext, rows, method: str, tol: float, flags=None) -> li
     pool = []
     for i, k in enumerate(kept):
         flag = flags[k] if flags else None
+        if coincident[i]:
+            flag = flag or "coincident-roots"
         if collided[i]:
             flag = flag or "probe-collision"
         if near[k] and flag is None:
@@ -161,7 +164,7 @@ def _pool(ctx: SpectralContext, rows, method: str, tol: float, flags=None) -> li
         tau = tol * float(scale[i])
         pool.append(
             BetheSolution(
-                roots=VariableSet(sets[i], eps_dist(c)),
+                roots=VariableSet(sets[i], 0.0 if coincident[i] else eps_dist(c)),
                 residuals=absres,
                 onshell=bool(np.max(absres) <= tau),
                 tau=tau,

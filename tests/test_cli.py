@@ -271,12 +271,18 @@ def test_solve_with_huge_coupling(capsys):
     # c = 1e20 on two, and overflowed at c = 1e300.  Newton solves for its
     # step in v = u/|c| too: with J ~ 1/c the step overflowed at c = 1e300 on
     # three sites.  A RuntimeWarning fails the run, as everywhere in this suite.
-    cases = [(N2_CONFIG, c) for c in ("1e3", "1e20", "1e100", "1e300")]
-    cases += [(N3_CONFIG, "1e5"), (N3_CONFIG, "1e300")]
-    for config, c in cases:
-        assert main(["solve", "--config", str(config), "--set", f"chain.c={c}"]) == 0, c
+    # The overlap formula takes c^n inside its determinant, as det(c J): the
+    # prefactor (c mu^2 / stretch)^n overflowed where det J underflowed, and
+    # overlap reported a nan residual at c = 1e300.
+    cases = [("solve", N2_CONFIG, c) for c in ("1e3", "1e20", "1e100", "1e300")]
+    cases += [("solve", N3_CONFIG, "1e5"), ("solve", N3_CONFIG, "1e300")]
+    cases += [(command, config, "1e300") for command in ("norm", "overlap") for config in (N2_CONFIG, N3_CONFIG)]
+    for command, config, c in cases:
+        case = (command, config.stem, c)
+        assert main([command, "--config", str(config), "--set", f"chain.c={c}"]) == 0, case
         report = json.loads(capsys.readouterr().out)
-        assert report["checks"] and all(check["passed"] for check in report["checks"]), c
+        assert report["checks"] and all(check["passed"] for check in report["checks"]), case
+        assert all(check.get("sets_checked") != 0 for check in report["checks"]), case
 
 
 def test_solve_at_small_coupling_compares_relative_samples(capsys):
@@ -421,13 +427,43 @@ def test_verify_and_spectrum_pass_at_huge_coupling(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["norm", "overlap"])
-def test_a_check_over_no_root_set_fails(capsys, command):
-    # one Newton step reaches no on-shell set; a maximum over nothing is no
-    # evidence, so the check fails and says how many sets it saw
-    assert main([command, "--config", str(N2_CONFIG), "--set", "solver.max_iter=1"]) == 1
+def test_a_check_over_no_root_set_fails(monkeypatch, capsys, command):
+    # with a fit gate that no residual passes, every T-Q set is flagged, so
+    # none is on shell; a maximum over nothing is no evidence, so the check
+    # fails and says how many sets it saw
+    import twistchain.solver as solver
+
+    monkeypatch.setattr(solver, "FIT_TOL", -1.0)
+    assert main([command, "--config", str(N2_CONFIG)]) == 1
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert check["sets_checked"] == 0
     assert not check["passed"]
+
+
+@pytest.mark.parametrize("command", ["norm", "overlap"])
+def test_norm_and_overlap_read_the_tq_spectrum_without_newton(monkeypatch, command):
+    # both commands check the determinant identities over the unflagged T-Q
+    # sets, one per eigenvector; Newton runs in solve alone
+    import twistchain.solver as solver
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton ran")
+
+    _rebind(monkeypatch, solver.solve_newton, no_newton)
+    (check,) = execute(command, parse_config(str(N3_CONFIG)))["checks"]
+    assert check["passed"] and check["sets_checked"] == 8
+
+
+@pytest.mark.parametrize("command", ["norm", "overlap"])
+def test_norm_and_overlap_pass_on_every_set_of_the_five_site_grid_chain(command):
+    # Newton's own 400 starts found 12 of the 32 sets here, and three of
+    # those, short of polished, failed both identities at 1e-7
+    report = execute(command, _grid_config(5))
+    (check,) = report["checks"]
+    assert check["passed"] and check["sets_checked"] == 32
+    rows = report["norms" if command == "norm" else "overlaps"]
+    assert len(rows) == 32 * (1 if command == "norm" else 10)
+    assert all(row["passed"] for row in rows)
 
 
 def test_norm_and_overlap_count_the_sets_they_check():

@@ -358,6 +358,21 @@ def test_offshell_arguments_are_rejected():
         slavnov_formula(N2_CTX, sols[0].roots, (1.0,), "u-onshell")
 
 
+def test_a_singular_cauchy_matrix_is_a_named_error():
+    # n3_generic with inhomogeneities 1e6 apart: Newton's unflagged set 32
+    # and the first free set the overlap command draws there (seed 1, at
+    # scale 1 around the mean inhomogeneity) give a Cauchy matrix whose
+    # determinant is 0 in double precision; the formula divided by it and
+    # died with a ZeroDivisionError
+    theta = (1e6, -1e6, 2e6)
+    ctx = SpectralContext.create(ChainParams(3, 1.0, theta), N3_CTX.twist)
+    onshell = [s.roots for s in solve_newton(ctx, starts=400, seed=1) if s.flag is None]
+    free = draw_points(np.random.default_rng(1), 3) + np.mean(theta)
+    for us, vs, orientation in ((onshell[32], free, "u-onshell"), (free, onshell[32], "v-onshell")):
+        with pytest.raises(ValueError, match="the Cauchy matrix of the two parameter sets is singular"):
+            slavnov_formula(ctx, us, vs, orientation)
+
+
 def test_classical_reference_at_diagonal_twist():
     ctx = SpectralContext.create(
         ChainParams(2, 1.0, (0.1, -0.1)), TwistParams(1.9, 1.1, 0.0, 0.0)
@@ -381,6 +396,23 @@ def test_classical_reference_at_diagonal_twist():
             )
             assert relative_gap(modern, classic) < 1e-10
             assert relative_gap(modern, direct) < 1e-10
+
+
+def test_classical_reference_at_huge_coupling():
+    # c^m sits inside the Jacobian determinant, as in slavnov_formula; the
+    # prefactor (c / kappa_tilde)^m overflowed at this c
+    c = 1e300
+    ctx = SpectralContext.create(
+        ChainParams(2, c, (0.1 * c, -0.1 * c)), TwistParams(1.9, 1.1, 0.0, 0.0)
+    )
+    sols = [s for s in solve_tq_fit(ctx) if s.flag is None and s.onshell]
+    assert sols
+    rng = np.random.default_rng(7)
+    for sol in sols:
+        free = draw_points(rng, 2, c)
+        classic = classical_slavnov(ctx, free, sol.roots)
+        assert np.isfinite(classic)
+        assert relative_gap(classic, slavnov_formula(ctx, free, sol.roots, "v-onshell")) < 1e-12
 
 
 def test_classical_route_requires_onshell_arguments():

@@ -354,12 +354,24 @@ def test_pool_flags_crafted_rows_as_the_set_by_set_pass():
         got = _pool(ctx, nan_row, "newton", 1e-8)
         _assert_same_pool(got, newton_reference.pool(ctx, nan_row, "newton", 1e-8))
     assert got[0].flag is None and np.isnan(got[0].matched_eigenvalue).all()
-    # a set with two roots within eps_dist(c) was never attached: both raise
-    for pair in ((0.1, 0.1 + 1e-12), (0.1, 0.1)):
-        coincident = np.array([base, [*pair, 0.5j]])
-        for pool in (_pool, newton_reference.pool):
-            with pytest.raises(CoincidenceError):
-                pool(ctx, coincident, "tq", 1e-8, [None, "tq-residual"])
+    # a set with two roots within eps_dist(c) is flagged, after its own
+    # flag, with nan residuals and roots without a distance guard; the
+    # set-by-set pass raised on it, and gives the other rows their fields
+    crafted = np.vstack((rows, [0.1, 0.1 + 1e-12, 0.5j]))
+    for flag in (None, "tq-residual"):
+        got = _pool(ctx, crafted, "tq", 1e-8, [*own, flag])
+        (odd,) = [sol for sol in got if 0.1 in sol.roots.values]
+        assert odd.flag == (flag or "coincident-roots") and odd.roots.eps == 0.0
+        assert np.isnan(odd.residuals).all() and not odd.onshell
+        want = [transfer_eigenvalue(ctx, pt, odd.roots) for pt in p]
+        assert np.array_equal(odd.matched_eigenvalue, want)
+        _assert_same_pool([sol for sol in got if sol is not odd], newton_reference.pool(ctx, rows, "tq", 1e-8, own))
+        with pytest.raises(CoincidenceError):
+            newton_reference.pool(ctx, crafted, "tq", 1e-8, [*own, flag])
+    # a repeated root, which no VariableSet holds, still raises
+    for pool in (_pool, newton_reference.pool):
+        with pytest.raises(CoincidenceError, match="closer than 0"):
+            pool(ctx, np.array([base, [0.1, 0.1, 0.5j]]), "tq", 1e-8)
     empty = np.empty((0, 3), dtype=complex)
     assert _pool(ctx, empty, "tq", 1e-8, []) == []
     assert newton_reference.pool(ctx, empty, "tq", 1e-8, []) == []
