@@ -11,7 +11,7 @@ outputs of two trees is a byte-identity check of their reports.
 The runs are the five commands on the four bundled configs, ``verify``
 and ``spectrum`` on the grid chain (the n3_generic twist with
 theta_k = 0.15 (k - (N - 1)/2) and c = 1) at N = 1..8, ``solve`` on the
-grid chain at N = 1..4, and ``norm`` and ``overlap`` on it at N = 1..6.
+grid chain at N = 1..4, and ``norm`` and ``overlap`` on it at N = 1..7.
 
 Usage:
     PYTHONPATH=src python scripts/report_set.py OUTDIR
@@ -53,7 +53,7 @@ def runs() -> list[Run]:
     for commands, sizes in (
         (("verify", "spectrum"), range(1, 9)),
         (("solve",), range(1, 5)),
-        (("norm", "overlap"), range(1, 7)),
+        (("norm", "overlap"), range(1, 8)),
     ):
         out += [
             Run(f"grid-n{sites}-{command}", command, grid, grid_overrides(sites))

@@ -38,6 +38,7 @@ from .chain import (
     _Block,
     build_monodromy,
     build_transfer,
+    eps_dist,
     vacuum_weight_derivatives,
     vacuum_weights,
 )
@@ -78,11 +79,6 @@ __all__ = [
 
 class CoincidenceError(ValueError):
     """Two spectral parameters collide within the distinctness tolerance."""
-
-
-def eps_dist(c: complex) -> float:
-    """Pairwise-distinctness tolerance used throughout the scalar layer."""
-    return 1e-9 * max(1.0, abs(c))
 
 
 def kernel_g(u, v, c):

@@ -44,6 +44,7 @@ __all__ = [
     "build_monodromy",
     "build_r_matrix",
     "build_transfer",
+    "eps_dist",
     "local_operator",
     "magnetization_grading",
     "magnetization_sectors",
@@ -103,6 +104,11 @@ class ChainParams:
     @property
     def dim(self) -> int:
         return 2 ** self.sites
+
+
+def eps_dist(c: complex) -> float:
+    """Pairwise-distinctness tolerance used throughout the scalar layer."""
+    return 1e-9 * max(1.0, abs(c))
 
 
 def vacuum_state(sites: int) -> np.ndarray:
@@ -597,7 +603,7 @@ def structure_checks(
     invariance of the R-matrix against the twist is a 4x4 check.  A
     dressed family raises ValueError.
     """
-    if abs(u - v) <= 1e-9 * max(1.0, abs(params.c)):
+    if abs(u - v) <= eps_dist(params.c):
         raise ValueError("structure checks need two distinct spectral points")
     c = params.c
     charge, off_grade, sectors = _graded_products(family, u, v)

@@ -5,10 +5,10 @@ replays the algebraic identity suite, ``spectrum`` diagonalizes the
 transfer matrix at probe points one magnetization sector at a time,
 ``solve`` runs both root finders and cross-classifies, ``overlap`` and
 ``norm`` compare the determinant formulas against direct state
-contractions over the unflagged sets of the T-Q fit, one per eigenvector.
-Newton runs in ``solve`` alone, where its agreement with the T-Q fit is
-the evidence.  Reports are deterministic given the config and seed,
-except for the wall-time field.
+contractions over the unflagged sets of the T-Q fit, one per eigenvector,
+building each set's ket and dual once.  Newton runs in ``solve`` alone,
+where its agreement with the T-Q fit is the evidence.  Reports are
+deterministic given the config and seed, except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import SpectralContext, VariableSet, eps_dist
+from .bethe import SpectralContext, VariableSet, _as_set, eps_dist
 from .chain import (
     ChainParams,
     _scaled_gap,
@@ -31,9 +31,14 @@ from .chain import (
     structure_checks,
 )
 from .linalg import MAX_EIG_DIM, ConvergenceError
-from .overlaps import norm_report, overlap_report
+from .overlaps import gaudin_norm, relative_gap, scalar_direct, slavnov_formula
 from .solver import classify_solutions, probe_points, solve_newton, solve_tq_fit, spectrum_match
-from .states import offshell_action_residuals, raising_identity_residual
+from .states import (
+    build_bethe_vector,
+    build_dual_vector,
+    offshell_action_residuals,
+    raising_identity_residual,
+)
 from .twist import TwistParams, vacuum_action_residuals
 
 
@@ -452,42 +457,55 @@ def _cmd_solve(cfg: RunConfig) -> dict:
 def _onshell_check(cfg: RunConfig, name: str, key: str, compare) -> dict:
     """One formula-vs-contraction check over the unflagged sets of the T-Q
     fit, one set per eigenvector, in the fit's canonical order.
-    ``compare(cfg, ctx, roots)`` yields (row fields, report) pairs for one
-    on-shell set; each becomes a report row under ``key``, and the check
-    ``name`` takes the worst relative error over all rows."""
+    ``compare(cfg, ctx, onshell)`` evaluates the rows' formulas in row order
+    and returns the sets they read, sorted as the fit's are, on-shell first,
+    with one (row fields, dual index, ket index, formula) entry per report
+    row under ``key``.  Each set's dual and ket are built once, after every
+    formula; the check ``name`` takes the worst relative error over all rows."""
     ctx = cfg.context()
     onshell = [s.roots for s in solve_tq_fit(ctx) if s.flag is None]
+    sets, entries = compare(cfg, ctx, onshell)
+    duals = [build_dual_vector(ctx.modified, s) for s in sets]
+    kets = [build_bethe_vector(ctx.modified, s) for s in sets]
     rows = []
     worst = 0.0
-    for i, roots in enumerate(onshell):
-        for fields, rep in compare(cfg, ctx, roots):
-            worst = _worse(worst, rep.relative_error)
-            rows.append({
-                "onshell_index": i,
-                **fields,
-                "direct": rep.direct,
-                "formula": rep.formula,
-                "relative_error": rep.relative_error,
-                "passed": bool(rep.relative_error <= cfg.onshell_tol),
-            })
+    for fields, dual, ket, formula in entries:
+        direct = scalar_direct(duals[dual], kets[ket])
+        error = relative_gap(direct, formula)
+        worst = _worse(worst, error)
+        rows.append({
+            **fields,
+            "direct": direct,
+            "formula": formula,
+            "relative_error": error,
+            "passed": bool(error <= cfg.onshell_tol),
+        })
     checks = [_check(name, worst, cfg.onshell_tol, sets=len(onshell))]
     return {"checks": checks, key: rows}
 
 
-def _overlaps(cfg: RunConfig, ctx: SpectralContext, roots):
-    # the same five free sets for every on-shell set, drawn from the seed
+def _overlaps(cfg: RunConfig, ctx: SpectralContext, onshell):
+    # five free sets drawn once from the seed; both orientations of a pair
+    # read the same two sets, so they share one formula value
     rng = np.random.default_rng(cfg.seed)
     center = complex(np.mean(np.asarray(cfg.chain.theta, dtype=complex)))
     scale = max(1.0, abs(ctx.c))
-    for j in range(5):
-        free = tuple(_draw_points(rng, center, scale, ctx.sites))
-        for orientation, us, vs in (("u-onshell", roots, free), ("v-onshell", free, roots)):
-            fields = {"offshell_index": j, "orientation": orientation}
-            yield fields, overlap_report(ctx, us, vs, orientation)
+    free = [tuple(_draw_points(rng, center, scale, ctx.sites)) for _ in range(5)]
+    entries = []
+    for i, roots in enumerate(onshell):
+        for k, vs in enumerate(free, len(onshell)):
+            formula = slavnov_formula(ctx, roots, vs)
+            for orientation, dual, ket in (("u-onshell", i, k), ("v-onshell", k, i)):
+                fields = {"onshell_index": i, "offshell_index": k - len(onshell), "orientation": orientation}
+                entries.append((fields, dual, ket, formula))
+    return onshell + [_as_set(vs, ctx.c).sorted() for vs in free], entries
 
 
-def _norms(cfg: RunConfig, ctx: SpectralContext, roots):
-    yield {"roots": [complex(z) for z in roots]}, norm_report(ctx, roots)
+def _norms(cfg: RunConfig, ctx: SpectralContext, onshell):
+    return onshell, [
+        ({"onshell_index": i, "roots": [complex(z) for z in roots]}, i, i, gaudin_norm(ctx, roots))
+        for i, roots in enumerate(onshell)
+    ]
 
 
 def _cmd_overlap(cfg: RunConfig) -> dict:

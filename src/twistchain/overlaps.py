@@ -51,7 +51,6 @@ class OverlapReport:
     direct: complex
     formula: complex
     relative_error: float
-    orientation: str
 
 
 def relative_gap(a: complex, b: complex) -> float:
@@ -441,7 +440,6 @@ def overlap_report(
         direct=direct,
         formula=formula,
         relative_error=relative_gap(direct, formula),
-        orientation=orientation,
     )
 
 
@@ -459,5 +457,4 @@ def norm_report(ctx: SpectralContext, roots, modified=None) -> OverlapReport:
         direct=direct,
         formula=formula,
         relative_error=relative_gap(direct, formula),
-        orientation="norm",
     )

@@ -42,48 +42,30 @@ def _prepend(u: complex, vs: VariableSet) -> VariableSet:
 
 @dataclass(frozen=True)
 class BetheVector:
-    """An unnormalized creation-string state.
+    """An unnormalized creation-string state: ``amplitudes`` is the full
+    2^N coefficient vector, a column for a ket and a row for a dual."""
 
-    ``amplitudes`` is the full 2^N coefficient vector; ``dual`` marks a row
-    vector built from the annihilation-side string instead.  ``oversized``
-    flags more parameters than sites, where the construction still runs but
-    carries no on-shell meaning.
-    """
-
-    parameters: VariableSet
     amplitudes: np.ndarray
-    dual: bool = False
-    oversized: bool = False
-
-    @property
-    def order(self) -> int:
-        return len(self.parameters)
 
 
 def build_bethe_vector(nu: MonodromyFamily, roots) -> BetheVector:
     """Apply the modified creation operator once per parameter, rightmost
     argument first, starting from the all-up reference state."""
     rs = roots if isinstance(roots, VariableSet) else VariableSet(roots)
-    n = _sites_of(nu)
-    amp = vacuum_state(n)
+    amp = vacuum_state(_sites_of(nu))
     for u in reversed(rs.values):
         amp = nu.t12(u) @ amp
-    return BetheVector(
-        parameters=rs, amplitudes=amp, dual=False, oversized=len(rs) > n
-    )
+    return BetheVector(amp)
 
 
 def build_dual_vector(nu: MonodromyFamily, roots) -> BetheVector:
     """Row vector: dual reference state times one annihilation-side factor
     per parameter, leftmost argument first."""
     rs = roots if isinstance(roots, VariableSet) else VariableSet(roots)
-    n = _sites_of(nu)
-    amp = vacuum_state(n)
+    amp = vacuum_state(_sites_of(nu))
     for u in rs.values:
         amp = amp @ nu.t21(u)
-    return BetheVector(
-        parameters=rs, amplitudes=amp, dual=True, oversized=len(rs) > n
-    )
+    return BetheVector(amp)
 
 
 def _creation_strings(nu: MonodromyFamily, points, keys) -> dict:

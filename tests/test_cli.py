@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from twistchain.cli import (
     render,
     report_passed,
 )
+from twistchain.overlaps import norm_report, overlap_report
+from twistchain.solver import solve_tq_fit
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 N3_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "n3_generic.json"
@@ -472,6 +475,74 @@ def test_norm_and_overlap_count_the_sets_they_check():
         (check,) = execute(command, cfg)["checks"]
         assert check["sets_checked"] == 2
         assert check["passed"]
+
+
+@pytest.mark.parametrize(
+    "command, counts",
+    [
+        # 8 on-shell sets and 5 free sets, each set's ket and dual built
+        # once, one Slavnov formula per pair for both orientations; building
+        # per row made 80 kets, 80 duals and 80 formulas
+        ("overlap", (13, 13, 40, 0)),
+        ("norm", (8, 8, 0, 8)),
+    ],
+)
+def test_norm_and_overlap_build_each_vector_and_formula_once(monkeypatch, command, counts):
+    import twistchain.cli as cli
+
+    calls = Counter()
+    names = ("build_bethe_vector", "build_dual_vector", "slavnov_formula", "gaudin_norm")
+    for name in names:
+        original = getattr(cli, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    (check,) = execute(command, parse_config(str(N3_CONFIG)))["checks"]
+    assert check["passed"] and check["sets_checked"] == 8
+    assert tuple(calls[name] for name in names) == counts
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["n3_generic", "grid-n5"])
+def test_norm_and_overlap_rows_are_the_library_reports_bit_for_bit(grid):
+    # each row equals the one-pair library call on its two sets: the sets
+    # are the unflagged T-Q sets and the five free sets drawn from the seed
+    import twistchain.cli as cli
+
+    config = _grid_config(5) if grid else parse_config(str(N3_CONFIG))
+    ctx = config.context()
+    onshell = [s.roots for s in solve_tq_fit(ctx) if s.flag is None]
+    rng = np.random.default_rng(config.seed)
+    center = complex(np.mean(np.asarray(config.chain.theta, dtype=complex)))
+    free = [tuple(cli._draw_points(rng, center, max(1.0, abs(ctx.c)), ctx.sites)) for _ in range(5)]
+    overlaps = [
+        overlap_report(ctx, us, vs, orientation)
+        for roots in onshell
+        for other in free
+        for orientation, us, vs in (("u-onshell", roots, other), ("v-onshell", other, roots))
+    ]
+    norms = [norm_report(ctx, roots) for roots in onshell]
+    for key, command, reports in (("overlaps", "overlap", overlaps), ("norms", "norm", norms)):
+        rows = execute(command, config)[key]
+        assert len(rows) == len(reports)
+        for row, rep in zip(rows, reports):
+            assert (row["direct"], row["formula"], row["relative_error"]) == (
+                rep.direct, rep.formula, rep.relative_error
+            )
+
+
+def test_overlap_on_far_apart_inhomogeneities_raises_before_any_contraction(capsys):
+    # the formula's singular Cauchy matrix is reported before a contraction
+    # of the far-apart vectors can overflow
+    theta = "chain.inhomogeneities=[[1e50,0],[0,0]]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["overlap", "--config", str(N2_CONFIG), "--set", theta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the Cauchy matrix of the two parameter sets is singular")
 
 
 @pytest.mark.parametrize(

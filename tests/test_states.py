@@ -63,15 +63,6 @@ def test_vectors_symmetric_in_parameters(seed):
     assert np.linalg.norm(dual_a - dual_b) <= 1e-12 * scale
 
 
-def test_oversized_flag():
-    rng = np.random.default_rng(5)
-    ctx = random_context(rng, 2)
-    nu = _family(ctx)
-    vec = build_bethe_vector(nu, draw_points(rng, 3))
-    assert vec.oversized
-    assert vec.order == 3
-
-
 def test_offshell_actions_all_orders():
     rng = np.random.default_rng(9)
     for sites in (1, 2, 3):
