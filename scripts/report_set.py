@@ -11,7 +11,9 @@ outputs of two trees is a byte-identity check of their reports.
 The runs are the five commands on the four bundled configs, ``verify``
 and ``spectrum`` on the grid chain (the n3_generic twist with
 theta_k = 0.15 (k - (N - 1)/2) and c = 1) at N = 1..8, ``solve`` on the
-grid chain at N = 1..4, and ``norm`` and ``overlap`` on it at N = 1..7.
+grid chain at N = 1..4, ``norm`` and ``overlap`` on it at N = 1..7, and
+``spectrum`` on n2_generic with its inhomogeneities 1e50 apart, whose
+operator products come near the float range.
 
 Usage:
     PYTHONPATH=src python scripts/report_set.py OUTDIR
@@ -60,6 +62,8 @@ def runs() -> list[Run]:
             for command in commands
             for sites in sizes
         ]
+    spread = ("chain.inhomogeneities=[[1e50,0],[0,0]]",)
+    out.append(Run("n2_generic-spectrum-spread-1e50", "spectrum", CONFIGS / "n2_generic.json", spread))
     return out
 
 

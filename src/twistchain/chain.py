@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -213,7 +214,6 @@ def monodromy_matrix(params: ChainParams, u: complex, start: int = 0, stop: int 
 _CHARGE = np.array([[0, 1], [-1, 0]])
 _CHARGE.setflags(write=False)
 _PAIRS = tuple(itertools.product((0, 1), repeat=2))
-_QUADS = tuple(itertools.product((0, 1), repeat=4))
 # the dressing of a bare family, nu_ab = t_ab
 _BARE = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
 _BARE.setflags(write=False)
@@ -284,6 +284,18 @@ def _evaluate(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
     # one real product against the real and imaginary parts of the
     # powers, whose two columns are the real and imaginary parts of the sum
     return (coeffs.T @ powers[:, None].view(float)).view(complex)[:, 0]
+
+
+def _write(entries: np.ndarray, charges, out: np.ndarray) -> None:
+    """out[positions] = sum of entries[stored] * weights over the terms of
+    each (positions, [(stored, weights or None)]) of ``charges``, summed in
+    term order; ``stored`` is a slice or an index array."""
+    for index, terms in charges:
+        total = None
+        for span, w in terms:
+            term = entries[span] if w is None else entries[span] * w
+            total = term if total is None else total + term
+        out[index] = total
 
 
 def _block(a: int, b: int) -> cached_property:
@@ -379,9 +391,12 @@ class _Block:
     order and the sum is written once.  The weights multiply only when some
     weight is not 0 or 1, and then as a per-entry array for each block,
     shared by the family per weight value (``MonodromyFamily._full``):
-    numpy rounds a product with a broadcast complex scalar differently.  It
-    keeps what it reads of the family, not the family, which caches its
-    four blocks.
+    numpy rounds a product with a broadcast complex scalar differently.  A
+    check that reads several blocks at one point evaluates the stored
+    entries once (``MonodromyFamily.entries``) and places each block from
+    them (``placed``), or only the column it applies to a basis vector
+    (``column``).  It keeps what it reads of the family, not the family,
+    which caches its four blocks.
     """
 
     def __init__(self, family: MonodromyFamily, weights: np.ndarray):
@@ -396,21 +411,40 @@ class _Block:
             span = grading.pairs[ij]
             w = family._full(weights[ij])[: span.stop - span.start] if scaled else None
             self._charges.setdefault(grading.charge[ij], (grading.index[span], []))[1].append((span, w))
+        self._columns = {}  # col -> the charges' (rows, terms) in that column
 
     def place(self, entries: np.ndarray, out: np.ndarray) -> None:
         """Write the block from one vector of stored entries into the zeroed
         flattened matrix ``out``."""
-        for index, terms in self._charges.values():
-            total = None
-            for span, w in terms:
-                term = entries[span] if w is None else entries[span] * w
-                total = term if total is None else total + term
-            out[index] = total
+        _write(entries, self._charges.values(), out)
+
+    def placed(self, entries: np.ndarray) -> np.ndarray:
+        """The d x d block from one vector of stored entries."""
+        out = np.zeros(self._dim * self._dim, dtype=complex)
+        self.place(entries, out)
+        return out.reshape(self._dim, self._dim)
 
     def __call__(self, u: complex) -> np.ndarray:
-        out = np.zeros(self._dim * self._dim, dtype=complex)
-        self.place(_evaluate(self._coeffs, (complex(u) / self._unit) ** self._exponents), out)
-        return out.reshape(self._dim, self._dim)
+        return self.placed(_evaluate(self._coeffs, (complex(u) / self._unit) ** self._exponents))
+
+    def column(self, entries: np.ndarray, col: int) -> np.ndarray:
+        """Column ``col`` of the block from one vector of stored entries,
+        the block applied to basis vector ``col``: the sums of ``place``
+        over only the stored entries in that column, whose positions are
+        found on the first call for ``col``."""
+        d = self._dim
+        if col not in self._columns:
+            self._columns[col] = parts = []
+            for index, terms in self._charges.values():
+                hit = np.flatnonzero(index % d == col)
+                stored = [
+                    (np.arange(span.start, span.stop)[hit], None if w is None else w[: len(hit)])
+                    for span, w in terms
+                ]
+                parts.append((index[hit] // d, stored))
+        out = np.zeros(d, dtype=complex)
+        _write(entries, self._columns[col], out)
+        return out
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -540,7 +574,14 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
     """Heisenberg Hamiltonian with the twisted boundary.
 
     route="direct" writes sum_k sigma_k . sigma_{k+1} with the boundary
-    substitution at the seam; route="transfer" uses the logarithmic
+    substitution at the seam.  Each term is a 4x4 matrix on two sites,
+    sigma (x) sigma on sites k, k + 1 and K^-1 sigma K (x) sigma on sites 1
+    and N, and is added into one d x d array by index placement: row r
+    takes the term's entries at its two bits of r, in the columns that
+    keep r's other bits.  The terms are added one at a time in the order
+    bonds then seam, so every entry is the sum of the Kronecker products
+    I (x) term (x) I bit for bit, without forming them; at one site the
+    seam is the 2x2 product itself.  route="transfer" uses the logarithmic
     derivative 2c t'(0) t(0)^{-1} - N at vanishing inhomogeneities, which
     in z = u/c is 2 t_z'(0) t(0)^{-1} - N, free of c.  It reads only the
     coefficients 0 and 1 of the monodromy.  There t(0) = K_1 U with U the
@@ -550,21 +591,25 @@ def build_hamiltonian(params: ChainParams, twist, route: str = "direct") -> np.n
     """
     n = params.sites
     if route == "direct":
-        # one Kronecker product per term, identities around the 4x4 bond;
-        # the seam couples site N to the twisted site 1, which at one site
-        # is the 2x2 product itself
         paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
-        eye = [np.eye(2 ** k) for k in range(n)]
-        bonds = (
-            np.kron(np.kron(eye[k], np.kron(s, s)), eye[n - k - 2])
-            for k in range(n - 1)
-            for s in paulis
-        )
-        seam = (
-            np.kron(np.kron(s_tw, eye[n - 2]), s) if n > 1 else s @ s_tw
-            for s, s_tw in zip(paulis, _boundary_substitutions(twist))
-        )
-        return sum(itertools.chain(bonds, seam))
+        twisted = _boundary_substitutions(twist)
+        if n == 1:
+            return sum(s @ s_tw for s, s_tw in zip(paulis, twisted))
+        # (term, first site, second site), the first the slower tensor slot
+        terms = [(np.kron(s, s), k, k + 1) for k in range(n - 1) for s in paulis]
+        terms += [(np.kron(s_tw, s), 0, n - 1) for s, s_tw in zip(paulis, twisted)]
+        d = params.dim
+        out = np.zeros(d * d, dtype=complex)
+        rows = np.arange(d)
+        for term, p, q in terms:
+            bit_p, bit_q = 1 << (n - 1 - p), 1 << (n - 1 - q)
+            # the term's row index of each r, and r with both bits cleared
+            # as the flat position of its column 0
+            slot = 2 * ((rows & bit_p) > 0) + ((rows & bit_q) > 0)
+            base = rows * d + (rows & ~(bit_p | bit_q))
+            for col, shift in enumerate((0, bit_q, bit_p, bit_p | bit_q)):
+                out[base + shift] += term[slot, col]
+        return out.reshape(d, d)
     if route == "transfer":
         if any(abs(t) > 1e-12 for t in params.theta):
             raise ValueError("transfer route requires vanishing inhomogeneities")
@@ -590,12 +635,14 @@ def structure_checks(
 
     Every two-point check reads the block products t_ij(u) t_kl(v) and
     t_kl(v) t_ij(u) off the tables of ``_graded_products``, one column
-    sector at a time: the RTT relation through its 16 block components
-    (``_rtt_sides``), the three exchange relations used by the algebraic
-    Bethe ansatz, which are three of those components, and commutativity
-    of the transfer matrix, the twist-weighted sum of each table split by
-    charge.  Blocks in different (row, column) sectors are disjoint, so
-    their squared norms add and every gap is exact.
+    sector at a time, where the 16 products of each total charge Q are
+    stacked: the RTT relation through its 16 block components, one stack
+    of sides per charge (``_rtt_sides``); the three exchange relations
+    used by the algebraic Bethe ansatz, which are three of those
+    components (``_exchange_sides``); and commutativity of the transfer
+    matrix, the twist-weighted sum of each charge's stack
+    (``_commutator_sides``).  Blocks in different (row, column) sectors are
+    disjoint, so their squared norms add and every gap is exact.
     ``magnetization_conservation`` is the share of the stored entries at u
     and v that sit outside the magnetization grading; the chain's
     monodromy stores none there and reads 0, so its blocks are checked
@@ -606,13 +653,14 @@ def structure_checks(
     if abs(u - v) <= eps_dist(params.c):
         raise ValueError("structure checks need two distinct spectral points")
     c = params.c
-    charge, off_grade, sectors = _graded_products(family, u, v)
+    groups, off_grade, sectors = _graded_products(family, u, v)
     kmat = twist.matrix()
+    weights = groups.weights(kmat)
     gaps = _summed_gaps(
         {
-            "rtt": _rtt_sides(uv, vu, (u - v) / c),
-            "transfer_commutator": _commutator_sides(uv, vu, kmat, charge),
-            **_exchange_sides(uv, vu, c / (u - v)),
+            "rtt": _rtt_sides(uv, vu, (u - v) / c, groups),
+            "transfer_commutator": _commutator_sides(uv, vu, weights),
+            **_exchange_sides(uv, vu, c / (u - v), groups),
         }
         for uv, vu in sectors
     )
@@ -628,32 +676,79 @@ def structure_checks(
     return out
 
 
+class _ProductGroups:
+    """The 16 block products t_ij t_kl of a grading, grouped by their total
+    charge Q = q_ij + q_kl, which maps column sector M to M + Q: the
+    products of one Q share a shape there and stack.
+
+    A group holds runs of one (q_ij, q_kl), ij-major: every block of
+    charge q_ij times every block of charge q_kl, which share their
+    middle sector and are one broadcast ``matmul``.  ``quads[Q]`` lists
+    the group's products as (i, j, k, l), ``position[i, j, k, l]`` is
+    (Q, index in its group), and ``swap[Q]`` and ``cross[Q]`` give, for
+    each product t_ij t_kl of a group, the index of t_kj t_il and of
+    t_kl t_ij, which have the same charge.
+    """
+
+    def __init__(self, charge: tuple):
+        charge = np.reshape(charge, (2, 2))
+        members = {}  # charge -> its blocks, in storage order
+        for ij in _PAIRS:
+            members.setdefault(int(charge[ij]), []).append(ij)
+        self.members, self.runs, self.quads = members, {}, {}
+        for q1, q2 in itertools.product(sorted(members), repeat=2):
+            quads = self.quads.setdefault(q1 + q2, [])
+            run = slice(len(quads), len(quads) + len(members[q1]) * len(members[q2]))
+            self.runs.setdefault(q1 + q2, []).append((q1, q2, run))
+            quads += [(*ij, *kl) for ij in members[q1] for kl in members[q2]]
+        self.position = {quad: (q, k) for q, quads in self.quads.items() for k, quad in enumerate(quads)}
+        at = self.position
+        self.swap = {q: np.array([at[k, j, i, l][1] for i, j, k, l in quads]) for q, quads in self.quads.items()}
+        self.cross = {q: np.array([at[k, l, i, j][1] for i, j, k, l in quads]) for q, quads in self.quads.items()}
+
+    def weights(self, kmat: np.ndarray) -> dict:
+        """Q -> K_ji K_lk of each product of the group, its weight in
+        t(x) t(y) = sum_{ij,kl} K_ji K_lk t_ij(x) t_kl(y)."""
+        return {
+            q: np.array([kmat[j, i] * kmat[l, k] for i, j, k, l in quads])
+            for q, quads in self.quads.items()
+        }
+
+
+# one _ProductGroups per charge matrix, as a tuple
+_product_groups = lru_cache(maxsize=None)(_ProductGroups)
+
+
 def _graded_products(family: MonodromyFamily, u: complex, v: complex):
     """The block products of a bare family, one column sector of its
-    grading at a time.
+    grading at a time, stacked by total charge.
 
     The grading's sectors split the chain basis, and t_ij maps sector M
     into sector M + q_ij and vanishes elsewhere, so the pieces at each
-    point are the views ``Grading.blocks`` of one evaluation of the stored
-    entries: the magnetization blocks for the chain's monodromy, the four
-    dense blocks for a family stored on one sector with zero charges.  A
-    product t_ij(x) t_kl(y) maps M to M + Q with Q = q_ij + q_kl; on column
-    sector M it is t_ij[M + Q, M + q_kl] @ t_kl[M + q_kl, M], zero when
-    the middle sector lies outside the grading and empty when M + Q does.
-    Returns (charge, off_grade, sectors): ``sectors`` yields, for each M in
-    turn, the tables uv[i, j, k, l] = t_ij(u) t_kl(v) and vu[i, j, k, l] =
-    t_ij(v) t_kl(u) of those blocks, so products of one Q share a shape
-    and combine entrywise.  off_grade is the norm of the stored entries at
-    u and v outside the magnetization grading over max(1, norm of all of
-    them): an entry of t_ij at [r, c] (``Grading.index``) is outside when
-    M(r) - M(c) != j - i.  A dressed family mixes the blocks its grading
-    keeps apart, so it raises ValueError.
+    point come from one evaluation of the stored entries: the
+    magnetization blocks for the chain's monodromy, the four dense blocks
+    for a family stored on one sector with zero charges.  The blocks of
+    one charge share a layout, so each point's blocks of charge q in
+    sector M are one (members, rows, cols) stack.  A product t_ij(x)
+    t_kl(y) maps M to M + Q with Q = q_ij + q_kl; on column sector M it is
+    t_ij[M + Q, M + q_kl] @ t_kl[M + q_kl, M], zero when the middle sector
+    lies outside the grading and empty when M + Q does.  Returns (groups,
+    off_grade, sectors): ``groups`` is the ``_ProductGroups`` of the
+    grading's charges, and ``sectors`` yields, for each M in turn, the
+    tables uv[Q] and vu[Q], the stacks t_ij(u) t_kl(v) and t_ij(v) t_kl(u)
+    over the group's products in order, so uv[Q][k] with (Q, k) =
+    groups.position[i, j, k, l] is t_ij(u) t_kl(v).  off_grade is the norm
+    of the stored entries at u and v outside the magnetization grading
+    over max(1, norm of all of them): an entry of t_ij at [r, c]
+    (``Grading.index``) is outside when M(r) - M(c) != j - i.  A dressed
+    family mixes the blocks its grading keeps apart, so it raises
+    ValueError.
     """
     if not np.array_equal(family.dressing, _BARE):
         raise ValueError("block products need a bare family; a dressed one mixes its grading's charges")
     grading = family.grading
+    groups = _product_groups(tuple(grading.charge.ravel().tolist()))
     entries = [family.entries(x) for x in (u, v)]
-    pieces = [grading.blocks(e) for e in entries]
     down = _down_counts(grading.dim.bit_length() - 1)
     row, col = np.divmod(grading.index, grading.dim)
     stored_charge = np.repeat(_CHARGE.ravel(), [s.stop - s.start for s in grading.pairs.values()])
@@ -664,36 +759,57 @@ def _graded_products(family: MonodromyFamily, u: complex, v: complex):
         off_sq += np.vdot(off, off).real
         total_sq += np.vdot(e, e).real
     off_grade = float(np.sqrt(off_sq) / max(1.0, np.sqrt(total_sq)))
-    charge = grading.charge
+
+    def stacks(e: np.ndarray) -> dict:
+        # charge q -> sector M -> the blocks of charge q at [M + q, M]
+        out = {}
+        for q, ijs in groups.members.items():
+            stored = np.stack([e[grading.pairs[ij]] for ij in ijs])
+            out[q] = {m: stored[:, span].reshape(len(ijs), *shape) for m, span, shape in grading.layout(q)}
+        return out
+
+    pieces = [stacks(e) for e in entries]
     sizes = [len(s) for s in grading.sectors]
+    n = len(sizes)
 
     def table(first, second, m):
         out = {}
-        for i, j, k, l in _QUADS:
-            mid = m + charge[k, l]
-            top = mid + charge[i, j]
-            rows = sizes[top] if 0 <= top < len(sizes) else 0
-            out[i, j, k, l] = block = np.zeros((rows, sizes[m]), dtype=complex)
-            if (k, l, m) in second and (i, j, mid) in first:
-                np.matmul(first[i, j, mid], second[k, l, m], out=block)
+        for q, runs in groups.runs.items():
+            rows = sizes[m + q] if 0 <= m + q < n else 0
+            out[q] = stack = np.empty((len(groups.quads[q]), rows, sizes[m]), dtype=complex)
+            for q1, q2, run in runs:
+                if rows and 0 <= m + q2 < n:
+                    left, right = first[q1][m + q2], second[q2][m]
+                    shape = (len(left), len(right), rows, sizes[m])
+                    np.matmul(left[:, None], right[None], out=stack[run].reshape(shape))
+                else:
+                    stack[run] = 0.0
         return out
 
-    sectors = ((table(*pieces, m), table(*pieces[::-1], m)) for m in range(len(sizes)))
-    return charge, off_grade, sectors
+    sectors = ((table(*pieces, m), table(*pieces[::-1], m)) for m in range(n))
+    return groups, off_grade, sectors
+
+
+# entries per run of rows of the R-matrix product (256 KB): the whole
+# aux row of blocks up to N=6, 32 rows at N=8, where runs of a quarter of
+# the rows took longer and a larger transient beside the held entries
+_PRODUCT_ENTRIES = 2 ** 14
 
 
 def monodromy_product_gap(params: ChainParams, family: MonodromyFamily, u: complex) -> float:
     """Scaled gap between the family's four blocks at u, as one operator on
     aux (x) chain, and the R-matrix product ``monodromy_matrix``, which
-    shares neither the recursion nor the storage.  One auxiliary row of
-    blocks is placed at a time and compared with runs of rows of the
-    product, their squared norms summed."""
+    shares neither the recursion nor the storage.  The stored entries are
+    evaluated once; one auxiliary row of blocks is placed from them at a
+    time and compared with runs of rows of the product of at most
+    ``_PRODUCT_ENTRIES`` entries, their squared norms summed."""
     d = family.dim
-    run = max(1, d // 4)
+    run = max(1, _PRODUCT_ENTRIES // (2 * d))
+    entries = family.entries(u)
 
     def runs():
         for a, pair in enumerate(((family.t11, family.t12), (family.t21, family.t22))):
-            left, right = (block(u) for block in pair)
+            left, right = (block.placed(entries) for block in pair)
             for start in range(0, d, run):
                 rows = monodromy_matrix(params, u, a * d + start, a * d + min(start + run, d))
                 here = slice(start, start + run)
@@ -703,51 +819,104 @@ def monodromy_product_gap(params: ChainParams, family: MonodromyFamily, u: compl
     return _summed_gaps(runs())["product"]
 
 
-def _rtt_sides(uv: dict, vu: dict, a: complex):
+# entries per slice of a stack of products that the RTT sides are formed
+# on (64 KB): at N=8 the middle sectors' stacks reach 470 KB, and sides
+# formed on whole stacks of that size took longer than one product at a
+# time
+_SIDE_ENTRIES = 4096
+
+
+def _rtt_sides(uv: dict, vu: dict, a: complex, groups: _ProductGroups):
     """The two sides of R_ab(u - v) T_a(u) T_b(v) = T_b(v) T_a(u) R_ab(u - v)
-    on slots (a, b, chain), a = (u - v)/c, as its 16 block components.
+    on slots (a, b, chain), a = (u - v)/c, as its 16 block components, one
+    stack per total charge.
 
     R_ab = a I + P_ab; P_ab swaps the row slots on the left and the column
     slots on the right, so block (ik, jl) of the two sides is
-    a t_ij(u) t_kl(v) + t_kj(u) t_il(v) and a t_kl(v) t_ij(u) + t_kj(v) t_il(u).
+    a t_ij(u) t_kl(v) + t_kj(u) t_il(v) and a t_kl(v) t_ij(u) + t_kj(v) t_il(u),
+    products of one charge.  A stack is taken a slice of about
+    ``_SIDE_ENTRIES`` entries at a time.
     """
-    return (
-        (a * uv[i, j, k, l] + uv[k, j, i, l], a * vu[k, l, i, j] + vu[k, j, i, l])
-        for i, j, k, l in _QUADS
-    )
+    for q, swap in groups.swap.items():
+        cross = groups.cross[q]
+        step = max(1, _SIDE_ENTRIES // max(1, uv[q][0].size))
+        for k in range(0, len(swap), step):
+            part = slice(k, k + step)
+            yield a * uv[q][part] + uv[q][swap[part]], a * vu[q][cross[part]] + vu[q][swap[part]]
 
 
-def _commutator_sides(uv: dict, vu: dict, kmat: np.ndarray, charge: np.ndarray):
-    """t(u) t(v) and t(v) t(u), formed when first read, with t(x) t(y) =
-    sum_{ij,kl} K_ji K_lk t_ij(x) t_kl(y): terms of one total charge share
-    a shape and add, terms of different charges are disjoint."""
-    tuv, tvu = {}, {}
-    for i, j, k, l in _QUADS:
-        q, w = charge[i, j] + charge[k, l], kmat[j, i] * kmat[l, k]
-        tuv[q] = tuv.get(q, 0.0) + w * uv[i, j, k, l]
-        tvu[q] = tvu.get(q, 0.0) + w * vu[i, j, k, l]
-    yield from zip(tuv.values(), tvu.values())
+def _commutator_sides(uv: dict, vu: dict, weights: dict):
+    """t(u) t(v) and t(v) t(u), one total charge at a time, each the
+    weighted sum (``_ProductGroups.weights``) of that charge's stack:
+    terms of different charges are disjoint."""
+    for q, w in weights.items():
+        yield w @ uv[q].reshape(len(w), -1), w @ vu[q].reshape(len(w), -1)
+
+
+# squared norms of two sides below this have a difference whose squared
+# norm, at most 2 (||lhs||^2 + ||rhs||^2), stays below 2**1023
+_SAFE_SQUARE = 2.0 ** 1021
+
+
+def _gap_exponent(lhs: np.ndarray, rhs: np.ndarray, squares) -> int:
+    """The e >= 0 for which lhs and rhs, scaled by 2**-e, which is exact,
+    give their gap without overflow.  e = 0, and the gap is computed as it
+    always was, bit for bit, while both squared norms (``squares``) stay
+    below ``_SAFE_SQUARE``; larger sides get the e that puts every entry
+    below 1 in magnitude.  Sides with an inf or a nan keep e = 0 and their
+    gap, and so does a caller whose error state raises on overflow: ``cli``
+    verify names an input beyond double precision that way."""
+    if max(squares) < _SAFE_SQUARE or np.geterr()["over"] == "raise":
+        return 0
+    largest = max(float(np.max(np.abs(part), initial=0.0)) for x in (lhs, rhs) for part in (x.real, x.imag))
+    return math.frexp(largest)[1] if math.isfinite(largest) else 0
+
+
+def _gap_squares(lhs: np.ndarray, rhs: np.ndarray) -> tuple[list, int]:
+    """([||lhs||^2, ||rhs||^2, ||lhs - rhs||^2], e) of the sides scaled by
+    2**-e (``_gap_exponent``)."""
+    squares = [np.vdot(x, x).real for x in (lhs, rhs)]
+    e = _gap_exponent(lhs, rhs, squares)
+    if e:
+        lhs, rhs = lhs * math.ldexp(1.0, -e), rhs * math.ldexp(1.0, -e)
+        squares = [np.vdot(x, x).real for x in (lhs, rhs)]
+    diff = lhs - rhs
+    return [*squares, np.vdot(diff, diff).real], e
 
 
 def _summed_gaps(sides) -> dict[str, float]:
     """``_scaled_gap`` of each named operator identity whose two sides come
     in disjoint blocks: ``sides`` yields {name: (lhs, rhs) pairs}, and the
-    squared norms of each name's pairs are summed before the ratio."""
+    squared norms of each name's pairs are summed before the ratio.  Each
+    name's sum is kept scaled by 4**-e with the largest exponent e of its
+    pairs (``_gap_squares``), 0 unless some pair would overflow."""
     sq = {}
     for named in sides:
         for name, pairs in named.items():
-            acc = sq.setdefault(name, np.zeros(3))
+            acc, shift = sq.get(name, (np.zeros(3), 0))
             for lhs, rhs in pairs:
-                acc += [np.vdot(x, x).real for x in (lhs, rhs, lhs - rhs)]
-    return {name: float(np.sqrt(acc[2]) / max(1.0, *np.sqrt(acc[:2]))) for name, acc in sq.items()}
+                squares, e = _gap_squares(lhs, rhs)
+                if e > shift:
+                    acc, shift = np.ldexp(acc, 2 * (shift - e)), e
+                acc += squares if e == shift else np.ldexp(squares, 2 * (e - shift))
+            sq[name] = acc, shift
+    return {
+        name: float(np.sqrt(acc[2]) / max(math.ldexp(1.0, -shift), *np.sqrt(acc[:2])))
+        for name, (acc, shift) in sq.items()
+    }
 
 
 def _scaled_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """||lhs - rhs|| / max(1, ||lhs||, ||rhs||): the gap between the two
     sides of an operator identity relative to their scale.  Operators and
     amplitudes grow with the chain, so an absolute gap would measure their
-    size; the unit floor keeps tiny sides from inflating pure roundoff."""
-    scale = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
+    size; the unit floor keeps tiny sides from inflating pure roundoff.
+    Sides too large to square are scaled by 2**-e first, and the floor
+    with them (``_gap_exponent``)."""
+    e = _gap_exponent(lhs, rhs, [np.vdot(x, x).real for x in (lhs, rhs)])
+    if e:
+        lhs, rhs = lhs * math.ldexp(1.0, -e), rhs * math.ldexp(1.0, -e)
+    scale = max(math.ldexp(1.0, -e), float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
     return float(np.linalg.norm(lhs - rhs) / scale)
 
 
@@ -756,29 +925,35 @@ def exchange_residuals(
 ) -> dict[str, float]:
     """Scale-relative residuals of the three two-point exchange relations
     for a bare family of monodromy blocks, read off the
-    ``_graded_products`` tables one column sector at a time.  The twisted
-    operators obey the same relations as the plain ones; a dressed family
-    raises ValueError, so they are checked on their blocks stored as a
-    bare family."""
-    _, _, sectors = _graded_products(family, u, v)
+    ``_graded_products`` tables one column sector at a time, as
+    ``structure_checks`` reads them.  The twisted operators obey the same
+    relations as the plain ones; a dressed family raises ValueError, so
+    they are checked on their blocks stored as a bare family."""
+    groups, _, sectors = _graded_products(family, u, v)
     g = c / (u - v)
-    return _summed_gaps(_exchange_sides(uv, vu, g) for uv, vu in sectors)
+    return _summed_gaps(_exchange_sides(uv, vu, g, groups) for uv, vu in sectors)
 
 
-def _exchange_sides(uv: dict, vu: dict, g: complex) -> dict:
+def _exchange_sides(uv: dict, vu: dict, g: complex, groups: _ProductGroups) -> dict:
     """The sides of the exchange relations in the ``_graded_products``
-    tables, with g = g(u, v) = c/(u - v); index 0 is 1, so uv[0, 0, 0, 1]
-    = t11(u) t12(v)."""
+    tables, with g = g(u, v) = c/(u - v); index 0 is 1, so u_v(0, 0, 0, 1)
+    below is t11(u) t12(v) and v_u(0, 0, 0, 1) is t11(v) t12(u)."""
+
+    def product(table, *quad):
+        q, k = groups.position[quad]
+        return table[q][k]
+
     f_uv = 1.0 + g            # f(u, v)
     f_vu = 1.0 - g            # f(v, u), since g(v, u) = -g(u, v)
+    u_v, v_u = partial(product, uv), partial(product, vu)
     # The creation/annihilation exchange closes on the diagonal blocks.  The
     # ordering t12(v) t21(u) on the right is the one compatible with the
     # global commutator structure; swapping the arguments only works at N=1
     # where t12 and t21 are constant in the spectral parameter.
     return {
-        "exchange_t11_t12": [(uv[0, 0, 0, 1], f_vu * vu[0, 1, 0, 0] + g * uv[0, 1, 0, 0])],
-        "exchange_t22_t12": [(uv[1, 1, 0, 1], f_uv * vu[0, 1, 1, 1] - g * uv[0, 1, 1, 1])],
+        "exchange_t11_t12": [(u_v(0, 0, 0, 1), f_vu * v_u(0, 1, 0, 0) + g * u_v(0, 1, 0, 0))],
+        "exchange_t22_t12": [(u_v(1, 1, 0, 1), f_uv * v_u(0, 1, 1, 1) - g * u_v(0, 1, 1, 1))],
         "exchange_t21_t12": [
-            (uv[1, 0, 0, 1], vu[0, 1, 1, 0] + g * (vu[0, 0, 1, 1] - uv[0, 0, 1, 1]))
+            (u_v(1, 0, 0, 1), v_u(0, 1, 1, 0) + g * (v_u(0, 0, 1, 1) - u_v(0, 0, 1, 1)))
         ],
     }

@@ -68,7 +68,7 @@ def build_dual_vector(nu: MonodromyFamily, roots) -> BetheVector:
     return BetheVector(amp)
 
 
-def _creation_strings(nu: MonodromyFamily, points, keys) -> dict:
+def _creation_strings(nu: MonodromyFamily, points, keys, probe=None) -> dict:
     """Creation strings over subsets of ``points``, by tuple of point
     indices: the string of (k_0, k_1, ...) applies the creation operator at
     points k_0, k_1, ... to the reference state, rightmost first, one
@@ -80,13 +80,13 @@ def _creation_strings(nu: MonodromyFamily, points, keys) -> dict:
     descending order, and each one extends every listed suffix it heads
     whose rest is built.  Only the operator at point 0 is kept between
     rounds: the action checks put their probe there and apply it both
-    first and last, so it is placed once, and no more than two operators
-    are ever held.  Returns {key: amplitudes} for every suffix, with ()
-    the reference state.
+    first and last, so it is placed once (or passed in as ``probe``,
+    placed by the caller), and no more than two operators are ever held.
+    Returns {key: amplitudes} for every suffix, with () the reference
+    state.
     """
     strings = {(): vacuum_state(_sites_of(nu))}
     pending = {key[k:] for key in keys for k in range(len(key))}
-    probe = None
     while pending:
         for p in (0, *range(len(points) - 1, 0, -1)):
             ready = [s for s in pending if s[0] == p and s[1:] in strings]
@@ -122,10 +122,12 @@ def offshell_action_residuals(
     rp = f.ratio_plus
     coef = action_coefficients(ctx, u, rs)
 
-    # each operator is evaluated once per point, and one or two are placed
-    # at a time: the creation operator at each point while the strings are
-    # built, keyed by point index with the probe at 0 and root i at i + 1,
-    # then nu11, nu22 and nu21 at u, each applied to the string alone
+    # the stored entries are evaluated once per point, and one or two
+    # operators are placed at a time: the creation operator at each point
+    # while the strings are built, keyed by point index with the probe at 0
+    # and root i at i + 1, then nu11, nu22 and nu21 at u, each applied to
+    # the string alone; all four at u are placed from one evaluation
+    at_u = nu.entries(u)
     roots_at = tuple(range(1, m + 1))
 
     def without(*skip) -> tuple:
@@ -140,6 +142,7 @@ def offshell_action_residuals(
     string = _creation_strings(
         nu, (u, *rs.values),
         [roots_at, (0, *roots_at), (*roots_at, 0), *swapped_keys, *lowered_keys, *pair_keys],
+        probe=nu.t12.placed(at_u),
     )
     base, plus = string[roots_at], string[(0, *roots_at)]
 
@@ -161,7 +164,7 @@ def offshell_action_residuals(
         return raising * plus + coef.diag_eigenvalue(x, y) * base + coef.swapped(x, y) @ swapped
 
     # nu11, nu22 and nu21 at u applied to the string
-    a11, a22, a21 = (block(u) @ base for block in (nu.t11, nu.t22, nu.t21))
+    a11, a22, a21 = (block.placed(at_u) @ base for block in (nu.t11, nu.t22, nu.t21))
     r11 = _scaled_gap(a11, diagonal_side(1.0, 0.0, rp))
     r22 = _scaled_gap(a22, diagonal_side(0.0, 1.0, rp))
 

@@ -199,9 +199,12 @@ def vacuum_action_residuals(
     v0 = vacuum_state(params.sites)
     l1, l2 = vacuum_weights(params, u)
     rp = fact.ratio_plus
-    # nu_ij(u) |0> for each block, placed one at a time
+    # nu_ij(u) |0> is column 0 of each block, read from one evaluation of
+    # the stored entries without placing the d x d blocks
+    entries = modified.entries(u)
     nu11, b, nu21, nu22 = (
-        block(u) @ v0 for block in (modified.t11, modified.t12, modified.t21, modified.t22)
+        block.column(entries, 0)
+        for block in (modified.t11, modified.t12, modified.t21, modified.t22)
     )
     return {
         "nu11_vacuum": _scaled_gap(nu11, l1 * v0 + rp * b),

@@ -3,11 +3,17 @@ was summed entrywise and written once at ``Grading.index``: every stored
 entry scaled in place by one full-length vector of its block's weight,
 blocks grouped by charge, each group summed out of place, and a block alone
 in its charge merged with the next one whose entries follow it.
-``chain._Block`` must reproduce its values bit for bit."""
+``chain._Block`` must reproduce its values bit for bit.
+
+Also the direct Hamiltonian route as it stood before its terms were placed
+by index: one Kronecker product I (x) term (x) I per term, summed in
+order, which ``chain.build_hamiltonian`` must reproduce bit for bit."""
+
+import itertools
 
 import numpy as np
 
-from twistchain.chain import _PAIRS, _evaluate
+from twistchain.chain import _PAIRS, SIGMA_X, SIGMA_Y, SIGMA_Z, _boundary_substitutions, _evaluate
 
 
 def charges(grading) -> tuple:
@@ -91,3 +97,23 @@ def contract(family, weights) -> np.ndarray:
     """sum_ab weights[a, b] nu_ab placed as one d x d matrix per
     coefficient."""
     return Block(family, np.tensordot(weights, family.dressing, 2)).coeffs
+
+
+def kronecker_hamiltonian(params, twist) -> np.ndarray:
+    """sum_k sigma_k . sigma_{k+1} with the boundary substitution at the
+    seam, each term one Kronecker product with identities around the 4x4
+    bond; the seam couples site N to the twisted site 1, which at one
+    site is the 2x2 product itself."""
+    n = params.sites
+    paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
+    eye = [np.eye(2 ** k) for k in range(n)]
+    bonds = (
+        np.kron(np.kron(eye[k], np.kron(s, s)), eye[n - k - 2])
+        for k in range(n - 1)
+        for s in paulis
+    )
+    seam = (
+        np.kron(np.kron(s_tw, eye[n - 2]), s) if n > 1 else s @ s_tw
+        for s, s_tw in zip(paulis, _boundary_substitutions(twist))
+    )
+    return sum(itertools.chain(bonds, seam))

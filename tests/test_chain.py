@@ -20,6 +20,7 @@ from twistchain.chain import (
     _graded_products,
     _monodromy_stack,
     _scaled_gap,
+    _summed_gaps,
     build_hamiltonian,
     build_monodromy,
     build_r_matrix,
@@ -735,27 +736,32 @@ def test_graded_products_match_the_dense_route():
         family = build_monodromy(params)
         dense = dense_family(dense_stack(family), params.c)
         u, v = draw_points(rng, 2)
-        charge, off_grade, by_sector = _graded_products(family, u, v)
-        _, dense_off_grade, (want,) = _graded_products(dense, u, v)
+        groups, off_grade, by_sector = _graded_products(family, u, v)
+        dense_groups, dense_off_grade, (want,) = _graded_products(dense, u, v)
         assert off_grade == 0.0 and dense_off_grade == 0.0
+        # the magnetization charges group the 16 products by total charge
+        # -2..2 as 1, 4, 6, 4, 1; the dense grading's zero charges, as one
+        assert {q: len(quads) for q, quads in groups.quads.items()} == {-2: 1, -1: 4, 0: 6, 1: 4, 2: 1}
+        assert list(dense_groups.quads) == [0] and len(dense_groups.position) == 16
         sectors = magnetization_sectors(sites)
         # each column sector's blocks placed back into the dense products
         dim = params.dim
-        tables = [{quad: np.zeros((dim, dim), dtype=complex) for quad in want[0]} for _ in want]
+        tables = [{quad: np.zeros((dim, dim), dtype=complex) for quad in groups.position} for _ in want]
         for m, pair in enumerate(by_sector):
-            for table, pieces in zip(tables, pair):
-                for (i, j, k, l), block in pieces.items():
-                    q = charge[i, j] + charge[k, l]
+            for table, stacks in zip(tables, pair):
+                for (i, j, k, l), (q, at) in groups.position.items():
+                    block = stacks[q][at]
                     if block.size:
                         rows, cols = sectors[m + q], sectors[m]
                         table[i, j, k, l][rows[:, None], cols] = block
                     else:
                         assert not 0 <= m + q <= sites, (sites, m, i, j, k, l)
         for table, ref in zip(tables, want):
-            for (i, j, k, l), placed in table.items():
-                want_product = ref[i, j, k, l]
+            for quad, placed in table.items():
+                q, at = dense_groups.position[quad]
+                want_product = ref[q][at]
                 scale = max(1.0, np.max(np.abs(want_product)))
-                assert np.max(np.abs(placed - want_product)) <= 1e-14 * scale, (sites, i, j, k, l)
+                assert np.max(np.abs(placed - want_product)) <= 1e-14 * scale, (sites, quad)
 
 
 def test_block_products_reject_a_dressed_family():
@@ -816,6 +822,85 @@ def test_direct_hamiltonian_matches_embedded_products():
         for s, s_twisted in zip(paulis, _boundary_substitutions(tw)):
             want += local_operator(s, sites - 1, sites) @ local_operator(s_twisted, 0, sites)
         assert np.array_equal(build_hamiltonian(params, tw, route="direct"), want), sites
+
+
+def test_gaps_of_sides_too_large_to_square():
+    # sides of 2**600 overflow their squared norms; they are scaled by a
+    # power of two first, which is exact, so the gap is that of the same
+    # sides at 2**10 (where the unit floor is inactive) bit for bit, with
+    # no RuntimeWarning.  Sides in range keep the plain formula bit for bit
+    rng = np.random.default_rng(43)
+    x, y, z, w = (rng.standard_normal((4, 6, 5)) + 1j * rng.standard_normal((4, 6, 5)))
+    y = x + 1e-9 * y
+    w = z + 1e-9 * w
+    big, mid = 2.0 ** 600, 2.0 ** 10
+    assert _scaled_gap(big * x, big * y) == _scaled_gap(mid * x, mid * y)
+    for lhs, rhs in ((x, y), (mid * x, mid * y), (1e-3 * x, 1e-3 * y)):
+        plain = np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs), np.linalg.norm(rhs))
+        assert _scaled_gap(lhs, rhs) == float(plain)
+    # the sums over pairs of different sizes scale as one
+    huge = _summed_gaps([{"g": [(big * x, big * y)]}, {"g": [(2.0 ** 590 * z, 2.0 ** 590 * w)]}])
+    same = _summed_gaps([{"g": [(mid * x, mid * y)]}, {"g": [(z, w)]}])
+    assert huge == same and 0.0 < huge["g"] < 1e-8
+    # an inf or a nan keeps its gap as before, and a caller that raises on
+    # overflow still gets the overflow
+    inf_side = x.copy()
+    inf_side[0, 0] = np.inf
+    assert math.isnan(_summed_gaps([{"g": [(inf_side, y)]}])["g"])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _scaled_gap(big * x, big * y)
+
+
+def test_direct_hamiltonian_matches_the_kronecker_sum():
+    # each term added by index placement, in the order of the Kronecker
+    # sum, gives every entry the same additions bit for bit
+    rng = np.random.default_rng(41)
+    for sites in range(1, 9):
+        params = ChainParams(sites, 1.0, (0.0,) * sites)
+        for tw in (random_twist(rng), random_twist(rng)):
+            got = build_hamiltonian(params, tw, route="direct")
+            want = block_reference.kronecker_hamiltonian(params, tw)
+            assert got.dtype == want.dtype == complex and got.shape == want.shape, sites
+            assert np.array_equal(got, want), sites
+
+
+def test_direct_hamiltonian_memory_at_eight_sites():
+    # one d x d output and arrays of length d: the Kronecker sum held
+    # three d x d arrays at once (3.5 MB at N=8)
+    params, tw = _eight_site_grid()
+    d = params.dim
+    build_hamiltonian(params, tw, route="direct")
+    tracemalloc.start()
+    try:
+        h = build_hamiltonian(params, tw, route="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.nbytes == d * d * 16
+    assert peak < h.nbytes + 32 * d * 16, peak
+
+
+def test_charge_grouped_products_are_the_single_products_bit_for_bit():
+    # each run of one (q_ij, q_kl) is one broadcast matmul over its
+    # blocks, which multiplies every pair of blocks as the single product
+    # t_ij[M + Q, M + q_kl] @ t_kl[M + q_kl, M] does
+    rng = np.random.default_rng(42)
+    for sites in range(1, 8):
+        params = ChainParams(sites, 0.7 + 0.4j, random_theta(rng, sites))
+        family = build_monodromy(params)
+        grading, charge = family.grading, family.grading.charge
+        u, v = draw_points(rng, 2)
+        groups, _, by_sector = _graded_products(family, u, v)
+        pieces = [grading.blocks(family.entries(x)) for x in (u, v)]
+        for m, pair in enumerate(by_sector):
+            for (first, second), stacks in zip((pieces, pieces[::-1]), pair):
+                for (i, j, k, l), (q, at) in groups.position.items():
+                    mid = m + charge[k, l]
+                    if (k, l, m) in second and (i, j, mid) in first:
+                        want = first[i, j, mid] @ second[k, l, m]
+                        assert np.array_equal(stacks[q][at], want), (sites, m, i, j, k, l)
+                    else:
+                        assert not stacks[q][at].any(), (sites, m, i, j, k, l)
 
 
 def test_periodic_two_site_spectrum():

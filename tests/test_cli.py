@@ -545,6 +545,17 @@ def test_overlap_on_far_apart_inhomogeneities_raises_before_any_contraction(caps
     assert captured.err.startswith("error: the Cauchy matrix of the two parameter sets is singular")
 
 
+def test_spectrum_on_far_apart_inhomogeneities_exits_0_without_warnings(capsys):
+    # t(u) t(v) reaches 1e200 at this spread, so the squared norms of the
+    # commutator's sides overflowed in the gap; they are scaled first
+    theta = "chain.inhomogeneities=[[1e50,0],[0,0]]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["spectrum", "--config", str(N2_CONFIG), "--set", theta]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(check["passed"] for check in report["checks"])
+
+
 @pytest.mark.parametrize(
     "config, entry",
     [(N2_CONFIG, "kappa_tilde"), (N2_CONFIG, "kappa_plus"),

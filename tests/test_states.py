@@ -11,7 +11,16 @@ from hypothesis import given, strategies as st
 
 from twistchain import ChainParams, SpectralContext, TwistParams, solve_newton, states
 from twistchain.bethe import CoincidenceError, VariableSet, diag_eigenvalue, eps_dist
-from twistchain.chain import MonodromyFamily, build_monodromy
+from twistchain.chain import (
+    MonodromyFamily,
+    _Block,
+    _scaled_gap,
+    build_monodromy,
+    monodromy_product_gap,
+    structure_checks,
+    vacuum_state,
+    vacuum_weights,
+)
 from twistchain.states import (
     build_bethe_vector,
     build_dual_vector,
@@ -23,7 +32,7 @@ from twistchain.states import (
     reassemble_projection,
     w0,
 )
-from twistchain.twist import build_modified_operators
+from twistchain.twist import build_modified_operators, vacuum_action_residuals
 
 from conftest import draw_points, random_context
 
@@ -101,61 +110,96 @@ def test_offshell_action_residual_catches_a_wrong_coefficient(monkeypatch):
         assert clean < 1e-10 < broken, (sites, clean, broken)
 
 
+class _CountingBlock(_Block):
+    """A block that records each point it is called at: one evaluation of
+    the stored entries."""
+
+    def __init__(self, family, weights):
+        super().__init__(family, weights)
+        self.points = family.points
+
+    def __call__(self, u):
+        self.points[complex(u)] += 1
+        return super().__call__(u)
+
+
 class _CountingFamily(MonodromyFamily):
-    """A monodromy family that records, block by block, every point it is
-    evaluated at: ``at(u)`` evaluates all four blocks, t_ij(u) one."""
+    """A monodromy family that records every evaluation of its stored
+    entries by point, whichever blocks it serves: ``entries(u)``, which
+    ``at(u)`` and every check that places several blocks at u read, and a
+    block, or a contraction of them, called at u."""
 
     @cached_property
     def points(self):
-        return {ij: Counter() for ij in np.ndindex(2, 2)}
+        return Counter()
 
-    @cached_property
-    def plain(self):
-        return MonodromyFamily(self.coeffs, self.unit, self.grading, self.dressing)
+    def entries(self, u):
+        self.points[complex(u)] += 1
+        return super().entries(u)
 
-    def _counted(self, ij):
-        block = getattr(self.plain, f"t{ij[0] + 1}{ij[1] + 1}")
-
-        def evaluate(u):
-            self.points[ij][complex(u)] += 1
-            return block(u)
-
-        return evaluate
+    def contract(self, weights):
+        return _CountingBlock(self, np.tensordot(weights, self.dressing, 2))
 
     t11, t12, t21, t22 = (
-        cached_property(lambda self, ij=ij: self._counted(ij)) for ij in np.ndindex(2, 2)
+        cached_property(lambda self, ab=ab: _CountingBlock(self, self.dressing[ab]))
+        for ab in np.ndindex(2, 2)
     )
-
-    def at(self, u):
-        for counter in self.points.values():
-            counter[complex(u)] += 1
-        return self.plain.at(u)
 
 
 def test_action_checks_evaluate_each_operator_once_per_point():
+    # each check evaluates the stored entries once per distinct point it
+    # reads, across all four blocks: the off-shell actions and the raising
+    # closure at the probe and every root, the vacuum actions at u, the
+    # product form at u and the structure checks at u and v
     rng = np.random.default_rng(15)
     for sites in range(3, 7):
         ctx = random_context(rng, sites)
-        nu = _family(ctx)
+        bare = build_monodromy(ctx.chain)
+        nu = build_modified_operators(bare, ctx.fact)
 
-        def evaluations(check, u, rs):
-            counting = _CountingFamily(nu.coeffs, nu.unit, nu.grading, nu.dressing)
-            check(counting, ctx, u, rs)
-            points = {complex(x) for x in (u, *rs.values)}
-            for seen in counting.points.values():
-                assert set(seen) <= points
-                assert all(count == 1 for count in seen.values())
-            return counting.points[0, 1]
+        def evaluations(family, check) -> set:
+            counting = _CountingFamily(family.coeffs, family.unit, family.grading, family.dressing)
+            check(counting)
+            assert all(count == 1 for count in counting.points.values()), (sites, counting.points)
+            return set(counting.points)
 
         for m in range(1, sites + 1):
             pts = draw_points(rng, m + 1)
             rs = VariableSet(pts[1:], eps_dist(ctx.c))
-            seen = evaluations(offshell_action_residuals, pts[0], rs)
-            assert len(seen) == m + 1, (sites, m)
+            seen = evaluations(nu, lambda f: offshell_action_residuals(f, ctx, pts[0], rs))
+            assert seen == {complex(x) for x in pts}, (sites, m)
         pts = draw_points(rng, sites + 1)
         rs = VariableSet(pts[1:], eps_dist(ctx.c))
-        seen = evaluations(raising_identity_residual, pts[0], rs)
-        assert len(seen) == sites + 1, sites
+        seen = evaluations(nu, lambda f: raising_identity_residual(f, ctx, pts[0], rs))
+        assert seen == {complex(x) for x in pts}, sites
+        u, v = (complex(x) for x in draw_points(rng, 2))
+        assert evaluations(nu, lambda f: vacuum_action_residuals(f, ctx.fact, ctx.chain, u)) == {u}
+        assert evaluations(bare, lambda f: monodromy_product_gap(ctx.chain, f, u)) == {u}
+        assert evaluations(bare, lambda f: structure_checks(ctx.chain, ctx.twist, u, v, f)) == {u, v}
+
+
+def test_vacuum_actions_read_column_zero_bit_for_bit():
+    # nu_ij(u)|0> read as column 0 of the blocks from one evaluation equals
+    # the placed block applied to the reference state, bit for bit, so
+    # the vacuum residuals are those of the placed blocks
+    rng = np.random.default_rng(16)
+    for sites in range(1, 8):
+        ctx = random_context(rng, sites, diagonal=sites == 2)
+        nu = build_modified_operators(build_monodromy(ctx.chain), ctx.fact)
+        v0 = vacuum_state(sites)
+        for u in draw_points(rng, 2):
+            entries = nu.entries(u)
+            for block in (nu.t11, nu.t12, nu.t21, nu.t22):
+                assert np.array_equal(block.column(entries, 0), block(u) @ v0), sites
+            l1, l2 = vacuum_weights(ctx.chain, u)
+            rp = ctx.fact.ratio_plus
+            nu11, b, nu21, nu22 = (block(u) @ v0 for block in (nu.t11, nu.t12, nu.t21, nu.t22))
+            want = {
+                "nu11_vacuum": _scaled_gap(nu11, l1 * v0 + rp * b),
+                "nu22_vacuum": _scaled_gap(nu22, l2 * v0 + rp * b),
+                "nu21_vacuum": _scaled_gap(nu21, rp * (l1 + l2) * v0 + rp ** 2 * b),
+            }
+            assert vacuum_action_residuals(nu, ctx.fact, ctx.chain, u) == want, sites
 
 
 def test_string_builder_matches_the_full_build_bit_for_bit():
