@@ -66,6 +66,7 @@ __all__ = [
     "eigenvalue_gradient",
     "eps_dist",
     "kernel_g",
+    "onshell_residuals",
     "onshell_scales",
     "onshell_tolerance",
     "raising_eigenpart",
@@ -358,10 +359,10 @@ def bethe_system(ctx: SpectralContext, batch, jacobian: bool = False):
 
 def _single_row(ctx: SpectralContext, roots, jacobian: bool):
     rs = _as_set(roots, ctx.c)
-    res, jac, coincident, _ = bethe_system(ctx, rs.values[None, :], jacobian)
+    res, jac, coincident, scale = bethe_system(ctx, rs.values[None, :], jacobian)
     if coincident[0]:
         raise CoincidenceError("kernel g evaluated at coincident parameters")
-    return res[0], None if jac is None else jac[0]
+    return res[0], None if jac is None else jac[0], float(scale[0])
 
 
 def bethe_residuals(ctx: SpectralContext, roots) -> np.ndarray:
@@ -388,6 +389,13 @@ def onshell_scales(ctx: SpectralContext, batch) -> np.ndarray:
 def onshell_tolerance(ctx: SpectralContext, roots, factor: float = 1e-8) -> float:
     rs = _as_set(roots, ctx.c)
     return factor * float(onshell_scales(ctx, rs.values[None, :])[0])
+
+
+def onshell_residuals(ctx: SpectralContext, roots) -> tuple[np.ndarray, float]:
+    """bethe_residuals and onshell_tolerance (at its default factor) of one
+    set, both read from one bethe_system call."""
+    res, _, scale = _single_row(ctx, roots, jacobian=False)
+    return res, 1e-8 * scale
 
 
 def eigenvalue_gradient(ctx: SpectralContext, u, roots, i):

@@ -18,7 +18,7 @@ import cmath
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,14 +31,9 @@ from .chain import (
     structure_checks,
 )
 from .linalg import MAX_EIG_DIM, ConvergenceError
-from .overlaps import gaudin_norm, relative_gap, scalar_direct, slavnov_formula
+from .overlaps import contraction_reports, gaudin_norm, slavnov_formula
 from .solver import classify_solutions, probe_points, solve_newton, solve_tq_fit, spectrum_match
-from .states import (
-    build_bethe_vector,
-    build_dual_vector,
-    offshell_action_residuals,
-    raising_identity_residual,
-)
+from .states import offshell_action_residuals, raising_identity_residual
 from .twist import TwistParams, vacuum_action_residuals
 
 
@@ -460,26 +455,16 @@ def _onshell_check(cfg: RunConfig, name: str, key: str, compare) -> dict:
     ``compare(cfg, ctx, onshell)`` evaluates the rows' formulas in row order
     and returns the sets they read, sorted as the fit's are, on-shell first,
     with one (row fields, dual index, ket index, formula) entry per report
-    row under ``key``.  Each set's dual and ket are built once, after every
-    formula; the check ``name`` takes the worst relative error over all rows."""
+    row under ``key``, which ``overlaps.contraction_reports`` compares; the
+    check ``name`` takes the worst relative error over all rows."""
     ctx = cfg.context()
     onshell = [s.roots for s in solve_tq_fit(ctx) if s.flag is None]
     sets, entries = compare(cfg, ctx, onshell)
-    duals = [build_dual_vector(ctx.modified, s) for s in sets]
-    kets = [build_bethe_vector(ctx.modified, s) for s in sets]
-    rows = []
-    worst = 0.0
-    for fields, dual, ket, formula in entries:
-        direct = scalar_direct(duals[dual], kets[ket])
-        error = relative_gap(direct, formula)
-        worst = _worse(worst, error)
-        rows.append({
-            **fields,
-            "direct": direct,
-            "formula": formula,
-            "relative_error": error,
-            "passed": bool(error <= cfg.onshell_tol),
-        })
+    reports = contraction_reports(ctx.modified, sets, [entry[1:] for entry in entries])
+    rows, worst = [], 0.0
+    for (fields, *_), rep in zip(entries, reports):
+        worst = _worse(worst, rep.relative_error)
+        rows.append({**fields, **asdict(rep), "passed": bool(rep.relative_error <= cfg.onshell_tol)})
     checks = [_check(name, worst, cfg.onshell_tol, sets=len(onshell))]
     return {"checks": checks, key: rows}
 

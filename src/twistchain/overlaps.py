@@ -26,7 +26,7 @@ from .bethe import (
     diag_residual,
     eigenvalue_gradient,
     kernel_g,
-    onshell_tolerance,
+    onshell_residuals,
     raising_eigenpart,
     transfer_eigenvalue,
 )
@@ -62,12 +62,13 @@ def _require_onshell(
     ctx: SpectralContext, rs: VariableSet, label: str, res=None
 ) -> None:
     """Raise OffShellError unless the residuals of rs are within tolerance;
-    res defaults to the Bethe residuals of the modified ansatz.  A root
-    that is not finite is rejected first, before any arithmetic on it."""
+    res defaults to the Bethe residuals of the modified ansatz, read with
+    the tolerance from one kernel call.  A root that is not finite is
+    rejected first, before any arithmetic on it."""
     if not np.all(np.isfinite(rs.values)):
         raise OffShellError(f"{label} set is off shell: roots {rs.values.tolist()} are not all finite")
-    res = np.abs(bethe_residuals(ctx, rs) if res is None else res)
-    tau = onshell_tolerance(ctx, rs)
+    kernel, tau = onshell_residuals(ctx, rs)
+    res = np.abs(kernel if res is None else res)
     # written so that a NaN residual or tolerance fails the test
     if not float(np.max(res)) <= tau:
         raise OffShellError(
@@ -82,6 +83,14 @@ def _require_disjoint(a: VariableSet, b: VariableSet) -> None:
         raise CoincidenceError("the two parameter sets share a point")
 
 
+def _prefactor(ctx: SpectralContext, onshell: VariableSet) -> complex:
+    """(mu^2 / (kappa_tilde + kappa - rho))^N w0(onshell), the factor the
+    overlap and norm formulas share."""
+    t, f = ctx.twist, ctx.fact
+    stretch = t.kappa_tilde + t.kappa - f.rho
+    return (f.mu ** 2 / stretch) ** ctx.sites * w0(ctx, onshell)
+
+
 def scalar_direct(dual, ket) -> complex:
     """Plain contraction of dual amplitudes with ket amplitudes.
 
@@ -93,6 +102,24 @@ def scalar_direct(dual, ket) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"incompatible vector shapes {a.shape} and {b.shape}")
     return complex(a @ b)
+
+
+def contraction_reports(modified, sets, rows) -> list[OverlapReport]:
+    """Each formula value against the direct contraction it stands for, one
+    report per row of (dual index, ket index, formula) into ``sets``.
+
+    The formulas come evaluated, so a set they reject has raised before any
+    vector is built.  Each set's dual and ket are built at most once, and
+    only in the roles the rows read them in; ``modified`` is the family of
+    modified operators they are built from.
+    """
+    duals = {i: build_dual_vector(modified, sets[i]) for i in dict.fromkeys(r[0] for r in rows)}
+    kets = {k: build_bethe_vector(modified, sets[k]) for k in dict.fromkeys(r[1] for r in rows)}
+    reports = []
+    for dual, ket, formula in rows:
+        direct = scalar_direct(duals[dual], kets[ket])
+        reports.append(OverlapReport(direct, formula, relative_gap(direct, formula)))
+    return reports
 
 
 def _cauchy_determinant(cauchy: np.ndarray) -> complex:
@@ -139,10 +166,7 @@ def slavnov_formula(
     _require_onshell(ctx, onshell, orientation)
     jac = eigenvalue_gradient(ctx, free.values[None, :], onshell, np.arange(n)[:, None])
     cauchy = kernel_g(free.values[:, None], onshell.values[None, :], ctx.c)
-    t, f = ctx.twist, ctx.fact
-    stretch = t.kappa_tilde + t.kappa - f.rho
-    prefactor = (f.mu ** 2 / stretch) ** n * w0(ctx, onshell)
-    return prefactor * determinant(ctx.c * jac) / _cauchy_determinant(cauchy)
+    return _prefactor(ctx, onshell) * determinant(ctx.c * jac) / _cauchy_determinant(cauchy)
 
 
 def gaudin_matrix(ctx: SpectralContext, roots) -> np.ndarray:
@@ -246,13 +270,10 @@ def gaudin_norm(
             raise ValueError(
                 f"norm matrix disagrees with its limit form by {dev:.3e}"
             )
-    t, f = ctx.twist, ctx.fact
-    stretch = t.kappa_tilde + t.kappa - f.rho
     upper, lower = np.triu_indices(n, 1)
     a, b = rs.values[upper], rs.values[lower]
     pair = np.prod(kernel_g(a, b, ctx.c) * kernel_g(b, a, ctx.c))
-    prefactor = (f.mu ** 2 / stretch) ** n * w0(ctx, rs) * pair
-    return prefactor * determinant(gaudin)
+    return _prefactor(ctx, rs) * pair * determinant(gaudin)
 
 
 def slavnov_norm_limit(ctx: SpectralContext, roots) -> complex:
@@ -329,54 +350,50 @@ def n1_reference(ctx: SpectralContext, u: complex, v: complex) -> dict:
     """
     if ctx.sites != 1:
         raise ValueError("closed forms are specific to a single-site chain")
-    if abs(u - v) <= max(1e-12, ctx.roots([u]).eps):
+    uset, vset = ctx.roots([u]), ctx.roots([v])
+    if abs(u - v) <= max(1e-12, uset.eps):
         raise CoincidenceError("u and v must be distinct")
     t, f = ctx.twist, ctx.fact
     stretch = t.kappa_tilde + t.kappa - f.rho
-    dual = build_dual_vector(ctx.modified, ctx.roots([u]))
-    ket = build_bethe_vector(ctx.modified, ctx.roots([v]))
-    direct = scalar_direct(dual, ket)
-
     l1u, l2u = ctx.lam(u)
     l1v, l2v = ctx.lam(v)
     g_uv = kernel_g(u, v, ctx.c)
     s_diag = g_uv * (l1v * l2u - l1u * l2v)
     w0u = l1u + l2u
     w0v = l1v + l2v
-    parametrized = f.mu * (
-        s_diag
-        + (f.mu / stretch)
-        * (
-            raising_eigenpart(ctx, u, ctx.roots([v])) * w0v
-            + raising_eigenpart(ctx, v, ctx.roots([u])) * w0u
+    formulas = {
+        "parametrization": f.mu * (
+            s_diag
+            + (f.mu / stretch)
+            * (
+                raising_eigenpart(ctx, u, vset) * w0v
+                + raising_eigenpart(ctx, v, uset) * w0u
+            )
         )
-    )
-    report = {
-        "direct": direct,
-        "parametrized": parametrized,
-        "parametrization_error": relative_gap(direct, parametrized),
-        "onshell_reduction": None,
-        "onshell_reduction_error": None,
     }
     if f.rho != 0:
         # quadratic weight rewritten through the coupling product; only
         # meaningful when the sector-breaking part is present
-        alternative = f.mu ** 2 * s_diag + f.mu ** 2 * (
+        formulas["alternative"] = f.mu ** 2 * s_diag + f.mu ** 2 * (
             f.rho ** 2 / (t.kappa_plus * t.kappa_minus)
         ) * w0u * w0v
-        report["alternative"] = alternative
-        report["alternative_error"] = relative_gap(direct, alternative)
-    vset = ctx.roots([v])
-    resv = abs(bethe_residuals(ctx, vset)[0])
-    if resv <= onshell_tolerance(ctx, vset):
-        reduced = (
+    resv, tauv = onshell_residuals(ctx, vset)
+    if abs(resv[0]) <= tauv:
+        formulas["onshell_reduction"] = (
             -(f.mu ** 2 / stretch)
             * w0v
-            * bethe_residuals(ctx, ctx.roots([u]))[0]
+            * bethe_residuals(ctx, uset)[0]
             * kernel_g(v, u, ctx.c)
         )
-        report["onshell_reduction"] = reduced
-        report["onshell_reduction_error"] = relative_gap(direct, reduced)
+    rows = [(0, 1, formula) for formula in formulas.values()]
+    reports = dict(zip(formulas, contraction_reports(ctx.modified, [uset, vset], rows)))
+    first = reports.pop("parametrization")
+    report = {"direct": first.direct, "parametrized": first.formula}
+    report["parametrization_error"] = first.relative_error
+    report["onshell_reduction"] = report["onshell_reduction_error"] = None
+    for name, rep in reports.items():
+        report[name] = rep.formula
+        report[name + "_error"] = rep.relative_error
     return report
 
 
@@ -426,35 +443,20 @@ def overlap_report(
     orientation: str = "u-onshell",
     modified=None,
 ) -> OverlapReport:
-    """Both overlap routes side by side for dual(us) against ket(vs);
-    ``modified`` defaults to ctx.modified."""
+    """Both overlap routes side by side for dual(us) against ket(vs), the
+    one-row case of ``contraction_reports``; ``modified`` defaults to
+    ctx.modified."""
     us = _as_set(us, ctx.c).sorted()
     vs = _as_set(vs, ctx.c).sorted()
-    if modified is None:
-        modified = ctx.modified
-    direct = scalar_direct(
-        build_dual_vector(modified, us), build_bethe_vector(modified, vs)
-    )
     formula = slavnov_formula(ctx, us, vs, orientation)
-    return OverlapReport(
-        direct=direct,
-        formula=formula,
-        relative_error=relative_gap(direct, formula),
-    )
+    modified = ctx.modified if modified is None else modified
+    return contraction_reports(modified, [us, vs], [(0, 1, formula)])[0]
 
 
 def norm_report(ctx: SpectralContext, roots, modified=None) -> OverlapReport:
-    """Both norm routes side by side for an on-shell root set;
-    ``modified`` defaults to ctx.modified."""
+    """Both norm routes side by side for an on-shell root set, the one-row
+    case of ``contraction_reports``; ``modified`` defaults to ctx.modified."""
     rs = _as_set(roots, ctx.c).sorted()
-    if modified is None:
-        modified = ctx.modified
-    direct = scalar_direct(
-        build_dual_vector(modified, rs), build_bethe_vector(modified, rs)
-    )
     formula = gaudin_norm(ctx, rs)
-    return OverlapReport(
-        direct=direct,
-        formula=formula,
-        relative_error=relative_gap(direct, formula),
-    )
+    modified = ctx.modified if modified is None else modified
+    return contraction_reports(modified, [rs], [(0, 0, formula)])[0]

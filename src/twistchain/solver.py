@@ -42,7 +42,7 @@ PROBES = 3
 # chunk: a full step settles most rows, a few halvings nearly all the rest
 _HALVINGS = ((0, 1), (1, 5), (5, 20))
 
-# fixed generic offsets, scaled by |c| and recentered on the mean
+# fixed generic offsets, scaled by max(1, |c|) and recentered on the mean
 # inhomogeneity, so probe evaluations are reproducible run to run
 _PROBE_OFFSETS = (
     0.3117 + 0.1193j,

@@ -173,13 +173,12 @@ def build_modified_operators(
 def modified_diagonal_residual(
     modified: MonodromyFamily,
     transfer: _Block,
-    twist: TwistParams,
     fact: TwistFactorization,
     u: complex,
 ) -> float:
     """Scaled gap (``chain._scaled_gap``) between tr_a(D nu(u)) and t(u),
     equal since K = L D L and nu = L T L; the D entries are
-    kappa_tilde - rho and kappa - rho, so ``twist`` is implied by ``fact``."""
+    kappa_tilde - rho and kappa - rho, so ``fact`` implies the twist."""
     return _scaled_gap(modified.contract(fact.d_factor.T)(u), transfer(u))
 
 

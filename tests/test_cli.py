@@ -488,18 +488,21 @@ def test_norm_and_overlap_count_the_sets_they_check():
     ],
 )
 def test_norm_and_overlap_build_each_vector_and_formula_once(monkeypatch, command, counts):
+    # the vectors are built in overlaps.contraction_reports and the formulas
+    # evaluated in cli, so each name is counted where it is called
     import twistchain.cli as cli
+    import twistchain.overlaps as overlaps
 
     calls = Counter()
     names = ("build_bethe_vector", "build_dual_vector", "slavnov_formula", "gaudin_norm")
-    for name in names:
-        original = getattr(cli, name)
+    for module, name in zip((overlaps, overlaps, cli, cli), names):
+        original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     (check,) = execute(command, parse_config(str(N3_CONFIG)))["checks"]
     assert check["passed"] and check["sets_checked"] == 8
     assert tuple(calls[name] for name in names) == counts

@@ -1,13 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from twistchain import ChainParams, SpectralContext, TwistParams, solve_newton
-from twistchain import overlaps
+from twistchain import bethe, overlaps
 from twistchain.bethe import (
     CoincidenceError,
+    VariableSet,
+    bethe_residuals,
     bethe_system,
     eigenvalue_gradient,
     kernel_g,
+    onshell_residuals,
+    onshell_tolerance,
     transfer_eigenvalue,
 )
 from twistchain.chain import build_monodromy
@@ -290,6 +296,120 @@ def test_a_nan_root_is_rejected_before_any_arithmetic():
     for us, vs, orientation in ((roots, free, "u-onshell"), (free, roots, "v-onshell")):
         with pytest.raises(OffShellError, match="nan"):
             slavnov_formula(ctx, us, vs, orientation)
+
+
+def _count_overlap_calls(monkeypatch) -> Counter:
+    """Count the vector builds and formula evaluations made through the
+    overlaps module's own bindings."""
+    calls = Counter()
+    for name in ("build_dual_vector", "build_bethe_vector", "slavnov_formula", "gaudin_norm"):
+        original = getattr(overlaps, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(overlaps, name, counted)
+    return calls
+
+
+def test_each_report_builds_one_dual_one_ket_and_one_formula(monkeypatch):
+    ctx = N3_CTX
+    roots = next(s.roots for s in solve_tq_fit(ctx) if s.flag is None)
+    free = ctx.roots(draw_points(np.random.default_rng(5), 3)).sorted()
+    calls = _count_overlap_calls(monkeypatch)
+    for call, formula in (
+        (lambda: overlap_report(ctx, roots, free, "u-onshell"), "slavnov_formula"),
+        (lambda: overlap_report(ctx, free, roots, "v-onshell"), "slavnov_formula"),
+        (lambda: norm_report(ctx, roots), "gaudin_norm"),
+    ):
+        calls.clear()
+        rep = call()
+        assert calls == {"build_dual_vector": 1, "build_bethe_vector": 1, formula: 1}
+        assert rep.relative_error < 1e-8
+
+
+def test_an_offshell_set_raises_before_any_vector_is_built(monkeypatch):
+    ctx = N3_CTX
+    roots = next(s.roots for s in solve_tq_fit(ctx) if s.flag is None)
+    moved = ctx.roots(roots.values + 1e-3)
+    free = ctx.roots(draw_points(np.random.default_rng(5), 3)).sorted()
+    calls = _count_overlap_calls(monkeypatch)
+    for call in (
+        lambda: overlap_report(ctx, moved, free, "u-onshell"),
+        lambda: overlap_report(ctx, free, moved, "v-onshell"),
+        lambda: norm_report(ctx, moved),
+    ):
+        with pytest.raises(OffShellError):
+            call()
+    assert calls["build_dual_vector"] == calls["build_bethe_vector"] == 0
+
+
+def test_contraction_reports_build_each_vector_once_in_the_roles_read(monkeypatch):
+    ctx = N2_CTX
+    rng = np.random.default_rng(11)
+    sets = [ctx.roots(draw_points(rng, 2)).sorted() for _ in range(3)]
+    rows = [(0, 1, 1.0), (0, 2, 2.0j), (1, 1, -3.0), (0, 1, 4.0)]
+    calls = _count_overlap_calls(monkeypatch)
+    reports = overlaps.contraction_reports(ctx.modified, sets, rows)
+    # duals of sets 0 and 1, kets of sets 1 and 2
+    assert calls == {"build_dual_vector": 2, "build_bethe_vector": 2}
+    for (dual, ket, formula), rep in zip(rows, reports):
+        direct = scalar_direct(
+            build_dual_vector(ctx.modified, sets[dual]), build_bethe_vector(ctx.modified, sets[ket])
+        )
+        assert (rep.direct, rep.formula, rep.relative_error) == (
+            direct, formula, relative_gap(direct, formula)
+        )
+
+
+def test_the_onshell_gate_reads_one_kernel_call(monkeypatch):
+    # the residuals and the tolerance from one bethe_system call are those of
+    # the two separate calls, bit for bit, on the five-site grid chain
+    theta = tuple(0.15 * (k - 2) for k in range(5))
+    ctx = SpectralContext.create(ChainParams(5, 1.0, theta), N3_CTX.twist)
+    sets = [s.roots for s in solve_tq_fit(ctx)]
+    assert len(sets) == 32
+    for roots in sets:
+        res, tau = onshell_residuals(ctx, roots)
+        assert np.array_equal(res, bethe_residuals(ctx, roots))
+        assert tau == onshell_tolerance(ctx, roots)
+    kernel = bethe.bethe_system
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls["bethe_system"] += 1
+        return kernel(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the on-shell scale was evaluated apart")
+
+    monkeypatch.setattr(bethe, "bethe_system", counted)
+    monkeypatch.setattr(bethe, "onshell_scales", forbidden)
+    for roots in sets:
+        calls.clear()
+        overlaps._require_onshell(ctx, roots, "norm")
+        assert calls["bethe_system"] == 1
+
+
+def test_the_onshell_gate_rejects_coincident_and_nan_roots(monkeypatch):
+    # two roots within eps_dist(c), which a VariableSet with eps 0 holds
+    coincident = VariableSet([0.3, 0.3 + 1e-12, 0.5j], 0.0)
+    with pytest.raises(CoincidenceError):
+        overlaps._require_onshell(N3_CTX, coincident, "norm")
+    with pytest.raises(CoincidenceError):
+        gaudin_norm(N3_CTX, coincident)
+
+    # a NaN root is answered before the kernel runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the kernel ran on a NaN root")
+
+    monkeypatch.setattr(bethe, "bethe_system", forbidden)
+    roots = N3_CTX.roots([np.nan, 0.3 + 0.1j, -0.7 + 0.2j])
+    with pytest.raises(OffShellError, match="not all finite"):
+        overlaps._require_onshell(N3_CTX, roots, "norm")
+    with pytest.raises(OffShellError, match="not all finite"):
+        norm_report(N3_CTX, roots)
 
 
 @pytest.mark.parametrize("sites", range(1, 7))

@@ -113,7 +113,7 @@ def test_modified_diagonal_combination_is_transfer():
         nu = build_modified_operators(family, ctx.fact)
         transfer = build_transfer(ctx.chain, ctx.twist, family)
         for u in draw_points(rng, 3):
-            resid = modified_diagonal_residual(nu, transfer, ctx.twist, ctx.fact, u)
+            resid = modified_diagonal_residual(nu, transfer, ctx.fact, u)
             assert resid < 1e-10
 
 
@@ -137,7 +137,7 @@ def test_both_branches_give_same_transfer(config_a):
     transfer = build_transfer(chain, tw, family)
     for ctx in (minus, plus):
         nu = build_modified_operators(family, ctx.fact)
-        resid = modified_diagonal_residual(nu, transfer, tw, ctx.fact, 0.4)
+        resid = modified_diagonal_residual(nu, transfer, ctx.fact, 0.4)
         assert resid < 1e-12
 
 
