@@ -10,10 +10,11 @@ outputs of two trees is a byte-identity check of their reports.
 
 The runs are the five commands on the four bundled configs, ``verify``
 and ``spectrum`` on the grid chain (the n3_generic twist with
-theta_k = 0.15 (k - (N - 1)/2) and c = 1) at N = 1..8, ``solve`` on the
+theta_k = 0.15 (k - (N - 1)/2) and c = 1) at N = 1..10, ``solve`` on the
 grid chain at N = 1..4, ``norm`` and ``overlap`` on it at N = 1..7, and
 ``spectrum`` on n2_generic with its inhomogeneities 1e50 apart, whose
-operator products come near the float range.
+operator products come near the float range.  From N = 9 a stored
+block's longest span passes 12,870 entries.
 
 Usage:
     PYTHONPATH=src python scripts/report_set.py OUTDIR
@@ -53,7 +54,7 @@ def runs() -> list[Run]:
     ]
     grid = CONFIGS / "n3_generic.json"
     for commands, sizes in (
-        (("verify", "spectrum"), range(1, 9)),
+        (("verify", "spectrum"), range(1, 11)),
         (("solve",), range(1, 5)),
         (("norm", "overlap"), range(1, 8)),
     ):

@@ -93,9 +93,9 @@ def kernel_g(u, v, c):
 class VariableSet:
     """Ordered tuple of pairwise-distinct Bethe parameters.
 
-    ``drop`` and ``drop2`` give the sets ubar_i and ubar_ij that creation
-    sub-strings are built from; scalar coefficients leave entries out of a
-    kernel row by index instead.
+    ``drop`` gives the set ubar_i that creation sub-strings are built
+    from; scalar coefficients leave entries out of a kernel row by index
+    instead.
     """
 
     __slots__ = ("values", "eps")
@@ -130,12 +130,6 @@ class VariableSet:
     def drop(self, i: int) -> "VariableSet":
         """The set with entry i removed (ubar_i)."""
         return VariableSet(np.delete(self.values, i), self.eps)
-
-    def drop2(self, i: int, j: int) -> "VariableSet":
-        """The set with entries i and j removed (ubar_ij)."""
-        if i == j:
-            raise ValueError("drop2 needs two distinct indices")
-        return VariableSet(np.delete(self.values, [i, j]), self.eps)
 
     def sorted(self) -> "VariableSet":
         order = np.lexsort((self.values.imag, self.values.real))

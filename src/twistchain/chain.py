@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
@@ -287,8 +286,8 @@ def _evaluate(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 
 def _write(entries: np.ndarray, charges, out: np.ndarray) -> None:
-    """out[positions] = sum of entries[stored] * weights over the terms of
-    each (positions, [(stored, weights or None)]) of ``charges``, summed in
+    """out[positions] = sum of entries[stored] * weight over the terms of
+    each (positions, [(stored, weight or None)]) of ``charges``, summed in
     term order; ``stored`` is a slice or an index array."""
     for index, terms in charges:
         total = None
@@ -332,7 +331,6 @@ class MonodromyFamily:
             dressing = np.array(dressing, dtype=complex).reshape(2, 2, 2, 2)
             dressing.setflags(write=False)
         self.coeffs, self.unit, self.grading, self.dressing = coeffs, complex(unit), grading, dressing
-        self._fulls = weakref.WeakValueDictionary()
 
     @property
     def degree(self) -> int:
@@ -366,19 +364,6 @@ class MonodromyFamily:
         coefficient array."""
         return type(self)(self.coeffs, self.unit, self.grading, np.tensordot(weights, self.dressing, 2))
 
-    def _full(self, value: complex) -> np.ndarray:
-        """One read-only array of ``value`` as long as the longest stored
-        block, shared by every live weighted block of the family that has
-        that weight, bit for bit (two zeros of opposite sign are two
-        weights); it is freed with the last block that reads it."""
-        key = np.complex128(value).tobytes()
-        full = self._fulls.get(key)
-        if full is None:
-            longest = max(s.stop - s.start for s in self.grading.pairs.values())
-            full = self._fulls[key] = np.full(longest, value, dtype=complex)
-            full.setflags(write=False)
-        return full
-
 
 class _Block:
     """sum_ij weights[i, j] t_ij over the stored blocks of a family: one of
@@ -388,15 +373,13 @@ class _Block:
     dense coefficient stack (degree + 1, d, d) only when ``coeffs`` is
     read.  Blocks of one charge share their positions (``Grading.index``),
     so the weighted blocks of each charge are summed entrywise in storage
-    order and the sum is written once.  The weights multiply only when some
-    weight is not 0 or 1, and then as a per-entry array for each block,
-    shared by the family per weight value (``MonodromyFamily._full``):
-    numpy rounds a product with a broadcast complex scalar differently.  A
-    check that reads several blocks at one point evaluates the stored
-    entries once (``MonodromyFamily.entries``) and places each block from
-    them (``placed``), or only the column it applies to a basis vector
-    (``column``).  It keeps what it reads of the family, not the family,
-    which caches its four blocks.
+    order and the sum is written once.  The weights multiply, each as one
+    complex scalar, only when some weight is not 0 or 1.  A check that
+    reads several blocks at one point evaluates the stored entries once
+    (``MonodromyFamily.entries``) and places each block from them
+    (``placed``), or only its column 0, the block applied to the reference
+    state (``column``).  It keeps what it reads of the family, not the
+    family, which caches its four blocks.
     """
 
     def __init__(self, family: MonodromyFamily, weights: np.ndarray):
@@ -405,13 +388,12 @@ class _Block:
         grading = family.grading
         used = [ij for ij in _PAIRS if weights[ij] != 0]
         scaled = any(weights[ij] != 1 for ij in used)
-        # charge -> (positions of its blocks, [(stored slice, weights or None)])
+        # charge -> (positions of its blocks, [(stored slice, weight or None)])
         self._charges = {}
         for ij in used:
             span = grading.pairs[ij]
-            w = family._full(weights[ij])[: span.stop - span.start] if scaled else None
+            w = weights[ij] if scaled else None
             self._charges.setdefault(grading.charge[ij], (grading.index[span], []))[1].append((span, w))
-        self._columns = {}  # col -> the charges' (rows, terms) in that column
 
     def place(self, entries: np.ndarray, out: np.ndarray) -> None:
         """Write the block from one vector of stored entries into the zeroed
@@ -427,24 +409,23 @@ class _Block:
     def __call__(self, u: complex) -> np.ndarray:
         return self.placed(_evaluate(self._coeffs, (complex(u) / self._unit) ** self._exponents))
 
-    def column(self, entries: np.ndarray, col: int) -> np.ndarray:
-        """Column ``col`` of the block from one vector of stored entries,
-        the block applied to basis vector ``col``: the sums of ``place``
-        over only the stored entries in that column, whose positions are
-        found on the first call for ``col``."""
-        d = self._dim
-        if col not in self._columns:
-            self._columns[col] = parts = []
-            for index, terms in self._charges.values():
-                hit = np.flatnonzero(index % d == col)
-                stored = [
-                    (np.arange(span.start, span.stop)[hit], None if w is None else w[: len(hit)])
-                    for span, w in terms
-                ]
-                parts.append((index[hit] // d, stored))
-        out = np.zeros(d, dtype=complex)
-        _write(entries, self._columns[col], out)
+    def column(self, entries: np.ndarray) -> np.ndarray:
+        """Column 0 of the block from one vector of stored entries, the
+        block applied to the reference state: the sums of ``place`` over
+        only the stored entries in that column."""
+        out = np.zeros(self._dim, dtype=complex)
+        _write(entries, self._column, out)
         return out
+
+    @cached_property
+    def _column(self) -> list:
+        """The charges' (rows, terms) of ``place`` in column 0."""
+        parts = []
+        for index, terms in self._charges.values():
+            hit = np.flatnonzero(index % self._dim == 0)
+            stored = [(np.arange(span.start, span.stop)[hit], w) for span, w in terms]
+            parts.append((index[hit] // self._dim, stored))
+        return parts
 
     @property
     def coeffs(self) -> np.ndarray:

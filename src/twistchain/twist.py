@@ -202,7 +202,7 @@ def vacuum_action_residuals(
     # the stored entries without placing the d x d blocks
     entries = modified.entries(u)
     nu11, b, nu21, nu22 = (
-        block.column(entries, 0)
+        block.column(entries)
         for block in (modified.t11, modified.t12, modified.t21, modified.t22)
     )
     return {

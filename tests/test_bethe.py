@@ -111,7 +111,6 @@ def test_variable_set_rejects_coincident_entries():
 def test_variable_set_drop():
     vs = VariableSet(np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(vs.drop(1).values, [1.0, 3.0])
-    assert np.array_equal(vs.drop2(0, 2).values, [2.0])
 
 
 @given(st.integers(0, 200))

@@ -29,7 +29,7 @@ def test_completeness_scan_finds_every_set(capsys):
 def test_report_set_writes_reports_without_wall_time(tmp_path):
     report_set = _load("report_set")
     every = report_set.runs()
-    assert len(every) == 55 and len({run.name for run in every}) == 55
+    assert len(every) == 59 and len({run.name for run in every}) == 59
     selected = [run for run in every if run.config.stem == "config_a"]
     assert [run.command for run in selected] == list(report_set.COMMANDS)
     codes = report_set.write(tmp_path, selected)

@@ -190,7 +190,7 @@ def test_vacuum_actions_read_column_zero_bit_for_bit():
         for u in draw_points(rng, 2):
             entries = nu.entries(u)
             for block in (nu.t11, nu.t12, nu.t21, nu.t22):
-                assert np.array_equal(block.column(entries, 0), block(u) @ v0), sites
+                assert np.array_equal(block.column(entries), block(u) @ v0), sites
             l1, l2 = vacuum_weights(ctx.chain, u)
             rp = ctx.fact.ratio_plus
             nu11, b, nu21, nu22 = (block(u) @ v0 for block in (nu.t11, nu.t12, nu.t21, nu.t22))
